@@ -44,9 +44,16 @@ class RunCache:
         if not path.exists():
             self.misses += 1
             return None
-        with path.open(encoding="utf-8") as fh:
-            self.hits += 1
-            return json.load(fh)
+        try:
+            with path.open(encoding="utf-8") as fh:
+                value = json.load(fh)
+        except ValueError:  # truncated or not JSON: recompute and overwrite
+            value = None
+        if not isinstance(value, dict):
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
 
     def put(self, diagram: LinkDiagram, segment: int, value: dict) -> None:
         path = self._path(self.key(diagram, segment))

@@ -11,7 +11,7 @@ one region cycle (length = number of boundary segments, negative sign).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagram import DiagramError, LinkDiagram
 
@@ -30,6 +30,14 @@ class Arrow:
 class Quiver:
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
+    # (crossing, corner) -> arrow, the first arrow wins; derived, so not compared
+    _by_corner: dict[tuple[int, int], Arrow] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        for a in self.arrows:
+            self._by_corner.setdefault((a.crossing, a.corner), a)
 
     def arrows_from(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.src == v]
@@ -38,10 +46,10 @@ class Quiver:
         return [a for a in self.arrows if a.tgt == v]
 
     def arrow_at_corner(self, crossing: int, corner: int) -> Arrow:
-        for a in self.arrows:
-            if a.crossing == crossing and a.corner == corner % 4:
-                return a
-        raise KeyError((crossing, corner))
+        try:
+            return self._by_corner[crossing, corner % 4]
+        except KeyError:
+            raise KeyError((crossing, corner)) from None
 
 
 @dataclass(frozen=True)

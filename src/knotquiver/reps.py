@@ -3,29 +3,35 @@
 The module of a state S is built from the transposition history that
 reaches S from the minimal state.  At every crossing that history is a
 cyclic run through the four incident segments in counterclockwise order,
-so the four arrow matrices fall into the I/J/V/H shapes (identity,
-nilpotent shift, drop-first-coordinate, pad-with-zero):
+so the four arrow maps fall into the I/J/V/H shapes (identity, nilpotent
+shift, drop-first-coordinate, pad-with-zero):
 
     J * e_k = e_(k-1)   (square, full Jordan block, J * e_1 = 0)
     V * e_k = e_(k-1)   (one column more than rows)
     H * e_k = e_k       (one row more than columns)
 
-with the basis at a vertex ordered by the transpositions at it.  The
-link module T(i) is the module of the maximal state; an independent
-geometric construction from the level partition of the segments is kept
-as a cross-check.
+with the basis at a vertex ordered by the transpositions at it.  Each of
+these, and every composite of them, is a partial shift e_k -> e_(k-o) on
+a range lo <= k <= hi of basis vectors and zero elsewhere, so a map is
+stored as the five integers (rows, cols, o, lo, hi) rather than as a
+dense matrix.  This is exact, not an approximation: composing two partial
+shifts gives the partial shift with offsets added and ranges intersected,
+and the normalized form is unique, so equality of the tuples is equality
+of the matrices.  ``PartialShift.to_dense`` gives the explicit integer
+matrix.  The link module T(i) is the module of the maximal state; an
+independent geometric construction from the level partition of the
+segments is kept as a cross-check.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from typing import NamedTuple
 
 from .diagram import DiagramError, LinkDiagram
 from .quiver import Potential, Quiver
-from .states import State, StateLattice, build_lattice
+from .states import StateLattice
 
 
 class PartitionUndefinedError(DiagramError):
@@ -40,106 +46,85 @@ class PartitionUndefinedError(DiagramError):
     """
 
 
-class Mat(NamedTuple):
-    """Integer matrix with explicit shape (zero dimensions stay distinguishable)."""
-
+class _Shape(NamedTuple):
     rows: int
     cols: int
-    data: tuple[tuple[int, ...], ...]
+    o: int
+    lo: int
+    hi: int
 
 
-# -- exact matrix helpers -----------------------------------------------------
+class PartialShift(_Shape):
+    """The rows x cols 0/1 matrix sending e_k to e_(k-o) for lo <= k <= hi.
 
+    Basis vectors are numbered from 1.  The constructor clamps the range
+    to the basis vectors that exist on both sides and writes every zero
+    map as ``(rows, cols, 0, 1, 0)``, so two maps are equal exactly when
+    their dense matrices are.
+    """
 
-def mat_from_rows(rows: list[list[int]], cols: int | None = None) -> Mat:
-    c = cols if cols is not None else (len(rows[0]) if rows else 0)
-    return Mat(len(rows), c, tuple(tuple(r) for r in rows))
+    __slots__ = ()
 
+    def __new__(cls, rows: int, cols: int, o: int, lo: int, hi: int) -> "PartialShift":
+        lo = max(lo, 1, 1 + o)
+        hi = min(hi, cols, rows + o)
+        if lo > hi:
+            return tuple.__new__(cls, (rows, cols, 0, 1, 0))
+        return tuple.__new__(cls, (rows, cols, o, lo, hi))
 
-def mat_identity(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    @classmethod
+    def identity(cls, n: int) -> "PartialShift":
+        return cls(n, n, 0, 1, n)
 
+    @classmethod
+    def jordan(cls, n: int) -> "PartialShift":
+        """Full nilpotent Jordan block of size n: e_k -> e_(k-1)."""
+        return cls(n, n, 1, 2, n)
 
-def mat_shift(n: int) -> Mat:
-    """Full nilpotent Jordan block of size n: e_k -> e_(k-1)."""
-    return Mat(n, n, tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n)))
+    @classmethod
+    def drop_first(cls, cols: int) -> "PartialShift":
+        """(cols-1) x cols map dropping the first coordinate."""
+        return cls(cols - 1, cols, 1, 2, cols)
 
+    @classmethod
+    def pad_last(cls, rows: int) -> "PartialShift":
+        """rows x (rows-1) inclusion padding a zero in the last coordinate."""
+        return cls(rows, rows - 1, 0, 1, rows - 1)
 
-def mat_drop_first(cols: int) -> Mat:
-    """(cols-1) x cols matrix dropping the first coordinate."""
-    return Mat(
-        cols - 1,
-        cols,
-        tuple(tuple(1 if j == i + 1 else 0 for j in range(cols)) for i in range(cols - 1)),
-    )
+    def rank(self) -> int:
+        return self.hi - self.lo + 1
 
+    def kind(self) -> str:
+        """Classify the map as I, J, V, H, or E (involving a zero space)."""
+        rows, cols = self.rows, self.cols
+        if rows == 0 or cols == 0:
+            return "E"
+        if rows == cols:
+            if self == PartialShift.identity(rows):
+                return "I"
+            if self == PartialShift.jordan(rows):
+                return "J"
+        if rows + 1 == cols and self == PartialShift.drop_first(cols):
+            return "V"
+        if rows == cols + 1 and self == PartialShift.pad_last(rows):
+            return "H"
+        raise DiagramError(f"map of shape {rows}x{cols} is not of I/J/V/H form")
 
-def mat_pad_last(rows: int) -> Mat:
-    """rows x (rows-1) inclusion padding a zero in the last coordinate."""
-    return Mat(
-        rows,
-        rows - 1,
-        tuple(tuple(1 if j == i else 0 for j in range(rows - 1)) for i in range(rows)),
-    )
-
-
-def mat_zero(rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
-    data = tuple(
-        tuple(sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols))
-        for i in range(a.rows)
-    )
-    return Mat(a.rows, b.cols, data)
-
-
-def mat_rank(m: Mat) -> int:
-    from fractions import Fraction
-
-    rows = [[Fraction(x) for x in row] for row in m.data]
-    rank = 0
-    r = 0
-    for c in range(m.cols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c] / pv
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def mat_kind(m: Mat) -> str:
-    """Classify a map matrix as I, J, V, H, or E (involving a zero space)."""
-    if m.rows == 0 or m.cols == 0:
-        return "E"
-    if m.rows == m.cols:
-        if m == mat_identity(m.rows):
-            return "I"
-        if m == mat_shift(m.rows):
-            return "J"
-    if m.rows + 1 == m.cols and m == mat_drop_first(m.cols):
-        return "V"
-    if m.rows == m.cols + 1 and m == mat_pad_last(m.rows):
-        return "H"
-    raise DiagramError(f"matrix of shape {m.rows}x{m.cols} is not of I/J/V/H form")
+    def to_dense(self) -> tuple[tuple[int, ...], ...]:
+        """The explicit rows x cols integer matrix."""
+        o, lo, hi = self.o, self.lo, self.hi
+        return tuple(
+            tuple(1 if lo <= k <= hi and k - o == r else 0 for k in range(1, self.cols + 1))
+            for r in range(1, self.rows + 1)
+        )
 
 
 @dataclass(frozen=True)
 class QuiverRep:
-    """Representation: a dimension per vertex and a matrix per arrow."""
+    """Representation: a dimension per vertex and a map per arrow."""
 
     dims: dict[int, int]
-    maps: dict[int, Mat]  # arrow id -> matrix of shape (dim tgt, dim src)
+    maps: dict[int, PartialShift]  # arrow id -> map of shape (dim tgt, dim src)
 
     def dim_vector(self) -> dict[int, int]:
         return {v: d for v, d in self.dims.items() if d}
@@ -151,7 +136,7 @@ class QuiverRep:
         return {v for v, d in self.dims.items() if d}
 
     def map_kind(self, arrow_id: int) -> str:
-        return mat_kind(self.maps[arrow_id])
+        return self.maps[arrow_id].kind()
 
 
 # -- state modules -------------------------------------------------------------
@@ -180,44 +165,44 @@ def _crossing_history(
     return k0, run
 
 
+def _crossing_maps(total: int) -> tuple[PartialShift, ...]:
+    """The maps at corners k0 .. k0+3 (delta, alpha, beta, gamma) after
+    ``total`` = 4*ell + rem transpositions at a crossing.
+
+    For rem = 0 they are J and three identities of size ell.  Otherwise
+    delta is V, the arrow rem corners on is H, and the identities are of
+    size ell + 1 between them and of size ell after the H.
+    """
+    ell, rem = divmod(total, 4)
+    i, j = PartialShift.identity, PartialShift.jordan
+    v, h = PartialShift.drop_first(ell + 1), PartialShift.pad_last(ell + 1)
+    if rem == 0:
+        return (j(ell), i(ell), i(ell), i(ell))
+    if rem == 1:
+        return (v, h, i(ell), i(ell))
+    if rem == 2:
+        return (v, i(ell + 1), h, i(ell))
+    return (v, i(ell + 1), i(ell + 1), h)
+
+
 def state_module(
     diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
 ) -> QuiverRep:
     """The representation M(S) of a Kauffman state S."""
     h = lat.heights[state_index]
     dims = {j: h[lat.segment_index[j]] for j in diagram.segment_ids()}
-    maps: dict[int, Mat] = {}
+    maps: dict[int, PartialShift] = {}
+    by_total: dict[int, tuple[PartialShift, ...]] = {}
     for c in range(diagram.n):
         k0, run = _crossing_history(diagram, lat, state_index, c)
         total = len(run)
-        ell, rem = divmod(total, 4)
+        if total not in by_total:
+            by_total[total] = _crossing_maps(total)
         # arrows of this crossing by corner; the first transposed segment
         # "a" sits at slot k0+1, and the cycle a->d->c->b->a corresponds to
         # corners k0, k0+1, k0+2, k0+3 in the order delta, alpha, beta, gamma
-        delta = q.arrow_at_corner(c, k0)
-        alpha = q.arrow_at_corner(c, k0 + 1)
-        beta = q.arrow_at_corner(c, k0 + 2)
-        gamma = q.arrow_at_corner(c, k0 + 3)
-        if rem == 0:
-            maps[delta.id] = mat_shift(ell)
-            maps[gamma.id] = mat_identity(ell)
-            maps[beta.id] = mat_identity(ell)
-            maps[alpha.id] = mat_identity(ell)
-        elif rem == 1:
-            maps[delta.id] = mat_drop_first(ell + 1)
-            maps[gamma.id] = mat_identity(ell)
-            maps[beta.id] = mat_identity(ell)
-            maps[alpha.id] = mat_pad_last(ell + 1)
-        elif rem == 2:
-            maps[delta.id] = mat_drop_first(ell + 1)
-            maps[gamma.id] = mat_identity(ell)
-            maps[beta.id] = mat_pad_last(ell + 1)
-            maps[alpha.id] = mat_identity(ell + 1)
-        else:
-            maps[delta.id] = mat_drop_first(ell + 1)
-            maps[gamma.id] = mat_pad_last(ell + 1)
-            maps[beta.id] = mat_identity(ell + 1)
-            maps[alpha.id] = mat_identity(ell + 1)
+        for k, m in enumerate(by_total[total]):
+            maps[q.arrow_at_corner(c, k0 + k).id] = m
     rep = QuiverRep(dims, maps)
     for a in q.arrows:
         m = rep.maps[a.id]
@@ -589,18 +574,18 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
     for ld in part.levels:
         for rec in ld.internal_points:
             pinched.add((rec["crossing"], rec["region"]))
-    maps: dict[int, Mat] = {}
+    maps: dict[int, PartialShift] = {}
     for a in q.arrows:
         ds, dt = dims[a.src], dims[a.tgt]
         if ds == dt + 1:
-            maps[a.id] = mat_drop_first(ds)
+            maps[a.id] = PartialShift.drop_first(ds)
         elif ds + 1 == dt:
-            maps[a.id] = mat_pad_last(dt)
+            maps[a.id] = PartialShift.pad_last(dt)
         elif ds == dt:
             if (a.crossing, a.region) in pinched:
-                maps[a.id] = mat_shift(ds)
+                maps[a.id] = PartialShift.jordan(ds)
             else:
-                maps[a.id] = mat_identity(ds)
+                maps[a.id] = PartialShift.identity(ds)
         else:
             raise DiagramError(
                 f"level step {ds}->{dt} on arrow {a.id} exceeds 1; corrupt partition"
@@ -640,7 +625,7 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     pos = {v: k for k, v in enumerate(vertices)}
     constraints: list[tuple[int, int, int]] = []  # (src pos, tgt pos, slack)
     for a in q.arrows:
-        kind = mat_kind(rep.maps[a.id])
+        kind = rep.maps[a.id].kind()
         if kind in ("I", "H"):
             constraints.append((pos[a.src], pos[a.tgt], 0))
         elif kind in ("J", "V"):
@@ -686,29 +671,27 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
 # -- relations and lattice isomorphism -------------------------------------------
 
 
-def _path_matrix(rep: QuiverRep, q: Quiver, path: tuple[int, ...]) -> Mat:
-    """Composite matrix along a composable arrow-id path (applied left to right)."""
-    arrows = {a.id: a for a in q.arrows}
-    first = arrows[path[0]]
-    m = mat_identity(rep.dims[first.src])
-    for aid in path:
-        m = mat_mul(rep.maps[aid], m)
-    return m
+class RelationPaths(NamedTuple):
+    """The paths of arrow ids that the Jacobian relations compare.
 
-
-def check_relations(rep: QuiverRep, q: Quiver, w: Potential) -> bool:
-    """Jacobian relations of the potential on a representation.
-
-    For every arrow the two complementary paths of its crossing cycle and
-    its region cycle must act identically, and every full crossing cycle
-    based at a vertex of dimension d must act as the full shift block of
-    size d.
+    ``pairs`` holds, per arrow, its two complementary paths (one in its
+    crossing cycle, one in its region cycle); ``cycles`` holds every
+    crossing cycle rooted at each of its arrows.  Each path comes with the
+    vertex it starts from.  They depend only on the quiver and the
+    potential.
     """
+
+    pairs: tuple[tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]], ...]
+    cycles: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
     arrows = {a.id: a for a in q.arrows}
     cycles_with: dict[int, list[tuple[int, ...]]] = {}
     for cyc in list(w.plus) + list(w.minus):
         for aid in cyc:
             cycles_with.setdefault(aid, []).append(cyc)
+    pairs = []
     for a in q.arrows:
         owning = cycles_with.get(a.id, [])
         if len(owning) != 2:
@@ -716,21 +699,66 @@ def check_relations(rep: QuiverRep, q: Quiver, w: Potential) -> bool:
         complements = []
         for cyc in owning:
             k = cyc.index(a.id)
-            complements.append(cyc[k + 1:] + cyc[:k])
-        paths = []
-        for comp in complements:
-            if comp:
-                paths.append(_path_matrix(rep, q, comp))
-            else:
-                paths.append(mat_identity(rep.dims[a.tgt]))
-        if paths[0] != paths[1]:
+            path = cyc[k + 1:] + cyc[:k]
+            complements.append((arrows[path[0]].src if path else a.tgt, path))
+        pairs.append(tuple(complements))
+    cycles = [
+        (arrows[cyc[k]].src, cyc[k:] + cyc[:k]) for cyc in w.plus for k in range(len(cyc))
+    ]
+    return RelationPaths(tuple(pairs), tuple(cycles))
+
+
+_new_tuple = tuple.__new__
+
+
+def compose_path(maps: dict[int, PartialShift], dim: int, path: tuple[int, ...]) -> PartialShift:
+    """Composite of ``maps`` along a path of arrow ids from a vertex of
+    dimension ``dim``, applied left to right; the empty path is the identity.
+
+    A partial shift sends e_k to e_(k-o) for lo <= k <= hi; following it
+    by one with (o', lo', hi') keeps k when lo' <= k - o <= hi', so the
+    composite adds the offsets and intersects the ranges.
+    """
+    rows, o, lo, hi = dim, 0, 1, dim
+    for aid in path:
+        m_rows, m_cols, m_o, m_lo, m_hi = maps[aid]
+        if m_cols != rows:
+            raise ValueError(f"shape mismatch {m_rows}x{m_cols} * {rows}x{dim}")
+        if m_lo + o > lo:
+            lo = m_lo + o
+        if m_hi + o < hi:
+            hi = m_hi + o
+        o += m_o
+        rows = m_rows
+    # every step keeps [lo, hi] inside the valid range, so only an empty
+    # range needs normalizing
+    if lo > hi:
+        return _new_tuple(PartialShift, (rows, dim, 0, 1, 0))
+    return _new_tuple(PartialShift, (rows, dim, o, lo, hi))
+
+
+def check_relations(
+    rep: QuiverRep, q: Quiver, w: Potential, paths: RelationPaths | None = None
+) -> bool:
+    """Jacobian relations of the potential on a representation.
+
+    For every arrow the two complementary paths of its crossing cycle and
+    its region cycle must act identically, and every full crossing cycle
+    based at a vertex of dimension d must act as the full shift block of
+    size d.  ``paths`` is ``relation_paths(q, w)``, which callers checking
+    many modules of one quiver can compute once.
+    """
+    if paths is None:
+        paths = relation_paths(q, w)
+    maps, dims = rep.maps, rep.dims
+    jordan = {d: PartialShift.jordan(d) for d in set(dims.values())}
+    for (v1, path1), (v2, path2) in paths.pairs:
+        if compose_path(maps, dims[v1], path1) != compose_path(maps, dims[v2], path2):
             return False
-    for cyc in w.plus:
-        for k, aid in enumerate(cyc):
-            rooted = cyc[k:] + cyc[:k]
-            base = arrows[rooted[0]].src
-            if _path_matrix(rep, q, rooted) != mat_shift(rep.dims[base]):
-                return False
+    for v, cycle in paths.cycles:
+        d = dims[v]
+        if compose_path(maps, d, cycle) != jordan[d]:
+            return False
     return True
 
 
@@ -747,39 +775,3 @@ def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
     }
     mod_edges = {(mod_vecs[a], v, mod_vecs[b]) for a, v, b in ml.covers}
     return state_edges == mod_edges
-
-
-# -- convenience pipeline ----------------------------------------------------------
-
-
-def link_module_with_checks(
-    diagram: LinkDiagram, q: Quiver, i: int, lat: StateLattice | None = None
-) -> tuple[StateLattice, QuiverRep]:
-    """Build T(i) via the maximal state and verify the partition agrees."""
-    if lat is None:
-        lat = build_lattice(diagram, i)
-    rep = link_module(diagram, q, lat)
-    part = compute_partition(diagram, i)
-    direct = t_direct(diagram, q, part)
-    if direct.dims != rep.dims or direct.maps != rep.maps:
-        raise DiagramError(
-            f"link module of segment {i} disagrees with its level partition"
-        )
-    return lat, rep
-
-
-def rep_to_json(rep: QuiverRep) -> str:
-    data = {
-        "dims": {str(v): d for v, d in sorted(rep.dims.items())},
-        "maps": {str(a): [list(r) for r in m.data] for a, m in sorted(rep.maps.items())},
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def submodules_to_json(ml: SubmoduleLattice) -> str:
-    data = {
-        "vertex_order": list(ml.vertex_order),
-        "elements": [list(el) for el in ml.elements],
-        "covers": [list(c) for c in ml.covers],
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"

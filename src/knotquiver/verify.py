@@ -20,11 +20,13 @@ from .quiver import Potential, Quiver, build_potential, build_quiver
 from .diagram import DiagramError, LinkDiagram
 from .reps import (
     PartitionUndefinedError,
+    RelationPaths,
     check_relations,
     compute_partition,
     enumerate_submodules,
     lattice_iso_check,
     link_module,
+    relation_paths,
     state_module,
     t_direct,
 )
@@ -154,9 +156,9 @@ def _segment_report(
     diagram: LinkDiagram,
     q: Quiver,
     w: Potential,
+    paths: RelationPaths | None,
     det: LaurentPoly,
     i: int,
-    check_all_states: bool,
     cache: RunCache | None,
 ) -> SegmentReport:
     notes: list[str] = []
@@ -201,9 +203,9 @@ def _segment_report(
         part_ok = False
         notes.append(f"partition failed: {exc}")
     relations: bool | None = None
-    if check_all_states:
+    if paths is not None:
         relations = all(
-            check_relations(state_module(diagram, q, lat, k), q, w)
+            check_relations(state_module(diagram, q, lat, k), q, w, paths)
             for k in range(lat.size)
         )
         if not relations:
@@ -253,19 +255,21 @@ def verify_diagram(
             shown = "0" if det.is_zero else det.normalize().render()
             expected_note = f"expected {wanted.render()}, computed {shown}"
 
+    # the relation paths depend only on (q, w): build them once for all states
+    paths = relation_paths(q, w) if check_all_states else None
     segs = diagram.segment_ids()
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
                 i: pool.submit(
-                    _segment_report, diagram, q, w, det, i, check_all_states, cache
+                    _segment_report, diagram, q, w, paths, det, i, cache
                 )
                 for i in segs
             }
             segments = [futures[i].result() for i in segs]
     else:
         segments = [
-            _segment_report(diagram, q, w, det, i, check_all_states, cache) for i in segs
+            _segment_report(diagram, q, w, paths, det, i, cache) for i in segs
         ]
 
     counts = {s.states for s in segments}

@@ -84,6 +84,25 @@ class TestFpolyCmd:
         files = list((tmp_path / "cache").glob("*.json"))
         assert len(files) == 1
 
+    def test_corrupt_cache_entry_is_a_miss(self, capsys, tmp_path):
+        cold_dir, cache_dir = str(tmp_path / "cold"), tmp_path / "cache"
+        code, cold, _ = run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
+                            "--cache-dir", cold_dir)
+        assert code == 0
+        run(capsys, "fpoly", TREFOIL_PD, "--segment", "1", "--format", "json",
+            "--cache-dir", str(cache_dir))
+        (entry,) = cache_dir.glob("*.json")
+        entry.write_text('{"f": [[1, ')  # a truncated write
+        code, out, err = run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
+                             "--cache-dir", str(cache_dir))
+        assert code == 0, err
+        assert out == cold
+        assert isinstance(json.loads(entry.read_text()), dict)
+        entry.write_bytes(b"\xff\xfe garbage")
+        assert run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
+                   "--cache-dir", str(cache_dir))[:2] == (0, cold)
+        assert isinstance(json.loads(entry.read_text()), dict)
+
     def test_cache_hit_skips_computation(self, tmp_path, monkeypatch):
         from knotquiver.cache import RunCache
         from knotquiver.corpus import entry_by_name

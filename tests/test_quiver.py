@@ -48,6 +48,20 @@ class TestQuiver:
                 assert len(q.arrows_from(v)) == 2
                 assert len(q.arrows_to(v)) == 2
 
+    def test_arrow_at_corner(self, fig8_qp):
+        q, _ = fig8_qp
+        for a in q.arrows:
+            assert q.arrow_at_corner(a.crossing, a.corner) is a
+            assert q.arrow_at_corner(a.crossing, a.corner + 4) is a
+        with pytest.raises(KeyError):
+            q.arrow_at_corner(len(q.arrows), 0)
+
+    def test_corner_index_not_compared(self, fig8):
+        q1, q2 = build_quiver(fig8), build_quiver(fig8)
+        q1.arrow_at_corner(0, 0)
+        assert q1 == q2 and hash(q1) == hash(q2)
+        assert "_by_corner" not in repr(q1)
+
 
 class TestPotential:
     def test_fig8_term_shape(self, fig8_qp):
@@ -143,7 +157,7 @@ class TestSubstitutionIdentities:
     def test_removed_arrows_act_as_their_paths(self, fig8, trefoil):
         # in the quotient algebra a removed 2-cycle arrow equals a path, so
         # the two must act identically on every state module
-        from knotquiver.reps import mat_mul, state_module
+        from knotquiver.reps import compose_path, state_module
         from knotquiver.states import build_lattice
 
         for d in (fig8, trefoil):
@@ -155,9 +169,7 @@ class TestSubstitutionIdentities:
                 for k in range(lat.size):
                     rep = state_module(d, q, lat, k)
                     for aid, path in red.substitutions.items():
-                        m = rep.maps[path[0]]
-                        for nxt in path[1:]:
-                            m = mat_mul(rep.maps[nxt], m)
+                        m = compose_path(rep.maps, rep.maps[path[0]].cols, path)
                         assert rep.maps[aid] == m
 
 

@@ -1,25 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotquiver.diagram import DiagramError
 from knotquiver.quiver import build_potential, build_quiver
 from knotquiver.reps import (
-    Mat,
+    PartialShift,
     PartitionUndefinedError,
     QuiverRep,
     check_relations,
+    compose_path,
     compute_partition,
     enumerate_submodules,
     lattice_iso_check,
     level_graph_report,
     link_module,
-    mat_drop_first,
-    mat_identity,
-    mat_kind,
-    mat_mul,
-    mat_pad_last,
-    mat_rank,
-    mat_shift,
+    relation_paths,
     state_module,
     t_direct,
 )
@@ -34,31 +32,145 @@ def fig8_ctx(fig8):
     return fig8, q, w, lats
 
 
+def _mul(b, a):
+    """The product b * a: apply a, then b."""
+    return compose_path({0: a, 1: b}, a.cols, (0, 1))
+
+
+def _zero(rows, cols):
+    return PartialShift(rows, cols, 0, 1, 0)
+
+
 class TestMatrices:
     def test_shift_relations(self):
         for n in (1, 2, 3, 4):
-            v = mat_drop_first(n + 1)
-            h = mat_pad_last(n + 1)
-            assert mat_mul(h, v) == mat_shift(n + 1)
-            assert mat_mul(v, h) == mat_shift(n)
+            v = PartialShift.drop_first(n + 1)
+            h = PartialShift.pad_last(n + 1)
+            assert _mul(h, v) == PartialShift.jordan(n + 1)
+            assert _mul(v, h) == PartialShift.jordan(n)
 
     def test_kinds(self):
-        assert mat_kind(mat_identity(3)) == "I"
-        assert mat_kind(mat_shift(2)) == "J"
-        assert mat_kind(mat_drop_first(3)) == "V"
-        assert mat_kind(mat_pad_last(3)) == "H"
-        assert mat_kind(Mat(0, 1, ())) == "E"
+        assert PartialShift.identity(3).kind() == "I"
+        assert PartialShift.jordan(2).kind() == "J"
+        assert PartialShift.drop_first(3).kind() == "V"
+        assert PartialShift.pad_last(3).kind() == "H"
+        assert _zero(0, 1).kind() == "E"
 
     def test_zero_dims_keep_shape(self):
-        a = mat_drop_first(1)  # 0 x 1
-        b = mat_pad_last(1)  # 1 x 0
+        a = PartialShift.drop_first(1)  # 0 x 1
+        b = PartialShift.pad_last(1)  # 1 x 0
         assert (a.rows, a.cols) == (0, 1)
-        assert mat_mul(b, a) == Mat(1, 1, ((0,),))
+        assert _mul(b, a) == _zero(1, 1)
+        assert _mul(b, a).to_dense() == ((0,),)
 
     def test_rank(self):
-        assert mat_rank(mat_identity(3)) == 3
-        assert mat_rank(mat_shift(3)) == 2
-        assert mat_rank(mat_drop_first(4)) == 3
+        assert PartialShift.identity(3).rank() == 3
+        assert PartialShift.jordan(3).rank() == 2
+        assert PartialShift.drop_first(4).rank() == 3
+
+    def test_dense_views(self):
+        assert PartialShift.jordan(3).to_dense() == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+        assert PartialShift.drop_first(3).to_dense() == ((0, 1, 0), (0, 0, 1))
+        assert PartialShift.pad_last(3).to_dense() == ((1, 0), (0, 1), (0, 0))
+
+    def test_other_shifts_have_no_kind(self):
+        with pytest.raises(DiagramError):
+            PartialShift(2, 2, -1, 1, 1).kind()  # e_1 -> e_2
+        with pytest.raises(DiagramError):
+            _zero(2, 2).kind()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            _mul(PartialShift.identity(2), PartialShift.identity(3))
+
+
+
+# -- the fast algebra against explicit matrices --------------------------------
+
+
+def _dense_mul(a, b, inner, cols):
+    """Plain list product of dense matrices a (r x inner) and b (inner x cols)."""
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols))
+        for row in a
+    )
+
+
+def _dense_kind(m):
+    """The I/J/V/H/E classification read off the explicit matrix."""
+    rows, cols = len(m), (len(m[0]) if m else None)
+    if cols is None or cols == 0:
+        return "E"
+    if m == tuple(tuple(int(j == i) for j in range(cols)) for i in range(rows)):
+        if rows == cols:
+            return "I"
+        if rows == cols + 1:
+            return "H"
+    if m == tuple(tuple(int(j == i + 1) for j in range(cols)) for i in range(rows)):
+        if rows == cols:
+            return "J"
+        if rows + 1 == cols:
+            return "V"
+    return None
+
+
+_dims = st.integers(0, 4)
+_ints = st.integers(-6, 8)
+
+
+@st.composite
+def _shifts(draw, rows=None, cols=None):
+    rows = draw(_dims) if rows is None else rows
+    cols = draw(_dims) if cols is None else cols
+    return PartialShift(rows, cols, draw(st.integers(-5, 5)), draw(_ints), draw(_ints))
+
+
+class TestAgainstDense:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_composition(self, data):
+        a = data.draw(_shifts())
+        b = data.draw(_shifts(cols=a.rows))
+        product = _mul(b, a)
+        assert (product.rows, product.cols) == (b.rows, a.cols)
+        assert product.to_dense() == _dense_mul(b.to_dense(), a.to_dense(), a.rows, a.cols)
+
+    @given(_shifts(), _shifts())
+    @settings(max_examples=300, deadline=None)
+    def test_equality_is_dense_equality(self, a, b):
+        same = (a.rows, a.cols, a.to_dense()) == (b.rows, b.cols, b.to_dense())
+        assert (a == b) == same
+        assert (hash(a) == hash(b)) or not same
+
+    @given(_shifts())
+    @settings(max_examples=300, deadline=None)
+    def test_dense_view_kind_and_rank(self, m):
+        dense = m.to_dense()
+        assert len(dense) == m.rows and all(len(row) == m.cols for row in dense)
+        assert all(x in (0, 1) for row in dense for x in row)
+        assert all(sum(row) <= 1 for row in dense)
+        assert all(sum(col) <= 1 for col in zip(*dense))
+        assert m.rank() == sum(map(sum, dense))
+        expected = _dense_kind(dense)
+        if expected is None:
+            with pytest.raises(DiagramError):
+                m.kind()
+        else:
+            assert m.kind() == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relation_paths_compose_like_matrices(self, data):
+        # the composite that check_relations forms along a path of arrows
+        dims = data.draw(st.lists(_dims, min_size=1, max_size=6))
+        maps = {k: data.draw(_shifts(rows=dims[k + 1], cols=dims[k])) for k in range(len(dims) - 1)}
+        path = tuple(range(len(dims) - 1))
+        composite = compose_path(maps, dims[0], path)
+        dense = PartialShift.identity(dims[0]).to_dense()
+        for k in path:
+            dense = _dense_mul(maps[k].to_dense(), dense, dims[k], dims[0])
+        assert (composite.rows, composite.cols) == (dims[-1], dims[0])
+        assert composite.to_dense() == dense
 
 
 def _module_from_sequence(diagram, q, seq):
@@ -81,22 +193,24 @@ def _module_from_sequence(diagram, q, seq):
         alpha = q.arrow_at_corner(c, k0 + 1)
         beta = q.arrow_at_corner(c, k0 + 2)
         gamma = q.arrow_at_corner(c, k0 + 3)
+        i, j = PartialShift.identity, PartialShift.jordan
+        v, h = PartialShift.drop_first, PartialShift.pad_last
         if rem == 0:
-            maps[delta.id] = mat_shift(ell)
-            maps[gamma.id] = maps[beta.id] = maps[alpha.id] = mat_identity(ell)
+            maps[delta.id] = j(ell)
+            maps[gamma.id] = maps[beta.id] = maps[alpha.id] = i(ell)
         elif rem == 1:
-            maps[delta.id] = mat_drop_first(ell + 1)
-            maps[gamma.id] = maps[beta.id] = mat_identity(ell)
-            maps[alpha.id] = mat_pad_last(ell + 1)
+            maps[delta.id] = v(ell + 1)
+            maps[gamma.id] = maps[beta.id] = i(ell)
+            maps[alpha.id] = h(ell + 1)
         elif rem == 2:
-            maps[delta.id] = mat_drop_first(ell + 1)
-            maps[gamma.id] = mat_identity(ell)
-            maps[beta.id] = mat_pad_last(ell + 1)
-            maps[alpha.id] = mat_identity(ell + 1)
+            maps[delta.id] = v(ell + 1)
+            maps[gamma.id] = i(ell)
+            maps[beta.id] = h(ell + 1)
+            maps[alpha.id] = i(ell + 1)
         else:
-            maps[delta.id] = mat_drop_first(ell + 1)
-            maps[gamma.id] = mat_pad_last(ell + 1)
-            maps[beta.id] = maps[alpha.id] = mat_identity(ell + 1)
+            maps[delta.id] = v(ell + 1)
+            maps[gamma.id] = h(ell + 1)
+            maps[beta.id] = maps[alpha.id] = i(ell + 1)
     return QuiverRep(dims, maps)
 
 
@@ -124,7 +238,7 @@ class TestStateModules:
         rep = link_module(fig8, q, lats[1])
         assert rep.dim_vector() == {2: 1, 5: 1, 8: 1}
         for a in q.arrows:
-            assert mat_rank(rep.maps[a.id]) <= 1
+            assert rep.maps[a.id].rank() <= 1
 
     def test_fig8_t2(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
@@ -179,10 +293,11 @@ class TestStateModules:
             if key in expected_kinds:
                 assert rep.map_kind(a.id) == expected_kinds[key], key
         by_pair = {(a.src, a.tgt): rep.maps[a.id] for a in q.arrows}
-        assert by_pair[(18, 8)] == mat_identity(2)
-        assert by_pair[(18, 9)].data == ((0, 1),)
-        assert by_pair[(9, 18)].data == ((1,), (0,))
-        assert by_pair[(19, 3)].data == ((0,),)
+        assert by_pair[(18, 8)] == PartialShift.identity(2)
+        assert by_pair[(18, 8)].to_dense() == ((1, 0), (0, 1))
+        assert by_pair[(18, 9)].to_dense() == ((0, 1),)
+        assert by_pair[(9, 18)].to_dense() == ((1,), (0,))
+        assert by_pair[(19, 3)].to_dense() == ((0,),)
 
     def test_dims_differ_by_at_most_one(self, corpus_diagrams):
         for d in corpus_diagrams.values():
@@ -202,7 +317,7 @@ class TestStateModules:
             upper = state_module(fig8, q, lat, b_idx)
             assert upper.dims[j] == lower.dims[j] + 1
             for arrow in q.arrows:
-                delta = mat_rank(upper.maps[arrow.id]) - mat_rank(lower.maps[arrow.id])
+                delta = upper.maps[arrow.id].rank() - lower.maps[arrow.id].rank()
                 # rank grows on arrows out of j (it cannot when the target
                 # space is still zero-dimensional); others are untouched
                 expected = 1 if arrow.src == j and upper.dims[arrow.tgt] > 0 else 0
@@ -366,10 +481,20 @@ class TestRelationsAndIso:
         broken = {a.id: m for a, m in ((a, rep.maps[a.id]) for a in q.arrows)}
         victim = next(
             a for a in q.arrows
-            if rep.dims[a.src] == rep.dims[a.tgt] == 1 and rep.maps[a.id].data == ((1,),)
+            if rep.dims[a.src] == rep.dims[a.tgt] == 1 and rep.maps[a.id].to_dense() == ((1,),)
         )
-        broken[victim.id] = Mat(1, 1, ((0,),))
+        broken[victim.id] = _zero(1, 1)
+        assert broken[victim.id].to_dense() == ((0,),)
         assert not check_relations(QuiverRep(rep.dims, broken), q, w)
+        assert not check_relations(QuiverRep(rep.dims, broken), q, w, relation_paths(q, w))
+
+    def test_shared_paths_agree_with_fresh(self, fig8_ctx):
+        fig8, q, w, lats = fig8_ctx
+        paths = relation_paths(q, w)
+        for k in range(lats[2].size):
+            rep = state_module(fig8, q, lats[2], k)
+            assert check_relations(rep, q, w, paths)
+            assert check_relations(rep, q, w)
 
     def test_zero_rep_satisfies(self, fig8_ctx):
         fig8, q, w, lats = fig8_ctx
