@@ -26,7 +26,7 @@ from .diagram import (
     two_bridge,
     validate,
 )
-from .oracle import AlexanderMatrix, alexander_det, verify_theorem1
+from .oracle import AlexanderMatrix, alexander_det
 from .poly import LaurentPoly, MultiPoly, alternating_sum, dot_eq, f_polynomial, normalize
 from .quiver import (
     Arrow,
@@ -117,5 +117,4 @@ __all__ = [
     "two_bridge",
     "validate",
     "verify_diagram",
-    "verify_theorem1",
 ]

@@ -1,9 +1,9 @@
 """On-disk cache for per-(diagram, segment) pipeline results.
 
 Keys hash the canonical serialization of the diagram together with the
-segment; values hold the lattice height vectors, the F-polynomial and
-its specialization, all as deterministic JSON so that cache hits
-reproduce byte-identical command output.
+segment; values hold the F-polynomial and its specialization as
+deterministic JSON, so that cache hits reproduce byte-identical command
+output.  ``fpoly`` and ``alexander`` use the cache; ``verify`` does not.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from .diagram import LinkDiagram
 
 ENV_CACHE_DIR = "KNOTQUIVER_CACHE_DIR"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class RunCache:

@@ -21,11 +21,10 @@ from .diagram import (
     two_bridge,
 )
 from .oracle import alexander_det
-from .poly import LaurentPoly, MultiPoly
+from .poly import LaurentPoly
 from .quiver import build_potential, build_quiver, export, reduce_two_cycles
-from .reps import enumerate_submodules, link_module
-from .states import build_lattice, lattice_to_json, state_sum_alexander
-from .verify import segment_pipeline, verify_diagram
+from .states import build_lattice, enumerate_states, lattice_to_json, state_sum_alexander
+from .verify import run_segment, segment_pipeline, verify_diagram
 
 
 def _resolve_input(text: str) -> LinkDiagram:
@@ -91,10 +90,7 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
     if segments == [None]:
         print("fpoly: provide --segment N or --all", file=sys.stderr)
         return 2
-    rows = []
-    for i in segments:
-        f, spec, _vectors = segment_pipeline(diagram, q, i, cache)
-        rows.append((i, f, spec))
+    rows = [(i, *segment_pipeline(diagram, q, i, cache)) for i in segments]
     if args.format == "json":
         data = [
             {
@@ -125,11 +121,10 @@ def cmd_alexander(args: argparse.Namespace) -> int:
     if args.method in ("det", "all"):
         values["det"] = alexander_det(diagram)
     if args.method in ("statesum", "all"):
-        values["statesum"] = state_sum_alexander(diagram, seg)
+        values["statesum"] = state_sum_alexander(diagram, enumerate_states(diagram, seg))
     if args.method in ("spec", "all"):
         q = build_quiver(diagram)
-        _f, spec, _vectors = segment_pipeline(diagram, q, seg, cache)
-        values["spec"] = spec
+        values["spec"] = segment_pipeline(diagram, q, seg, cache)[1]
     polys = list(values.values())
     agree = all(polys[0].dot_eq(p) for p in polys[1:])
     for method, poly in values.items():
@@ -146,7 +141,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not entries:
         print("warning: empty corpus; nothing verified")
         return 0
-    cache = RunCache.from_env(args.cache_dir)
     failures = 0
     for entry in entries:
         diagram = entry.diagram()
@@ -158,8 +152,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             name=entry.name,
             expected_alexander=entry.alexander,
             check_all_states=not args.fast,
-            workers=args.workers,
-            cache=cache,
         )
         status = "PASS" if report.ok else "FAIL"
         if not report.ok:
@@ -196,11 +188,7 @@ def cmd_two_bridge(args: argparse.Namespace) -> int:
     if args.report_theorem3:
         i = diagram.marked_segment
         assert i is not None
-        q = build_quiver(diagram)
-        lat = build_lattice(diagram, i)
-        rep = link_module(diagram, q, lat)
-        ml = enumerate_submodules(q, rep)
-        f = MultiPoly.from_vectors(2 * diagram.n, ml.vectors())
+        _lat, rep, ml, f, _spec = run_segment(diagram, build_quiver(diagram), i)
         total = sum(cf)
         ells = [sum(cf[: k + 1]) for k in range(len(cf))]
         alt = f.evaluate_at_minus_one()
@@ -252,10 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all cross-checks over a corpus")
     p.add_argument("corpus", nargs="?", help="JSON-lines corpus file (default: bundled)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fast", action="store_true", help="skip per-state relation checks")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("two-bridge", help="build a 2-bridge diagram from a continued fraction")

@@ -60,10 +60,3 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     return parse_corpus(text)
-
-
-def entry_by_name(name: str, path: str | None = None) -> CorpusEntry:
-    for entry in load_corpus(path):
-        if entry.name == name:
-            return entry
-    raise KeyError(name)

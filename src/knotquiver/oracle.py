@@ -106,61 +106,3 @@ def alexander_det(
     matrix = build_matrix(diagram, deleted)
     rows = [list(r) for r in matrix.entries]
     return _bareiss_det(rows)
-
-
-@dataclass
-class SegmentCheck:
-    segment: int
-    spec_poly: LaurentPoly
-    passed: bool
-
-
-@dataclass
-class VerificationReport:
-    name: str
-    det_poly: LaurentPoly
-    statesum_poly: LaurentPoly
-    oracle_agreement: bool
-    segments: list[SegmentCheck]
-
-    @property
-    def passed(self) -> bool:
-        return self.oracle_agreement and all(s.passed for s in self.segments)
-
-
-def verify_theorem1(diagram: LinkDiagram, name: str = "") -> VerificationReport:
-    """Check the three Alexander pipelines against each other on every segment.
-
-    For every segment i the specialized F-polynomial of T(i) must agree,
-    up to a signed power of t, with both the region-matrix determinant and
-    Kauffman's state sum.
-    """
-    from .poly import MultiPoly
-    from .quiver import build_quiver
-    from .reps import enumerate_submodules, link_module
-    from .states import build_lattice, state_sum_alexander
-
-    det = alexander_det(diagram)
-    exponents = diagram.specialization_exponents()
-    q = build_quiver(diagram)
-    segments = []
-    statesum_first = None
-    for i in diagram.segment_ids():
-        lat = build_lattice(diagram, i)
-        rep = link_module(diagram, q, lat)
-        ml = enumerate_submodules(q, rep)
-        f = MultiPoly.from_vectors(2 * diagram.n, ml.vectors())
-        spec = f.specialize(exponents)
-        ssum = state_sum_alexander(diagram, i)
-        if statesum_first is None:
-            statesum_first = ssum
-        ok = spec.dot_eq(det) and spec.dot_eq(ssum)
-        segments.append(SegmentCheck(i, spec, ok))
-    assert statesum_first is not None
-    return VerificationReport(
-        name=name,
-        det_poly=det,
-        statesum_poly=statesum_first,
-        oracle_agreement=det.dot_eq(statesum_first),
-        segments=segments,
-    )

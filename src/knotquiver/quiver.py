@@ -39,12 +39,6 @@ class Quiver:
         for a in self.arrows:
             self._by_corner.setdefault((a.crossing, a.corner), a)
 
-    def arrows_from(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.src == v]
-
-    def arrows_to(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.tgt == v]
-
     def arrow_at_corner(self, crossing: int, corner: int) -> Arrow:
         try:
             return self._by_corner[crossing, corner % 4]
@@ -229,12 +223,3 @@ def export(q: Quiver, w: Potential | ReducedQP | None, fmt: str) -> str:
             data["substitutions"] = {str(k): list(v) for k, v in sorted(w.substitutions.items())}
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unsupported export format {fmt!r}")
-
-
-def quiver_from_json(text: str) -> Quiver:
-    data = json.loads(text)
-    arrows = tuple(
-        Arrow(a["id"], a["src"], a["tgt"], a["crossing"], a.get("region", -1), a.get("corner", -1))
-        for a in data["arrows"]
-    )
-    return Quiver(tuple(data["vertices"]), arrows)

@@ -14,6 +14,7 @@ crossing ``c`` sits in the corner between slots ``k`` and ``k+1``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import DiagramError, LinkDiagram
@@ -274,25 +275,19 @@ def state_sign(diagram: LinkDiagram, state: State) -> int:
     return sign
 
 
-def state_sum_alexander(diagram: LinkDiagram, i: int) -> LaurentPoly:
+def state_sum_alexander(diagram: LinkDiagram, states: Iterable[State]) -> LaurentPoly:
     """Kauffman's state sum specialized at W = s, B = 1/s (s**2 = t).
 
-    Returns the unnormalized polynomial in Z[s, 1/s]; it equals the
-    Alexander polynomial of the diagram up to a signed power of t.
+    ``states`` are the Kauffman states relative to one segment, as
+    ``enumerate_states`` or ``StateLattice.states`` give them.  Returns the
+    unnormalized polynomial in Z[s, 1/s]; it equals the Alexander
+    polynomial of the diagram up to a signed power of t.
     """
     terms: dict[int, int] = {}
-    for state in enumerate_states(diagram, i):
+    for state in states:
         e = state_weight_exponent(diagram, state)
         terms[e] = terms.get(e, 0) + state_sign(diagram, state)
     return LaurentPoly(terms)
-
-
-def cover_weight_ratio(diagram: LinkDiagram, state: State, j: int) -> int:
-    """s-exponent of w(S')/w(S) across the up-move at segment j."""
-    up = _up_move(diagram, state, j)
-    if up is None:
-        raise DiagramError(f"no up-move at segment {j} from this state")
-    return state_weight_exponent(diagram, up) - state_weight_exponent(diagram, state)
 
 
 # -- export -------------------------------------------------------------------

@@ -4,14 +4,16 @@ Runs, for every diagram and every segment, the full pipeline and all
 cross-checks: the three Alexander computations must agree up to signed
 powers of t, the Kauffman state lattice must be isomorphic to the
 submodule lattice of T(i), every state module must satisfy the Jacobian
-relations, and the structural counts must hold.  Per-segment tasks fan
-out to a thread pool and results are merged in segment order.
+relations, and the structural counts must hold.  Every caller runs the
+per-segment chain, state lattice -> T(i) -> submodule lattice ->
+F-polynomial -> specialization, through ``run_segment``.  Verification
+neither reads nor writes the result cache.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cache import RunCache
 from .oracle import alexander_det
@@ -20,7 +22,9 @@ from .quiver import Potential, Quiver, build_potential, build_quiver
 from .diagram import DiagramError, LinkDiagram
 from .reps import (
     PartitionUndefinedError,
+    QuiverRep,
     RelationPaths,
+    SubmoduleLattice,
     check_relations,
     compute_partition,
     enumerate_submodules,
@@ -30,7 +34,12 @@ from .reps import (
     state_module,
     t_direct,
 )
-from .states import build_lattice, state_sum_alexander
+from .states import (
+    StateLattice,
+    build_lattice,
+    enumerate_states,
+    state_sum_alexander,
+)
 
 
 @dataclass
@@ -84,40 +93,42 @@ class DiagramReport:
         )
 
 
-def segment_pipeline(
-    diagram: LinkDiagram, q: Quiver, i: int, cache: RunCache | None = None
-) -> tuple[MultiPoly, LaurentPoly, list[dict[int, int]]]:
-    """F-polynomial of T(i), its specialization, and the submodule vectors.
+class SegmentRun(NamedTuple):
+    lattice: StateLattice
+    module: QuiverRep
+    submodules: SubmoduleLattice
+    f: MultiPoly
+    spec: LaurentPoly
 
-    Results are cached per (diagram, segment) when a cache is supplied.
-    """
-    nvars = 2 * diagram.n
-    if cache is not None:
-        hit = cache.get(diagram, i)
-        if hit is not None:
-            f = MultiPoly.from_json(hit["f"])
-            spec = LaurentPoly.from_json(hit["spec"])
-            vectors = [
-                {int(k): v for k, v in vec.items()} for vec in hit["vectors"]
-            ]
-            return f, spec, vectors
+
+def run_segment(diagram: LinkDiagram, q: Quiver, i: int) -> SegmentRun:
+    """State lattice, T(i), its submodule lattice, F and its specialization."""
     lat = build_lattice(diagram, i)
     rep = link_module(diagram, q, lat)
     ml = enumerate_submodules(q, rep)
-    vectors = ml.vectors()
-    f = MultiPoly.from_vectors(nvars, vectors)
-    spec = f.specialize(diagram.specialization_exponents())
+    f = MultiPoly.from_vectors(2 * diagram.n, ml.vectors())
+    return SegmentRun(lat, rep, ml, f, f.specialize(diagram.specialization_exponents()))
+
+
+def segment_pipeline(
+    diagram: LinkDiagram, q: Quiver, i: int, cache: RunCache | None = None
+) -> tuple[MultiPoly, LaurentPoly]:
+    """F-polynomial of T(i) and its specialization.
+
+    Results are cached per (diagram, segment) when a cache is supplied; an
+    entry that does not decode is a miss and is overwritten.
+    """
     if cache is not None:
-        cache.put(
-            diagram,
-            i,
-            {
-                "f": f.to_json(),
-                "spec": spec.to_json(),
-                "vectors": [{str(k): v for k, v in sorted(vec.items())} for vec in vectors],
-            },
-        )
-    return f, spec, vectors
+        hit = cache.get(diagram, i)
+        if hit is not None:
+            try:
+                return MultiPoly.from_json(hit["f"]), LaurentPoly.from_json(hit["spec"])
+            except (KeyError, TypeError, ValueError):
+                pass  # malformed entry: recompute and overwrite it
+    run = run_segment(diagram, q, i)
+    if cache is not None:
+        cache.put(diagram, i, {"f": run.f.to_json(), "spec": run.spec.to_json()})
+    return run.f, run.spec
 
 
 def check_structure(diagram: LinkDiagram, q: Quiver, w: Potential) -> list[str]:
@@ -159,26 +170,10 @@ def _segment_report(
     paths: RelationPaths | None,
     det: LaurentPoly,
     i: int,
-    cache: RunCache | None,
 ) -> SegmentReport:
     notes: list[str] = []
-    lat = build_lattice(diagram, i)
-    rep = link_module(diagram, q, lat)
-    ml = enumerate_submodules(q, rep)
-    vectors = ml.vectors()
-    f = MultiPoly.from_vectors(2 * diagram.n, vectors)
-    spec = f.specialize(diagram.specialization_exponents())
-    if cache is not None:
-        cache.put(
-            diagram,
-            i,
-            {
-                "f": f.to_json(),
-                "spec": spec.to_json(),
-                "vectors": [{str(k): v for k, v in sorted(vec.items())} for vec in vectors],
-            },
-        )
-    ssum = state_sum_alexander(diagram, i)
+    lat, rep, ml, f, spec = run_segment(diagram, q, i)
+    ssum = state_sum_alexander(diagram, lat.states)
     thm1 = spec.dot_eq(det) and spec.dot_eq(ssum)
     if not thm1:
         notes.append(
@@ -204,8 +199,11 @@ def _segment_report(
         notes.append(f"partition failed: {exc}")
     relations: bool | None = None
     if paths is not None:
+        # T(i) is the module of the maximal state: reuse it
         relations = all(
-            check_relations(state_module(diagram, q, lat, k), q, w, paths)
+            check_relations(
+                rep if k == lat.max_state else state_module(diagram, q, lat, k), q, w, paths
+            )
             for k in range(lat.size)
         )
         if not relations:
@@ -228,14 +226,13 @@ def verify_diagram(
     name: str = "",
     expected_alexander: tuple[int, ...] | None = None,
     check_all_states: bool = True,
-    workers: int | None = None,
-    cache: RunCache | None = None,
 ) -> DiagramReport:
     q = build_quiver(diagram)
     w = build_potential(diagram, q)
     structure = check_structure(diagram, q, w)
     det = alexander_det(diagram)
-    statesum = state_sum_alexander(diagram, min(diagram.segment_ids()))
+    first = min(diagram.segment_ids())
+    statesum = state_sum_alexander(diagram, enumerate_states(diagram, first))
     oracles_agree = det.dot_eq(statesum)
 
     delta_one = abs(det.value_at_one())
@@ -257,20 +254,9 @@ def verify_diagram(
 
     # the relation paths depend only on (q, w): build them once for all states
     paths = relation_paths(q, w) if check_all_states else None
-    segs = diagram.segment_ids()
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                i: pool.submit(
-                    _segment_report, diagram, q, w, paths, det, i, cache
-                )
-                for i in segs
-            }
-            segments = [futures[i].result() for i in segs]
-    else:
-        segments = [
-            _segment_report(diagram, q, w, paths, det, i, cache) for i in segs
-        ]
+    segments = [
+        _segment_report(diagram, q, w, paths, det, i) for i in diagram.segment_ids()
+    ]
 
     counts = {s.states for s in segments}
     notes = list(structure)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from knotquiver.cli import main
 
@@ -98,18 +101,19 @@ class TestFpolyCmd:
         assert code == 0, err
         assert out == cold
         assert isinstance(json.loads(entry.read_text()), dict)
-        entry.write_bytes(b"\xff\xfe garbage")
-        assert run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
-                   "--cache-dir", str(cache_dir))[:2] == (0, cold)
-        assert isinstance(json.loads(entry.read_text()), dict)
+        # not UTF-8, an object without the fields, fields of the wrong types
+        for payload in (b"\xff\xfe garbage", b"{}", b'{"f": 1, "spec": 2, "vectors": 3}'):
+            entry.write_bytes(payload)
+            assert run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
+                       "--cache-dir", str(cache_dir))[:2] == (0, cold), payload
+            assert set(json.loads(entry.read_text())) == {"f", "spec"}, payload
 
-    def test_cache_hit_skips_computation(self, tmp_path, monkeypatch):
+    def test_cache_hit_skips_computation(self, tmp_path, monkeypatch, corpus_diagrams):
         from knotquiver.cache import RunCache
-        from knotquiver.corpus import entry_by_name
         from knotquiver.quiver import build_quiver
         from knotquiver.verify import segment_pipeline
 
-        d = entry_by_name("10_66").diagram()
+        d = corpus_diagrams["10_66"]
         q = build_quiver(d)
         cache = RunCache(tmp_path / "c")
         first = segment_pipeline(d, q, 1, cache)
@@ -165,11 +169,6 @@ class TestVerifyCmd:
         code, out, _ = run(capsys, "verify", str(empty))
         assert code == 0 and "warning" in out
 
-    def test_workers_match_serial(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "--fast")
-        code2, out2, _ = run(capsys, "verify", "--fast", "--workers", "4")
-        assert (code1, out1) == (code2, out2)
-
 
 class TestTwoBridgeCmd:
     def test_2123(self, capsys):
@@ -190,3 +189,24 @@ class TestTwoBridgeCmd:
         assert code == 2
         code, _, err = run(capsys, "two-bridge", "0,2")
         assert code == 2
+
+
+class TestByteOutput:
+    """The CLI's stdout stays byte-identical across refactors."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("verify", "--fast", "--verbose"),
+             "3404d0ba6d767e43545cefb933c2bd9f23195812624e8f1d49f66cc6a33718c6"),
+            (("fpoly", "10_66", "--all", "--format", "json"),
+             "9fbc0ea17e25547088564f6744c4e1b08d8807e9851195ab4f5db77619027883"),
+            (("two-bridge", "2,1,2,3", "--report-theorem3"),
+             "ac31938010af420f24b13a9205df1d9dd9d5cb7fe03a748d0d03d910c43d4f7b"),
+        ],
+        ids=["verify-fast", "fpoly-10_66", "two-bridge-2123"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

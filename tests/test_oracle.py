@@ -1,9 +1,10 @@
 import pytest
 
 from knotquiver.diagram import DiagramError, two_bridge
-from knotquiver.oracle import alexander_det, build_matrix, verify_theorem1
+from knotquiver.oracle import alexander_det, build_matrix
 from knotquiver.poly import LaurentPoly
-from knotquiver.states import state_sum_alexander
+from knotquiver.states import enumerate_states, state_sum_alexander
+from knotquiver.verify import verify_diagram
 
 
 def t(coeffs, m=0):
@@ -58,7 +59,7 @@ class TestDeterminant:
         for cf in ([2], [4], [2, 2, 2], [3, 1]):
             d = two_bridge(cf)
             det = alexander_det(d)
-            ssum = state_sum_alexander(d, 1)
+            ssum = state_sum_alexander(d, enumerate_states(d, 1))
             assert det.dot_eq(ssum), cf
 
     def test_borromean_rings(self):
@@ -68,24 +69,29 @@ class TestDeterminant:
         det = alexander_det(d)
         # Conway polynomial z^4, so Delta = (t - 1)^4 / t^2 up to units
         assert det.dot_eq(t([1, -4, 6, -4, 1]))
-        assert det.dot_eq(state_sum_alexander(d, 1))
+        assert det.dot_eq(state_sum_alexander(d, enumerate_states(d, 1)))
 
 
 class TestTheorem1Report:
-    def test_fig8_all_segments(self, fig8):
-        report = verify_theorem1(fig8, "figure-eight")
-        assert report.passed
-        assert len(report.segments) == 8
-        assert report.oracle_agreement
+    @staticmethod
+    def passed(report):
+        # Theorem 1 on every segment: specialized F, determinant and state sum agree
+        return report.oracles_agree and all(seg.alexander_ok for seg in report.segments)
 
-    def test_conway_all_trivial(self, corpus_diagrams):
-        report = verify_theorem1(corpus_diagrams["conway"], "conway")
-        assert report.passed
+    def test_fig8_all_segments(self, fig8):
+        report = verify_diagram(fig8, "figure-eight", check_all_states=False)
+        assert self.passed(report)
+        assert len(report.segments) == 8
+        assert report.oracles_agree
+
+    def test_conway_all_trivial(self, corpus_reports):
+        report = corpus_reports["conway"]
+        assert self.passed(report)
         one = LaurentPoly.one()
         for seg in report.segments:
-            assert seg.spec_poly.dot_eq(one)
+            assert seg.spec.dot_eq(one)
 
-    def test_10_66(self, corpus_diagrams):
-        report = verify_theorem1(corpus_diagrams["10_66"], "10_66")
-        assert report.passed
+    def test_10_66(self, corpus_reports):
+        report = corpus_reports["10_66"]
+        assert self.passed(report)
         assert len(report.segments) == 20

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,6 @@ from knotquiver.quiver import (
     build_potential,
     build_quiver,
     export,
-    quiver_from_json,
     reduce_two_cycles,
 )
 
@@ -44,9 +44,11 @@ class TestQuiver:
     def test_degrees(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             q = build_quiver(d)
+            outdeg = Counter(a.src for a in q.arrows)
+            indeg = Counter(a.tgt for a in q.arrows)
             for v in q.vertices:
-                assert len(q.arrows_from(v)) == 2
-                assert len(q.arrows_to(v)) == 2
+                assert outdeg[v] == 2
+                assert indeg[v] == 2
 
     def test_arrow_at_corner(self, fig8_qp):
         q, _ = fig8_qp
@@ -186,8 +188,7 @@ class TestExport:
         data = json.loads(text)
         assert len(data["vertices"]) == 8 and len(data["arrows"]) == 16
         assert len(data["potential"]["plus"]) == 4
-        q2 = quiver_from_json(text)
-        assert [(a.id, a.src, a.tgt) for a in q2.arrows] == [
+        assert [(a["id"], a["src"], a["tgt"]) for a in data["arrows"]] == [
             (a.id, a.src, a.tgt) for a in q.arrows
         ]
 
