@@ -614,57 +614,105 @@ class SubmoduleLattice:
         return out
 
 
+def _raise_lo(lo: list[int], succ: list[list[tuple[int, int]]], work: list[int]) -> None:
+    """Propagate lo(tgt) >= lo(src) - slack from the vertices in ``work``."""
+    while work:
+        s = work.pop()
+        b = lo[s]
+        for t, slack in succ[s]:
+            if b - slack > lo[t]:
+                lo[t] = b - slack
+                work.append(t)
+
+
+def _lower_hi(hi: list[int], pred: list[list[tuple[int, int]]], work: list[int]) -> None:
+    """Propagate hi(src) <= hi(tgt) + slack from the vertices in ``work``."""
+    while work:
+        t = work.pop()
+        b = hi[t]
+        for s, slack in pred[t]:
+            if b + slack < hi[s]:
+                hi[s] = b + slack
+                work.append(s)
+
+
 def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     """All submodules of a representation with I/J/V/H maps.
 
     A submodule is determined by how many of the ordered basis vectors it
     keeps at every vertex; an arrow map of kind I or H forces
-    m(src) <= m(tgt), and of kind J or V forces m(src) - 1 <= m(tgt).
+    m(src) <= m(tgt), and of kind J or V forces m(src) - 1 <= m(tgt).  The
+    submodules are thus the integer points of 0 <= m <= dim under the
+    difference constraints m(src) - slack <= m(tgt), with slack 0 or 1.
+
+    The search keeps bounds lo <= m <= hi per vertex.  Raising lo(src)
+    raises lo(tgt) to lo(src) - slack, and lowering hi(tgt) lowers hi(src)
+    to hi(tgt) + slack; each change is propagated from a worklist of the
+    vertices it moved.  Vertices are assigned in sorted id order, each
+    value from lo to hi in turn, and every assignment is propagated, so
+    the elements come out in lexicographic order.  No branch is dead: at a
+    fixpoint, assigning m(k) = x with lo(k) <= x <= hi(k) can empty the
+    domain of a vertex j only if x - P(k -> j) > hi(j) or
+    lo(j) > x + P(j -> k), with P the least total slack along a path.  The
+    fixpoint already has hi(k) <= hi(j) + P(k -> j) and
+    lo(j) <= lo(k) + P(j -> k), and no slack is negative, so neither
+    happens.  The work therefore grows with the number of submodules, and
+    every integer point is found without assuming any lattice theorem.
     """
     vertices = tuple(sorted(rep.dims))
     pos = {v: k for k, v in enumerate(vertices)}
-    constraints: list[tuple[int, int, int]] = []  # (src pos, tgt pos, slack)
+    n = len(vertices)
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # src -> (tgt, slack)
+    pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # tgt -> (src, slack)
     for a in q.arrows:
         kind = rep.maps[a.id].kind()
-        if kind in ("I", "H"):
-            constraints.append((pos[a.src], pos[a.tgt], 0))
-        elif kind in ("J", "V"):
-            constraints.append((pos[a.src], pos[a.tgt], 1))
-    by_vertex: dict[int, list[tuple[int, int, int]]] = {}
-    for c in constraints:
-        by_vertex.setdefault(c[0], []).append(c)
-        by_vertex.setdefault(c[1], []).append(c)
+        if kind == "E" or a.src == a.tgt:  # no constraint
+            continue
+        s, t, slack = pos[a.src], pos[a.tgt], int(kind in ("J", "V"))
+        succ[s].append((t, slack))
+        pred[t].append((s, slack))
 
     dims_list = [rep.dims[v] for v in vertices]
+    top = dims_list[:]
+    _lower_hi(top, pred, list(range(n)))
     elements: list[tuple[int, ...]] = []
-    current = [0] * len(vertices)
+    stack = [(0, [0] * n, top)]
+    while stack:
+        k, lo, hi = stack.pop()
+        while k < n and lo[k] == hi[k]:
+            k += 1
+        if k == n:
+            elements.append(tuple(lo))
+            continue
+        # push the largest value first, so that the smallest is searched
+        # first; a child shares each bound list that it leaves unchanged
+        a, b = lo[k], hi[k]
+        for m in range(b, a - 1, -1):
+            child_lo, child_hi = lo, hi
+            if m > a:
+                child_lo = lo[:]
+                child_lo[k] = m
+                _raise_lo(child_lo, succ, [k])
+            if m < b:
+                child_hi = hi[:]
+                child_hi[k] = m
+                _lower_hi(child_hi, pred, [k])
+            stack.append((k + 1, child_lo, child_hi))
 
-    def ok(k: int) -> bool:
-        for s, t, slack in by_vertex.get(k, ()):
-            if s <= k and t <= k and current[s] - slack > current[t]:
-                return False
-        return True
-
-    def search(k: int) -> None:
-        if k == len(vertices):
-            elements.append(tuple(current))
-            return
-        for m in range(dims_list[k] + 1):
-            current[k] = m
-            if ok(k):
-                search(k + 1)
-        current[k] = 0
-
-    search(0)
-    elements.sort()
     index = {el: k for k, el in enumerate(elements)}
     covers = []
+    # el + e_p keeps every constraint into p; test the bound and those out of p
+    tests = [(p, v, top[p], succ[p]) for p, v in enumerate(vertices)]
     for k, el in enumerate(elements):
-        for p, v in enumerate(vertices):
-            if el[p] < dims_list[p]:
-                up = el[:p] + (el[p] + 1,) + el[p + 1:]
-                if up in index:
-                    covers.append((k, v, index[up]))
+        for p, v, bound, out in tests:
+            up = el[p] + 1
+            if up > bound:
+                continue
+            for t, slack in out:
+                if el[t] < up - slack:
+                    break
+            else:
+                covers.append((k, v, index[el[:p] + (up,) + el[p + 1:]]))
     return SubmoduleLattice(dict(rep.dims), tuple(elements), vertices, tuple(covers))
 
 

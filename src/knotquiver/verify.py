@@ -110,6 +110,10 @@ def run_segment(diagram: LinkDiagram, q: Quiver, i: int) -> SegmentRun:
     return SegmentRun(lat, rep, ml, f, f.specialize(diagram.specialization_exponents()))
 
 
+def _decode_entry(value: dict) -> tuple[MultiPoly, LaurentPoly]:
+    return MultiPoly.from_json(value["f"]), LaurentPoly.from_json(value["spec"])
+
+
 def segment_pipeline(
     diagram: LinkDiagram, q: Quiver, i: int, cache: RunCache | None = None
 ) -> tuple[MultiPoly, LaurentPoly]:
@@ -119,12 +123,9 @@ def segment_pipeline(
     entry that does not decode is a miss and is overwritten.
     """
     if cache is not None:
-        hit = cache.get(diagram, i)
+        hit = cache.get(diagram, i, _decode_entry)
         if hit is not None:
-            try:
-                return MultiPoly.from_json(hit["f"]), LaurentPoly.from_json(hit["spec"])
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed entry: recompute and overwrite it
+            return hit
     run = run_segment(diagram, q, i)
     if cache is not None:
         cache.put(diagram, i, {"f": run.f.to_json(), "spec": run.spec.to_json()})

@@ -8,6 +8,10 @@ from knotquiver.cli import main
 from .conftest import FIG8_PD, TREFOIL_PD
 
 
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).hexdigest().encode()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -95,18 +99,28 @@ class TestFpolyCmd:
         run(capsys, "fpoly", TREFOIL_PD, "--segment", "1", "--format", "json",
             "--cache-dir", str(cache_dir))
         (entry,) = cache_dir.glob("*.json")
-        entry.write_text('{"f": [[1, ')  # a truncated write
+        good = entry.read_bytes()
+        digest, _, body = good.partition(b"\n")
+        assert digest == _sha256(body) and set(json.loads(body)) == {"f", "spec"}
+        entry.write_bytes(good[:-10])  # a truncated write
         code, out, err = run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
                              "--cache-dir", str(cache_dir))
         assert code == 0, err
         assert out == cold
-        assert isinstance(json.loads(entry.read_text()), dict)
-        # not UTF-8, an object without the fields, fields of the wrong types
-        for payload in (b"\xff\xfe garbage", b"{}", b'{"f": 1, "spec": 2, "vectors": 3}'):
-            entry.write_bytes(payload)
+        assert entry.read_bytes() == good
+        # not UTF-8, an object without the fields, fields of the wrong
+        # types: a miss with or without a matching checksum
+        wrong = b'{"f": {"nvars": 8, "terms": []}, "spec": {"s_terms": [[0, 5]]}}'
+        rejected = (b"\xff\xfe garbage", b"{}", b'{"f": 1, "spec": 2, "vectors": 3}')
+        variants = [c for p in rejected for c in (p, _sha256(p) + b"\n" + p)]
+        # well-formed fields holding the wrong polynomials, under no
+        # checksum or the checksum of another body
+        variants += [wrong, good[:64] + b"\n" + wrong]
+        for contents in variants:
+            entry.write_bytes(contents)
             assert run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
-                       "--cache-dir", str(cache_dir))[:2] == (0, cold), payload
-            assert set(json.loads(entry.read_text())) == {"f", "spec"}, payload
+                       "--cache-dir", str(cache_dir))[:2] == (0, cold), contents
+            assert entry.read_bytes() == good, contents
 
     def test_cache_hit_skips_computation(self, tmp_path, monkeypatch, corpus_diagrams):
         from knotquiver.cache import RunCache
@@ -127,6 +141,32 @@ class TestFpolyCmd:
         second = segment_pipeline(d, q, 1, cache)
         assert first[0] == second[0] and first[1] == second[1]
         assert cache.hits == 1
+
+    def test_rejected_entry_counts_as_a_miss(self, tmp_path, corpus_diagrams):
+        from knotquiver.cache import RunCache
+        from knotquiver.quiver import build_quiver
+        from knotquiver.verify import segment_pipeline
+
+        d = corpus_diagrams["figure-eight"]
+        q = build_quiver(d)
+        cold = segment_pipeline(d, q, 1, RunCache(tmp_path))
+        (entry,) = tmp_path.glob("*.json")
+        for payload in (b"{}", b"garbage"):
+            entry.write_bytes(_sha256(payload) + b"\n" + payload)
+            cache = RunCache(tmp_path)
+            assert segment_pipeline(d, q, 1, cache) == cold
+            assert (cache.hits, cache.misses) == (0, 1), payload
+            assert segment_pipeline(d, q, 1, cache) == cold
+            assert (cache.hits, cache.misses) == (1, 1), payload
+
+    def test_wrong_entry_is_not_a_verification_failure(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        run(capsys, "fpoly", "figure-eight", "--segment", "1", "--cache-dir", str(cache_dir))
+        (entry,) = cache_dir.glob("*.json")
+        entry.write_bytes(b'{"f": {"nvars": 8, "terms": []}, "spec": {"s_terms": [[0, 5]]}}')
+        code, out, err = run(capsys, "alexander", "figure-eight", "--cache-dir", str(cache_dir))
+        assert code == 0, err
+        assert out.count("1 - 3*t + t^2") == 3
 
 
 class TestAlexanderCmd:

@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotquiver.diagram import DiagramError
-from knotquiver.quiver import build_potential, build_quiver
+from knotquiver.quiver import Arrow, Quiver, build_potential, build_quiver
 from knotquiver.reps import (
     PartialShift,
     PartitionUndefinedError,
@@ -466,6 +467,100 @@ class TestSubmodules:
             for y in sample:
                 assert tuple(min(a, b) for a, b in zip(x, y)) in elems
                 assert tuple(max(a, b) for a, b in zip(x, y)) in elems
+
+
+# -- submodule enumeration against brute force ----------------------------------
+
+
+def _reference_submodules(q, rep):
+    """Elements and covers of the submodule lattice, by brute force.
+
+    A vector m is a submodule when every arrow's explicit matrix sends the
+    first m(src) basis vectors into the span of the first m(tgt).  This
+    reads neither the map kinds nor the difference constraints.
+    """
+    vertices = sorted(rep.dims)
+    pos = {v: k for k, v in enumerate(vertices)}
+    dense = [(pos[a.src], pos[a.tgt], rep.maps[a.id].to_dense()) for a in q.arrows]
+
+    def closed(m):
+        return all(
+            not dm[r][k]
+            for s, t, dm in dense
+            for k in range(m[s])
+            for r in range(m[t], len(dm))
+        )
+
+    elements = [m for m in product(*(range(rep.dims[v] + 1) for v in vertices)) if closed(m)]
+    index = {m: k for k, m in enumerate(elements)}
+    covers = []
+    for k, m in enumerate(elements):
+        for p, v in enumerate(vertices):
+            up = m[:p] + (m[p] + 1,) + m[p + 1:]
+            if up in index:
+                covers.append((k, v, index[up]))
+    return tuple(elements), tuple(covers)
+
+
+def _arrow(k, src, tgt):
+    return Arrow(id=k, src=src, tgt=tgt, crossing=0, region=0, corner=0)
+
+
+@st.composite
+def _small_modules(draw):
+    """A small quiver with an I/J/V/H (or zero) map on every arrow.
+
+    Vertex ids are arbitrary, arrows may form cycles and loops, and
+    ``ties`` adds identity 2-cycles, which force m(p) = m(q)."""
+    ids = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=5)))
+    dims = {v: draw(st.integers(0, 3)) for v in ids}
+    vertex = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    ties = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    arrows, maps = [], {}
+
+    def add(s, t, m):
+        maps[len(arrows)] = m
+        arrows.append(_arrow(len(arrows), s, t))
+
+    for s, t in pairs:
+        ds, dt = dims[s], dims[t]
+        if ds == dt:
+            add(s, t, draw(st.sampled_from([PartialShift.identity(ds), PartialShift.jordan(ds)])))
+        elif ds == dt + 1:
+            add(s, t, PartialShift.drop_first(ds))
+        elif dt == ds + 1:
+            add(s, t, PartialShift.pad_last(dt))
+    for s, t in ties:
+        if dims[s] == dims[t]:
+            add(s, t, PartialShift.identity(dims[s]))
+            add(t, s, PartialShift.identity(dims[s]))
+    return Quiver(tuple(ids), tuple(arrows)), QuiverRep(dims, maps)
+
+
+class TestSubmodulesAgainstBruteForce:
+    @given(_small_modules())
+    @settings(max_examples=300, deadline=None)
+    def test_random_modules(self, case):
+        q, rep = case
+        ml = enumerate_submodules(q, rep)
+        assert (ml.elements, ml.covers) == _reference_submodules(q, rep)
+
+    def test_identity_cycle_ties_vertices(self):
+        q = Quiver((1, 2, 3), (_arrow(0, 1, 2), _arrow(1, 2, 1), _arrow(2, 2, 3)))
+        eye = PartialShift.identity(2)
+        rep = QuiverRep({1: 2, 2: 2, 3: 1}, {0: eye, 1: eye, 2: PartialShift.drop_first(2)})
+        ml = enumerate_submodules(q, rep)
+        assert ml.elements == ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (2, 2, 1))
+        assert (ml.elements, ml.covers) == _reference_submodules(q, rep)
+
+    def test_fig8_state_modules(self, fig8_ctx):
+        fig8, q, _w, lats = fig8_ctx
+        for i, lat in lats.items():
+            for k in range(lat.size):
+                rep = state_module(fig8, q, lat, k)
+                ml = enumerate_submodules(q, rep)
+                assert (ml.elements, ml.covers) == _reference_submodules(q, rep), (i, k)
 
 
 class TestRelationsAndIso:
