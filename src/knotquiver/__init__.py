@@ -27,7 +27,7 @@ from .diagram import (
     validate,
 )
 from .oracle import AlexanderMatrix, alexander_det
-from .poly import LaurentPoly, MultiPoly, alternating_sum, dot_eq, f_polynomial, normalize
+from .poly import LaurentPoly, MultiPoly
 from .quiver import (
     Arrow,
     Potential,
@@ -89,7 +89,6 @@ __all__ = [
     "SubmoduleLattice",
     "ValidationReport",
     "alexander_det",
-    "alternating_sum",
     "build_lattice",
     "build_potential",
     "build_quiver",
@@ -98,16 +97,13 @@ __all__ = [
     "compute_partition",
     "compute_regions",
     "continued_fraction_value",
-    "dot_eq",
     "enumerate_states",
     "enumerate_submodules",
     "export",
-    "f_polynomial",
     "is_knot",
     "lattice_iso_check",
     "level_graph_report",
     "link_module",
-    "normalize",
     "parse_pd",
     "reduce_two_cycles",
     "state_module",

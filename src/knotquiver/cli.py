@@ -17,7 +17,7 @@ from .diagram import (
     DiagramError,
     LinkDiagram,
     continued_fraction_value,
-    parse_pd,
+    parse_valid_pd,
     two_bridge,
 )
 from .oracle import alexander_det
@@ -37,11 +37,7 @@ def _resolve_input(text: str) -> LinkDiagram:
             if entry.name == candidate:
                 candidate = entry.pd
                 break
-    diagram = parse_pd(candidate)
-    report = diagram.validate()
-    if not report.ok:
-        raise DiagramError("invalid diagram: " + "; ".join(report.notes))
-    return diagram
+    return parse_valid_pd(candidate)
 
 
 def _parse_cf(text: str) -> list[int]:
@@ -55,12 +51,9 @@ def cmd_quiver(args: argparse.Namespace) -> int:
     diagram = _resolve_input(args.input)
     q = build_quiver(diagram)
     w = build_potential(diagram, q)
-    if args.reduced:
+    if args.reduced:  # a reduced quiver has no text form: text prints JSON
         red = reduce_two_cycles(q, w)
-        if args.format == "dot":
-            sys.stdout.write(export(red.quiver, red, "dot"))
-        else:
-            sys.stdout.write(export(red.quiver, red, "json"))
+        sys.stdout.write(export(red.quiver, red, "dot" if args.format == "dot" else "json"))
         return 0
     if args.format == "text":
         print(f"vertices: {len(q.vertices)}  arrows: {len(q.arrows)}")
@@ -256,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DiagramError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (DiagramError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

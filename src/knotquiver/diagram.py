@@ -48,15 +48,8 @@ class Crossing:
     segments: tuple[int, int, int, int]
     over_in: int
 
-    @property
-    def over_out(self) -> int:
-        return 4 - self.over_in  # 1 <-> 3
-
     def passage(self, slot: int) -> str:
         return "under" if slot % 2 == 0 else "over"
-
-    def is_head_slot(self, slot: int) -> bool:
-        return slot == 0 or slot == self.over_in
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,6 @@ class Region:
     id: int
     boundary: tuple[tuple[int, str], ...]  # (segment, "left"/"right") in cyclic order
     corners: tuple[tuple[int, int], ...]  # (crossing, corner slot) occurrences
-    is_unbounded: bool = False
 
     @property
     def size(self) -> int:
@@ -137,11 +129,6 @@ class LinkDiagram:
     def segment_at(self, crossing: int, slot: int) -> int:
         return self.crossings[crossing].segments[slot % 4]
 
-    def _position_end(self, crossing: int, slot: int) -> tuple[int, bool]:
-        """Segment at a position and whether that end is its head."""
-        seg = self.segment_at(crossing, slot)
-        return seg, self.segments[seg].head == (crossing, slot % 4)
-
     def _other_end(self, seg: int, pos: tuple[int, int]) -> tuple[int, int]:
         s = self.segments[seg]
         return s.head if pos == s.tail else s.tail
@@ -191,9 +178,6 @@ class LinkDiagram:
     def regions_at_segment(self, seg: int) -> tuple[int, int]:
         return self.left_region(seg), self.right_region(seg)
 
-    def crossings_of_region(self, rid: int) -> list[int]:
-        return sorted({c for c, _ in self.regions[rid].corners})
-
     # -- classification ----------------------------------------------------
 
     def classify_segment(self, seg: int) -> SegmentClass:
@@ -206,9 +190,6 @@ class LinkDiagram:
         if s.tail_passage == "over" and s.head_passage == "under":
             return SegmentClass.OVER_TO_UNDER
         return SegmentClass.SAME
-
-    def segment_classes(self) -> dict[int, SegmentClass]:
-        return {j: self.classify_segment(j) for j in self.segment_ids()}
 
     def specialization_exponents(self) -> dict[int, int]:
         """Exponent of s substituted for each y_j (y_j -> -s**exp)."""
@@ -473,6 +454,15 @@ def parse_pd(text: str, arc_start: dict[int, int] | None = None) -> LinkDiagram:
         over_in = 1 if end_is_head[(c, 1)] else 3
         raw.append((arcs, over_in))
     return _assemble(raw, end_is_head, arc_start=arc_start)
+
+
+def parse_valid_pd(text: str) -> LinkDiagram:
+    """``parse_pd``, raising DiagramError unless the diagram validates."""
+    diagram = parse_pd(text)
+    report = diagram.validate()
+    if not report.ok:
+        raise DiagramError("invalid diagram: " + "; ".join(report.notes))
+    return diagram
 
 
 def compute_regions(diagram: LinkDiagram) -> tuple[Region, ...]:

@@ -4,7 +4,10 @@ Two rings are used throughout the package:
 
 * ``MultiPoly`` -- polynomials with integer coefficients in variables
   ``y_1, ..., y_m`` (one variable per segment of a diagram).  These hold
-  generating functions over lattices of dimension vectors.
+  generating functions over lattices.  A lattice element enters as a
+  dense exponent tuple whose entry k - 1 is the exponent of ``y_k``: the
+  form in which state heights and submodule dimension vectors are stored
+  (over the sorted segment ids 1..2n), and the rows of ``to_json``.
 
 * ``LaurentPoly`` -- integer Laurent polynomials in a single variable
   ``s`` with the convention ``s**2 == t``.  Working in ``s`` keeps the
@@ -18,14 +21,22 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-# Exponent vectors are stored sparsely as sorted ((variable, exponent), ...)
-# tuples; variables are 1-based segment ids.
+# Inside a polynomial a monomial is stored sparsely as sorted
+# ((variable, exponent), ...) tuples; variables are 1-based segment ids.
 Monomial = tuple[tuple[int, int], ...]
 
 
-def _monomial(exps: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
-    items = exps.items() if isinstance(exps, Mapping) else exps
-    return tuple(sorted((v, e) for v, e in items if e != 0))
+def _monomial(exps: Mapping[int, int]) -> Monomial:
+    return tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+
+
+def _dense_monomial(nvars: int, exps: Sequence[int]) -> Monomial:
+    """The monomial of a dense exponent vector over y_1..y_nvars."""
+    if len(exps) != nvars:
+        raise ValueError(f"exponent vector of length {len(exps)}, expected {nvars}")
+    # from a list, not a generator: tuple() of a generator over-allocates,
+    # and one F holds a monomial per submodule
+    return tuple([(v, e) for v, e in enumerate(exps, 1) if e])
 
 
 def _mono_degree(mono: Monomial) -> int:
@@ -69,14 +80,14 @@ class MultiPoly:
         return cls(nvars, {_monomial({var: exp}): 1})
 
     @classmethod
-    def from_vectors(cls, nvars: int, vectors: Iterable[Mapping[int, int]]) -> "MultiPoly":
-        """Sum of ``y**vec`` over the given dimension/height vectors.
+    def from_vectors(cls, nvars: int, vectors: Iterable[Sequence[int]]) -> "MultiPoly":
+        """Sum of ``y**vec`` over dense exponent vectors of length ``nvars``.
 
         Each vector contributes coefficient 1; repeated vectors add up.
         """
         terms: dict[Monomial, int] = {}
         for vec in vectors:
-            mono = _monomial(vec)
+            mono = _dense_monomial(nvars, vec)
             terms[mono] = terms.get(mono, 0) + 1
         return cls(nvars, terms)
 
@@ -218,7 +229,7 @@ class MultiPoly:
         nvars = data["nvars"]
         terms: dict[Monomial, int] = {}
         for row in data["terms"]:
-            mono = _monomial({i + 1: e for i, e in enumerate(row["exp"])})
+            mono = _dense_monomial(nvars, row["exp"])
             terms[mono] = terms.get(mono, 0) + row["coef"]
         return cls(nvars, terms)
 
@@ -406,44 +417,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
-
-
-# -- module-level helpers ----------------------------------------------
-
-
-def _lattice_vectors(lattice) -> tuple[int, list[Mapping[int, int]]]:
-    if hasattr(lattice, "height_vectors"):  # Kauffman state lattice
-        return len(lattice.segment_index), lattice.height_vectors()
-    if hasattr(lattice, "vectors"):  # submodule lattice
-        return len(lattice.vertex_order), lattice.vectors()
-    raise TypeError(f"not a graded lattice: {lattice!r}")
-
-
-def f_polynomial(lattice_or_nvars, vectors: Iterable[Mapping[int, int]] | None = None) -> MultiPoly:
-    """Generating polynomial: one monomial y**vec per lattice element.
-
-    Accepts either a state/submodule lattice, or an explicit variable
-    count together with the vectors.
-    """
-    if vectors is not None:
-        return MultiPoly.from_vectors(lattice_or_nvars, vectors)
-    nvars, vecs = _lattice_vectors(lattice_or_nvars)
-    return MultiPoly.from_vectors(nvars, vecs)
-
-
-def normalize(p: LaurentPoly) -> LaurentPoly:
-    return p.normalize()
-
-
-def dot_eq(p: LaurentPoly, q: LaurentPoly) -> bool:
-    return p.dot_eq(q)
-
-
-def alternating_sum(f) -> int:
-    """Evaluation of a generating polynomial (or lattice) at all y_j = -1."""
-    if isinstance(f, MultiPoly):
-        return f.evaluate_at_minus_one()
-    return f_polynomial(f).evaluate_at_minus_one()
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

@@ -53,9 +53,6 @@ class Potential:
     plus: tuple[tuple[int, ...], ...]  # one 4-cycle per crossing
     minus: tuple[tuple[int, ...], ...]  # one cycle per region
 
-    def terms(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [(1, c) for c in self.plus] + [(-1, c) for c in self.minus]
-
 
 @dataclass(frozen=True)
 class ReducedQP:
@@ -216,10 +213,9 @@ def export(q: Quiver, w: Potential | ReducedQP | None, fmt: str) -> str:
                 for a in q.arrows
             ],
         }
-        if isinstance(w, Potential):
+        if w is not None:
             data["potential"] = {"plus": [list(c) for c in w.plus], "minus": [list(c) for c in w.minus]}
-        elif isinstance(w, ReducedQP):
-            data["potential"] = {"plus": [list(c) for c in w.plus], "minus": [list(c) for c in w.minus]}
+        if isinstance(w, ReducedQP):
             data["substitutions"] = {str(k): list(v) for k, v in sorted(w.substitutions.items())}
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unsupported export format {fmt!r}")

@@ -21,6 +21,11 @@ of the matrices.  ``PartialShift.to_dense`` gives the explicit integer
 matrix.  The link module T(i) is the module of the maximal state; an
 independent geometric construction from the level partition of the
 segments is kept as a cross-check.
+
+A submodule is stored as its dimension vector, a dense tuple over the
+sorted segment ids 1..2n: the coordinates of ``StateLattice.heights``
+and the exponents of y_1..y_2n in the F-polynomial, so the lattice
+isomorphism and F compare and consume the tuples as they are.
 """
 
 from __future__ import annotations
@@ -224,8 +229,7 @@ class LevelData:
     level: int
     segments: set[int]  # K'(d)
     added: set[int] = field(default_factory=set)  # segments with eps = 1
-    internal_points: list[dict] = field(default_factory=list)
-    walks: list[list[int]] = field(default_factory=list)  # segment walks per component
+    internal_points: list[dict] = field(default_factory=list)  # {"crossing", "region"}
 
 
 @dataclass
@@ -281,15 +285,10 @@ def _walk(
     used: set[int] = set()
     pos = (start, first)
     while True:
-        c, s = pos
-        seg = diagram.segment_at(c, s)
+        seg = diagram.segment_at(*pos)
         trail.append(pos)
         used.add(seg)
-        end_c, end_s = (
-            diagram.segments[seg].head
-            if (c, s) == diagram.segments[seg].tail
-            else diagram.segments[seg].tail
-        )
+        end_c, end_s = diagram._other_end(seg, pos)
         offsets = (3, 2, 1) if prefer_left else (1, 2, 3)
         if _degree(diagram, segs, end_c) == 4:
             offsets = (3, 1) if prefer_left else (1, 3)
@@ -312,14 +311,8 @@ def _walk_crossings(diagram: LinkDiagram, walk: list[tuple[int, int]]) -> list[i
     if not walk:
         return []
     out = [walk[0][0]]
-    for c, s in walk:
-        seg = diagram.segment_at(c, s)
-        other = (
-            diagram.segments[seg].head
-            if (c, s) == diagram.segments[seg].tail
-            else diagram.segments[seg].tail
-        )
-        out.append(other[0])
+    for pos in walk:
+        out.append(diagram._other_end(diagram.segment_at(*pos), pos)[0])
     return out
 
 
@@ -391,8 +384,6 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
                 )
             left = _walk(diagram, comp, externals[0], prefer_left=True)
             right = _walk(diagram, comp, externals[0], prefer_left=False)
-            data.walks.append(_walk_segments(diagram, left))
-            data.walks.append(_walk_segments(diagram, right))
             covered = set(_walk_segments(diagram, left)) | set(_walk_segments(diagram, right))
             if covered != comp:
                 raise DiagramError(f"level {d} walks missed segments {sorted(comp - covered)}")
@@ -413,14 +404,7 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
                     if d1 is None:
                         continue
                     # the arrival slot at x closing the lobe
-                    pc, ps = lobe[-1]
-                    seg_back = diagram.segment_at(pc, ps)
-                    back_end = (
-                        diagram.segments[seg_back].head
-                        if (pc, ps) == diagram.segments[seg_back].tail
-                        else diagram.segments[seg_back].tail
-                    )
-                    a2 = back_end[1]
+                    a2 = diagram._other_end(diagram.segment_at(*lobe[-1]), lobe[-1])[1]
                     if (a2 + 1) % 4 == d1:
                         corner = a2
                     elif (d1 + 1) % 4 == a2:
@@ -449,15 +433,7 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
                         for j in set(diagram.regions[region].segment_ids())
                         if j in interior and j not in assigned
                     }
-                    data.internal_points.append(
-                        {
-                            "crossing": x,
-                            "region": region,
-                            "lobe": sorted(lobe_segs),
-                            "interior": sorted(interior),
-                            "added": sorted(added),
-                        }
-                    )
+                    data.internal_points.append({"crossing": x, "region": region})
                     data.added.update(added)
                     break
         for j in data.segments | data.added:
@@ -599,19 +575,13 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
 @dataclass(frozen=True)
 class SubmoduleLattice:
     dims: dict[int, int]
-    elements: tuple[tuple[int, ...], ...]  # dim vectors over sorted vertex ids
-    vertex_order: tuple[int, ...]
+    elements: tuple[tuple[int, ...], ...]  # dim vectors over vertex_order
+    vertex_order: tuple[int, ...]  # the sorted vertex (segment) ids
     covers: tuple[tuple[int, int, int], ...]  # (from index, vertex, to index)
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def vectors(self) -> list[dict[int, int]]:
-        out = []
-        for el in self.elements:
-            out.append({v: m for v, m in zip(self.vertex_order, el) if m})
-        return out
 
 
 def _raise_lo(lo: list[int], succ: list[list[tuple[int, int]]], work: list[int]) -> None:
@@ -811,15 +781,18 @@ def check_relations(
 
 
 def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
-    """Is height -> dimension vector a lattice isomorphism?"""
-    state_vecs = [tuple(sorted(v.items())) for v in sl.height_vectors()]
-    mod_vecs = [tuple(sorted(v.items())) for v in ml.vectors()]
-    if len(set(state_vecs)) != len(state_vecs):
+    """Is height -> dimension vector a lattice isomorphism?
+
+    Both lattices store an element as a tuple over the sorted segment ids,
+    so once their coordinate orders agree the heights and the dimension
+    vectors, and the two cover sets, compare as tuples.
+    """
+    if list(sl.segment_index.items()) != [(v, k) for k, v in enumerate(ml.vertex_order)]:
         return False
-    if sorted(state_vecs) != sorted(mod_vecs):
+    heights, elements = sl.heights, ml.elements
+    distinct = set(heights)
+    if len(distinct) != len(heights) or len(elements) != len(heights) or distinct != set(elements):
         return False
-    state_edges = {
-        (state_vecs[a], j, state_vecs[b]) for a, j, b in sl.covers
-    }
-    mod_edges = {(mod_vecs[a], v, mod_vecs[b]) for a, v, b in ml.covers}
+    state_edges = {(heights[a], j, heights[b]) for a, j, b in sl.covers}
+    mod_edges = {(elements[a], v, elements[b]) for a, v, b in ml.covers}
     return state_edges == mod_edges

@@ -31,7 +31,9 @@ class StateLattice:
     states: tuple[State, ...]
     # up-covers: (state index, segment, successor state index)
     covers: tuple[tuple[int, int, int], ...]
-    heights: tuple[tuple[int, ...], ...]  # per state, indexed like segment ids
+    # per state, a tuple over the sorted segment ids 1..2n: the coordinates
+    # of submodule dimension vectors and of F's exponents of y_1..y_2n
+    heights: tuple[tuple[int, ...], ...]
     min_state: int
     max_state: int
     segment_index: dict[int, int]  # segment id -> position in height vectors
@@ -39,9 +41,6 @@ class StateLattice:
     def height_vector(self, state_index: int) -> dict[int, int]:
         row = self.heights[state_index]
         return {seg: row[k] for seg, k in self.segment_index.items() if row[k]}
-
-    def height_vectors(self) -> list[dict[int, int]]:
-        return [self.height_vector(k) for k in range(len(self.states))]
 
     @property
     def size(self) -> int:

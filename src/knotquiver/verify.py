@@ -106,7 +106,7 @@ def run_segment(diagram: LinkDiagram, q: Quiver, i: int) -> SegmentRun:
     lat = build_lattice(diagram, i)
     rep = link_module(diagram, q, lat)
     ml = enumerate_submodules(q, rep)
-    f = MultiPoly.from_vectors(2 * diagram.n, ml.vectors())
+    f = MultiPoly.from_vectors(2 * diagram.n, ml.elements)
     return SegmentRun(lat, rep, ml, f, f.specialize(diagram.specialization_exponents()))
 
 

@@ -37,6 +37,15 @@ class TestQuiverCmd:
         assert len(data["arrows"]) == 12
         assert len(data["substitutions"]) == 4
 
+    def test_reduced_text_prints_json(self, capsys):
+        _, as_json, _ = run(capsys, "quiver", FIG8_PD, "--reduced")
+        code, out, _ = run(capsys, "quiver", FIG8_PD, "--reduced", "--format", "text")
+        assert code == 0 and out == as_json
+
+    def test_input_path_not_a_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "quiver", f"@{tmp_path}")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_corpus_name_conway(self, capsys):
         code, out, _ = run(capsys, "quiver", "conway")
         data = json.loads(out)
@@ -202,6 +211,34 @@ class TestVerifyCmd:
         code, out, _ = run(capsys, "verify", str(bad), "--fast")
         assert code == 1 and "FAIL" in out
         assert "expected polynomial: False" in out
+
+    def test_invalid_corpus_diagram_exit_2(self, capsys, tmp_path):
+        # the same curl that `quiver "X(1,2,2,1)"` rejects
+        corpus = tmp_path / "curl.jsonl"
+        corpus.write_text('{"name": "k", "pd": "X(1,2,2,1)", "prime": true}\n')
+        code, out, err = run(capsys, "verify", str(corpus))
+        assert code == 2 and "PASS" not in out
+        assert err.startswith("error: k: invalid diagram: ")
+        code, _, quiver_err = run(capsys, "quiver", "X(1,2,2,1)")
+        assert code == 2 and quiver_err == err.replace("error: k: ", "error: ")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            (json.dumps({"name": "k", "pd": TREFOIL_PD, "prime": True, "alexander": "abc"}),
+             "'alexander' must be a list of integers"),
+            (json.dumps({"name": "k", "pd": TREFOIL_PD, "prime": True, "components": "1"}),
+             "'components' must be a positive integer"),
+        ],
+        ids=["not-an-object", "alexander-string", "components-string"],
+    )
+    def test_malformed_corpus_row_exit_2(self, capsys, tmp_path, row, message):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text("# one comment line\n" + row + "\n")
+        code, out, err = run(capsys, "verify", str(corpus), "--fast")
+        assert (code, out) == (2, "")
+        assert err == f"error: corpus line 2: {message}\n"
 
     def test_empty_corpus_warns(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -2,15 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotquiver.poly import (
-    LaurentPoly,
-    MultiPoly,
-    alternating_sum,
-    dot_eq,
-    exact_div,
-    f_polynomial,
-    normalize,
-)
+from knotquiver.poly import LaurentPoly, MultiPoly, exact_div
 
 
 def lp(coeffs, min_t=0):
@@ -20,11 +12,11 @@ def lp(coeffs, min_t=0):
 class TestLaurent:
     def test_normalize_shifts_and_signs(self):
         p = lp([-1, 3, -1], min_t=-1)  # -1/t + 3 - t
-        assert normalize(p) == lp([1, -3, 1])
+        assert p.normalize() == lp([1, -3, 1])
 
     def test_normalize_monomial(self):
-        assert normalize(LaurentPoly({2: 1})) == LaurentPoly.one()
-        assert normalize(LaurentPoly({-5: -7})) == LaurentPoly({0: 7})
+        assert LaurentPoly({2: 1}).normalize() == LaurentPoly.one()
+        assert LaurentPoly({-5: -7}).normalize() == LaurentPoly({0: 7})
 
     def test_normalize_zero_raises(self):
         with pytest.raises(ValueError):
@@ -32,19 +24,19 @@ class TestLaurent:
 
     def test_normalize_fixed_point(self):
         p = lp([3, -9, 16, -19, 16, -9, 3])
-        assert normalize(p) == p
+        assert p.normalize() == p
 
     def test_dot_eq(self):
-        assert dot_eq(lp([-1, 3, -1], min_t=-1), lp([1, -3, 1]))
-        assert not dot_eq(lp([1, -3, 1]), lp([1, -1, 1]))
-        assert dot_eq(LaurentPoly.zero(), LaurentPoly.zero())
-        assert not dot_eq(LaurentPoly.zero(), LaurentPoly.one())
+        assert lp([-1, 3, -1], min_t=-1).dot_eq(lp([1, -3, 1]))
+        assert not lp([1, -3, 1]).dot_eq(lp([1, -1, 1]))
+        assert LaurentPoly.zero().dot_eq(LaurentPoly.zero())
+        assert not LaurentPoly.zero().dot_eq(LaurentPoly.one())
 
     def test_dot_eq_reversal(self):
         p = lp([1, -5, 1])
-        assert dot_eq(p, p.reverse())
+        assert p.dot_eq(p.reverse())
         q = lp([1, -2, 3])  # not palindromic
-        assert dot_eq(q, q.reverse())  # reversal is part of the relation
+        assert q.dot_eq(q.reverse())  # reversal is part of the relation
 
     def test_odd_powers_of_s(self):
         p = LaurentPoly({1: 1, -1: -1})  # s - 1/s
@@ -76,27 +68,59 @@ class TestLaurent:
         assert LaurentPoly.from_json(p.to_json()) == p
 
 
+# the five-element lattice of the figure-eight module T(1): dense exponent
+# vectors over y_1..y_8
+FIG8_T1 = [
+    (0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0),
+    (0, 1, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0, 0, 1),
+    (0, 1, 0, 0, 1, 0, 0, 1),
+]
+
+
 class TestMultiPoly:
     def test_from_vectors(self):
-        f = f_polynomial(4, [{}, {2: 1}, {2: 1, 3: 1}])
+        f = MultiPoly.from_vectors(4, [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)])
         assert f.num_terms == 3
         assert f.constant_term() == 1
         assert f.coefficient({2: 1, 3: 1}) == 1
+        # repeated vectors add up
+        assert MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)]).coefficient({1: 1}) == 2
+
+    @pytest.mark.parametrize("vec", [(), (1,), (0, 1, 0)])
+    def test_from_vectors_rejects_wrong_length(self, vec):
+        with pytest.raises(ValueError, match="expected 2"):
+            MultiPoly.from_vectors(2, [(0, 0), vec])
+
+    def test_from_json_rejects_wrong_length(self):
+        data = {"nvars": 3, "terms": [{"exp": [1, 0], "coef": 1}]}
+        with pytest.raises(ValueError, match="expected 3"):
+            MultiPoly.from_json(data)
 
     def test_render_sorted(self):
-        f = f_polynomial(8, [{}, {5: 1}, {2: 1, 5: 1}, {5: 1, 8: 1}, {2: 1, 5: 1, 8: 1}])
+        f = MultiPoly.from_vectors(8, FIG8_T1)
         assert f.render() == "1 + y5 + y2*y5 + y5*y8 + y2*y5*y8"
 
     def test_top_term_unique(self):
-        f = f_polynomial(3, [{}, {1: 1}, {1: 1, 2: 1}])
+        f = MultiPoly.from_vectors(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         assert f.top_term() == ((1, 1), (2, 1))
-        g = f_polynomial(3, [{1: 1}, {2: 1}])
+        g = MultiPoly.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
         with pytest.raises(ValueError):
             g.top_term()
 
     def test_specialize(self):
         # the five-element chain specializes like the worked small example
-        f = f_polynomial(8, [{}, {8: 1}, {3: 1, 8: 1}, {1: 1, 3: 1, 8: 1}, {1: 1, 3: 1, 4: 1, 8: 1}])
+        f = MultiPoly.from_vectors(
+            8,
+            [
+                (0, 0, 0, 0, 0, 0, 0, 0),
+                (0, 0, 0, 0, 0, 0, 0, 1),
+                (0, 0, 1, 0, 0, 0, 0, 1),
+                (1, 0, 1, 0, 0, 0, 0, 1),
+                (1, 0, 1, 1, 0, 0, 0, 1),
+            ],
+        )
         spec = f.specialize({1: -2, 3: -2, 4: 2, 8: 2})
         assert spec == LaurentPoly({-2: -1, 0: 3, 2: -1})
 
@@ -104,20 +128,21 @@ class TestMultiPoly:
         assert MultiPoly.const(4, 1).specialize({}) == LaurentPoly.one()
 
     def test_specialize_missing_class(self):
-        f = f_polynomial(2, [{1: 1}])
+        f = MultiPoly.from_vectors(2, [(1, 0)])
         with pytest.raises(KeyError):
             f.specialize({2: 0})
 
     def test_alternating_sum(self):
-        f = f_polynomial(8, [{}, {5: 1}, {2: 1, 5: 1}, {5: 1, 8: 1}, {2: 1, 5: 1, 8: 1}])
-        assert alternating_sum(f) == 1  # degrees 0,1,2,2,3
-        assert alternating_sum(MultiPoly.const(2, 1)) == 1
+        f = MultiPoly.from_vectors(8, FIG8_T1)
+        assert f.evaluate_at_minus_one() == 1  # degrees 0,1,2,2,3
+        assert MultiPoly.const(2, 1).evaluate_at_minus_one() == 1
 
     def test_json_roundtrip(self):
-        f = f_polynomial(5, [{1: 2, 4: 1}, {}])
+        f = MultiPoly.from_vectors(5, [(2, 0, 0, 1, 0), (0, 0, 0, 0, 0)])
         assert MultiPoly.from_json(f.to_json()) == f
 
     def test_lattice_dispatch(self):
+        """State heights and submodule dimension vectors give the same F."""
         from knotquiver.diagram import parse_pd
         from knotquiver.quiver import build_quiver
         from knotquiver.reps import enumerate_submodules, link_module
@@ -127,8 +152,10 @@ class TestMultiPoly:
         q = build_quiver(d)
         lat = build_lattice(d, 1)
         ml = enumerate_submodules(q, link_module(d, q, lat))
-        assert f_polynomial(lat) == f_polynomial(ml)
-        assert alternating_sum(lat) == alternating_sum(f_polynomial(ml))
+        f = MultiPoly.from_vectors(8, ml.elements)
+        assert MultiPoly.from_vectors(8, lat.heights) == f
+        assert f == MultiPoly.from_vectors(8, FIG8_T1)
+        assert f.evaluate_at_minus_one() == 1
 
 
 # -- ring laws on random sparse polynomials ------------------------------------

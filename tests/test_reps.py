@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from knotquiver.reps import (
     PartialShift,
     PartitionUndefinedError,
     QuiverRep,
+    SubmoduleLattice,
     check_relations,
     compose_path,
     compute_partition,
@@ -431,20 +433,20 @@ class TestSubmodules:
         fig8, q, _w, lats = fig8_ctx
         ml = enumerate_submodules(q, link_module(fig8, q, lats[1]))
         assert ml.size == 5
-        vecs = sorted(tuple(sorted(v.items())) for v in ml.vectors())
-        assert vecs == [
-            (),
-            ((2, 1), (5, 1)),
-            ((2, 1), (5, 1), (8, 1)),
-            ((5, 1),),
-            ((5, 1), (8, 1)),
+        assert ml.vertex_order == tuple(range(1, 9))
+        assert sorted(ml.elements) == [
+            (0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 1, 0, 0, 1),
+            (0, 1, 0, 0, 1, 0, 0, 0),
+            (0, 1, 0, 0, 1, 0, 0, 1),
         ]
 
     def test_fig8_t2_chain(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
         ml = enumerate_submodules(q, link_module(fig8, q, lats[2]))
         assert ml.size == 5
-        assert sorted(sum(v.values()) for v in ml.vectors()) == [0, 1, 2, 3, 4]
+        assert sorted(sum(el) for el in ml.elements) == [0, 1, 2, 3, 4]
 
     def test_zero_module(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
@@ -606,3 +608,16 @@ class TestRelationsAndIso:
         fig8, q, _w, lats = fig8_ctx
         ml2 = enumerate_submodules(q, link_module(fig8, q, lats[2]))
         assert not lattice_iso_check(lats[1], ml2)
+
+    def test_iso_check_needs_one_coordinate_order(self, fig8_ctx):
+        fig8, q, _w, lats = fig8_ctx
+        lat = lats[1]
+        ml = enumerate_submodules(q, link_module(fig8, q, lat))
+        assert lattice_iso_check(lat, ml)
+        # the same tuples read over the segment ids in another order
+        relabeled = SubmoduleLattice(ml.dims, ml.elements, ml.vertex_order[::-1], ml.covers)
+        assert not lattice_iso_check(lat, relabeled)
+        # segment ids in the same order, but at other positions of the heights
+        last = len(lat.segment_index) - 1
+        moved = {j: last - p for j, p in lat.segment_index.items()}
+        assert not lattice_iso_check(replace(lat, segment_index=moved), ml)
