@@ -110,6 +110,8 @@ def cmd_alexander(args: argparse.Namespace) -> int:
     diagram = _resolve_input(args.input)
     cache = RunCache.from_env(args.cache_dir)
     seg = args.segment if args.segment is not None else min(diagram.segment_ids())
+    if seg not in diagram.segments:
+        raise DiagramError(f"unknown segment id {seg}")
     values: dict[str, LaurentPoly] = {}
     if args.method in ("det", "all"):
         values["det"] = alexander_det(diagram)

@@ -3,9 +3,12 @@
 A diagram is stored crossing by crossing.  Every crossing has four slots
 in counterclockwise planar order; slot 0 always holds the head of the
 incoming under-strand arc, so slot 2 holds the tail of the outgoing
-under-strand arc and the over-strand occupies slots 1 and 3.  Segments
-are labeled 1..2n along the strand orientation, the way state sums and
-quiver constructions expect them.
+under-strand arc and the over-strand occupies slots 1 and 3.  Odd slots
+are therefore over and even slots under, and that parity is the only
+record of how a strand passes: the specialization of the F-polynomial
+reads it from the slots at both ends of a segment.  Segments are labeled
+1..2n along the strand orientation, the way state sums and quiver
+constructions expect them.
 
 Regions (faces of the planar complement) are computed by the standard
 face traversal of the rotation system: a walk arriving at slot ``s``
@@ -15,7 +18,6 @@ left of the walk.
 
 from __future__ import annotations
 
-import enum
 import json
 import re
 from dataclasses import dataclass, field
@@ -27,12 +29,6 @@ class DiagramError(ValueError):
 
 class ParseError(DiagramError):
     """Malformed or inconsistent PD input."""
-
-
-class SegmentClass(enum.Enum):
-    UNDER_TO_OVER = "under_to_over"
-    OVER_TO_UNDER = "over_to_under"
-    SAME = "same"
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,6 @@ class Crossing:
     segments: tuple[int, int, int, int]
     over_in: int
 
-    def passage(self, slot: int) -> str:
-        return "under" if slot % 2 == 0 else "over"
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -59,8 +52,6 @@ class Segment:
     id: int
     tail: tuple[int, int]  # (crossing index, slot) where the segment starts
     head: tuple[int, int]  # (crossing index, slot) where it ends
-    tail_passage: str  # "over" | "under": how the strand passes at the tail crossing
-    head_passage: str
     component: int
 
 
@@ -85,7 +76,6 @@ class ValidationReport:
     curl_free: bool
     connected: bool
     euler_ok: bool
-    prime_assumed: bool | None = None
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -178,31 +168,23 @@ class LinkDiagram:
     def regions_at_segment(self, seg: int) -> tuple[int, int]:
         return self.left_region(seg), self.right_region(seg)
 
-    # -- classification ----------------------------------------------------
-
-    def classify_segment(self, seg: int) -> SegmentClass:
-        try:
-            s = self.segments[seg]
-        except KeyError:
-            raise DiagramError(f"unknown segment id {seg}") from None
-        if s.tail_passage == "under" and s.head_passage == "over":
-            return SegmentClass.UNDER_TO_OVER
-        if s.tail_passage == "over" and s.head_passage == "under":
-            return SegmentClass.OVER_TO_UNDER
-        return SegmentClass.SAME
+    # -- specialization ----------------------------------------------------
 
     def specialization_exponents(self) -> dict[int, int]:
-        """Exponent of s substituted for each y_j (y_j -> -s**exp)."""
-        table = {
-            SegmentClass.UNDER_TO_OVER: 2,
-            SegmentClass.OVER_TO_UNDER: -2,
-            SegmentClass.SAME: 0,
+        """Exponent of s substituted for each y_j (y_j -> -s**exp).
+
+        Odd slots are over: a segment from under to over gets 2 (y_j -> -t),
+        from over to under -2 (y_j -> -1/t), and one that passes the same
+        way at both ends 0 (y_j -> -1).
+        """
+        return {
+            j: 2 * (seg.head[1] % 2 - seg.tail[1] % 2)
+            for j, seg in sorted(self.segments.items())
         }
-        return {j: table[self.classify_segment(j)] for j in self.segment_ids()}
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, prime_assumed: bool | None = None) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         notes: list[str] = []
         curl_free = True
         for seg in self.segments.values():
@@ -237,7 +219,7 @@ class LinkDiagram:
         for seg in self.segments.values():
             if self.left_region(seg.id) == self.right_region(seg.id):
                 notes.append(f"segment {seg.id} has the same region on both sides")
-        return ValidationReport(curl_free, connected, euler_ok, prime_assumed, notes)
+        return ValidationReport(curl_free, connected, euler_ok, notes)
 
     # -- serialization --------------------------------------------------------
 
@@ -343,8 +325,6 @@ def _assemble(
             id=sid,
             tail=(tc, ts),
             head=(hc, hs),
-            tail_passage="under" if ts % 2 == 0 else "over",
-            head_passage="under" if hs % 2 == 0 else "over",
             component=component_of_arc[arc],
         )
     arc_labels = {new_id[a]: a for a in positions}
@@ -463,24 +443,6 @@ def parse_valid_pd(text: str) -> LinkDiagram:
     if not report.ok:
         raise DiagramError("invalid diagram: " + "; ".join(report.notes))
     return diagram
-
-
-def compute_regions(diagram: LinkDiagram) -> tuple[Region, ...]:
-    """Face structure of the diagram (computed at construction time)."""
-    if len(diagram.regions) != diagram.n + 2:
-        raise DiagramError(
-            f"face count {len(diagram.regions)} != {diagram.n + 2}: "
-            "rotation system is not a planar link shadow"
-        )
-    return diagram.regions
-
-
-def validate(diagram: LinkDiagram, prime_assumed: bool | None = None) -> ValidationReport:
-    return diagram.validate(prime_assumed)
-
-
-def classify_segment(diagram: LinkDiagram, seg: int) -> SegmentClass:
-    return diagram.classify_segment(seg)
 
 
 # -- programmatic construction (wiring level) ---------------------------------
@@ -639,9 +601,3 @@ def two_bridge(cf: list[int]) -> LinkDiagram:
     wiring = [[link[(c, s)] for s in range(4)] for c in range(len(wiring_slots))]
     diagram = diagram_from_wiring(wiring, over_diag, marked_port=first_end)  # type: ignore[arg-type]
     return diagram
-
-
-def is_knot(cf: list[int]) -> bool:
-    """A 2-bridge link is a knot iff the continued fraction numerator is odd."""
-    num, _ = continued_fraction_value(cf)
-    return num % 2 == 1

@@ -24,8 +24,6 @@ The determinant is evaluated exactly over Z[s, 1/s] by fraction-free
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import DiagramError, LinkDiagram
 from .poly import LaurentPoly, exact_div
 
@@ -33,16 +31,9 @@ from .poly import LaurentPoly, exact_div
 _CORNER_ENTRIES: tuple[tuple[int, int], ...] = ((1, 2), (-1, 2), (1, 0), (-1, 0))
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
-    """Rows by crossings, columns by regions, with two adjacent columns deleted."""
-
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-    deleted: tuple[int, int]
-    region_order: tuple[int, ...]
-
-
-def build_matrix(diagram: LinkDiagram, deleted: tuple[int, int]) -> AlexanderMatrix:
+def build_matrix(diagram: LinkDiagram, deleted: tuple[int, int]) -> list[list[LaurentPoly]]:
+    """Rows by crossings, columns by the regions other than the two ``deleted``,
+    which must be adjacent along a segment."""
     r1, r2 = deleted
     shared = any(
         {diagram.left_region(j), diagram.right_region(j)} == {r1, r2}
@@ -60,8 +51,8 @@ def build_matrix(diagram: LinkDiagram, deleted: tuple[int, int]) -> AlexanderMat
             if region in col:
                 coef, exp = _CORNER_ENTRIES[corner]
                 row[col[region]] = row[col[region]] + LaurentPoly.s_power(exp, coef)
-        rows.append(tuple(row))
-    return AlexanderMatrix(tuple(rows), deleted, keep)
+        rows.append(row)
+    return rows
 
 
 def _bareiss_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -88,11 +79,6 @@ def _bareiss_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return -det if sign < 0 else det
 
 
-def default_deleted_pair(diagram: LinkDiagram, seg: int = 1) -> tuple[int, int]:
-    """The two regions flanking a segment (deterministic deletion choice)."""
-    return diagram.regions_at_segment(seg)
-
-
 def alexander_det(
     diagram: LinkDiagram, deleted: tuple[int, int] | None = None
 ) -> LaurentPoly:
@@ -102,7 +88,5 @@ def alexander_det(
     regions at segment 1 are removed.
     """
     if deleted is None:
-        deleted = default_deleted_pair(diagram)
-    matrix = build_matrix(diagram, deleted)
-    rows = [list(r) for r in matrix.entries]
-    return _bareiss_det(rows)
+        deleted = diagram.regions_at_segment(1)
+    return _bareiss_det(build_matrix(diagram, deleted))

@@ -1,18 +1,22 @@
-"""Exact sparse polynomial arithmetic.
+"""Exact sparse polynomials.
 
-Two rings are used throughout the package:
+Two types are used throughout the package:
 
-* ``MultiPoly`` -- polynomials with integer coefficients in variables
-  ``y_1, ..., y_m`` (one variable per segment of a diagram).  These hold
-  generating functions over lattices.  A lattice element enters as a
+* ``MultiPoly`` -- the F-polynomial: a generating function over a lattice
+  in variables ``y_1, ..., y_m`` (one variable per segment of a diagram),
+  with one monomial per lattice element.  A lattice element enters as a
   dense exponent tuple whose entry k - 1 is the exponent of ``y_k``: the
   form in which state heights and submodule dimension vectors are stored
-  (over the sorted segment ids 1..2n), and the rows of ``to_json``.
+  (over the sorted segment ids 1..2n), and the rows of ``to_json``.  It is
+  built, compared, queried, specialized and serialized, but it has no
+  ring operations.
 
 * ``LaurentPoly`` -- integer Laurent polynomials in a single variable
   ``s`` with the convention ``s**2 == t``.  Working in ``s`` keeps the
   half-integer powers of ``t`` that appear in state sums inside one ring;
   a value is printed in ``t`` only when every ``s``-exponent is even.
+  This is the only ring: the region-matrix determinant adds, multiplies
+  and divides its entries.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 """
@@ -24,10 +28,6 @@ from typing import Iterable, Mapping, Sequence
 # Inside a polynomial a monomial is stored sparsely as sorted
 # ((variable, exponent), ...) tuples; variables are 1-based segment ids.
 Monomial = tuple[tuple[int, int], ...]
-
-
-def _monomial(exps: Mapping[int, int]) -> Monomial:
-    return tuple(sorted((v, e) for v, e in exps.items() if e != 0))
 
 
 def _dense_monomial(nvars: int, exps: Sequence[int]) -> Monomial:
@@ -43,15 +43,8 @@ def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    merged: dict[int, int] = dict(a)
-    for v, e in b:
-        merged[v] = merged.get(v, 0) + e
-    return _monomial(merged)
-
-
 class MultiPoly:
-    """Sparse polynomial in y_1..y_nvars with integer coefficients."""
+    """Sparse polynomial in y_1..y_nvars with integer coefficients (no ring operations)."""
 
     __slots__ = ("nvars", "terms")
 
@@ -66,20 +59,6 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
-    def const(cls, nvars: int, value: int) -> "MultiPoly":
-        return cls(nvars, {(): value} if value else {})
-
-    @classmethod
-    def variable(cls, nvars: int, var: int, exp: int = 1) -> "MultiPoly":
-        if not 1 <= var <= nvars:
-            raise ValueError(f"variable y_{var} out of range 1..{nvars}")
-        return cls(nvars, {_monomial({var: exp}): 1})
-
-    @classmethod
     def from_vectors(cls, nvars: int, vectors: Iterable[Sequence[int]]) -> "MultiPoly":
         """Sum of ``y**vec`` over dense exponent vectors of length ``nvars``.
 
@@ -91,41 +70,7 @@ class MultiPoly:
             terms[mono] = terms.get(mono, 0) + 1
         return cls(nvars, terms)
 
-    # -- ring operations ----------------------------------------------
-
-    def _check(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            c = terms.get(mono, 0) + coef
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
-        return MultiPoly(self.nvars, terms)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = terms.get(mono, 0) + c1 * c2
-                if c:
-                    terms[mono] = c
-                else:
-                    terms.pop(mono, None)
-        return MultiPoly(self.nvars, terms)
+    # -- queries -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -134,20 +79,12 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- queries -------------------------------------------------------
-
     @property
     def num_terms(self) -> int:
         return len(self.terms)
 
     def constant_term(self) -> int:
         return self.terms.get((), 0)
-
-    def coefficient(self, exps: Mapping[int, int]) -> int:
-        return self.terms.get(_monomial(exps), 0)
 
     def coefficients(self) -> list[int]:
         return [c for _, c in sorted(self.terms.items())]
@@ -333,9 +270,6 @@ class LaurentPoly:
     def reverse(self) -> "LaurentPoly":
         """Substitution s -> s**-1 (t -> t**-1)."""
         return LaurentPoly({-e: c for e, c in self.terms.items()})
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
     # -- normal form and comparison up to units ------------------------
 

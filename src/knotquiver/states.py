@@ -21,7 +21,6 @@ from .diagram import DiagramError, LinkDiagram
 from .poly import LaurentPoly
 
 State = tuple[int, ...]  # corner slot of the marker, indexed by crossing
-KauffmanState = State
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,7 @@ def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
             del assignment[c]
 
     extend(0)
+    del extend  # the closure refers to itself: drop the cycle with the search state
     results.sort()
     return results
 
@@ -138,23 +138,6 @@ def _up_move(diagram: LinkDiagram, state: State, j: int) -> State | None:
     nxt[tc] = ts
     nxt[hc] = hs
     return tuple(nxt)
-
-
-def transpositions(diagram: LinkDiagram, state: State) -> list[tuple[int, str, State]]:
-    """All up and down moves available from a state."""
-    moves: list[tuple[int, str, State]] = []
-    for j in diagram.segment_ids():
-        up = _up_move(diagram, state, j)
-        if up is not None:
-            moves.append((j, "up", up))
-        seg = diagram.segments[j]
-        (tc, ts), (hc, hs) = seg.tail, seg.head
-        if tc != hc and state[tc] == ts and state[hc] == hs:
-            prev = list(state)
-            prev[tc] = (ts - 1) % 4
-            prev[hc] = (hs - 1) % 4
-            moves.append((j, "down", tuple(prev)))
-    return moves
 
 
 def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:

@@ -36,21 +36,22 @@ def f_poly_of(diagram, i):
     return MultiPoly.from_vectors(2 * diagram.n, ml.elements)
 
 
-def y_monomial(nvars, exps):
-    f = MultiPoly.const(nvars, 1)
-    for v, e in exps.items():
-        f = f * MultiPoly.variable(nvars, v, e)
-    return f
+def y_series(nvars, *monomials):
+    """Sum of the monomials, each given as {variable: exponent}."""
+    return MultiPoly.from_vectors(
+        nvars, [[m.get(v, 0) for v in range(1, nvars + 1)] for m in monomials]
+    )
 
 
 def test_criterion_1_figure_eight(fig8):
     f2 = f_poly_of(fig8, 2)
-    expected_f2 = (
-        MultiPoly.const(8, 1)
-        + y_monomial(8, {8: 1})
-        + y_monomial(8, {3: 1, 8: 1})
-        + y_monomial(8, {1: 1, 3: 1, 8: 1})
-        + y_monomial(8, {1: 1, 3: 1, 4: 1, 8: 1})
+    expected_f2 = y_series(
+        8,
+        {},
+        {8: 1},
+        {3: 1, 8: 1},
+        {1: 1, 3: 1, 8: 1},
+        {1: 1, 3: 1, 4: 1, 8: 1},
     )
     spec2 = f2.specialize(fig8.specialization_exponents())
     ok = f2 == expected_f2 and spec2 == LaurentPoly({-2: -1, 0: 3, 2: -1})
@@ -68,12 +69,13 @@ def test_criterion_1_figure_eight(fig8):
 )
 def test_criterion_1_figure_eight_t1_verbatim(fig8):
     f1 = f_poly_of(fig8, 1)
-    quoted = (
-        MultiPoly.const(8, 1)
-        + y_monomial(8, {2: 1})
-        + y_monomial(8, {8: 1})
-        + y_monomial(8, {2: 1, 8: 1})
-        + y_monomial(8, {2: 1, 5: 1, 8: 1})
+    quoted = y_series(
+        8,
+        {},
+        {2: 1},
+        {8: 1},
+        {2: 1, 8: 1},
+        {2: 1, 5: 1, 8: 1},
     )
     announce("1 (T(1) verbatim)", f1 == quoted, "known transcription inconsistency")
     assert f1 == quoted

@@ -192,6 +192,12 @@ class TestAlexanderCmd:
         code, out, _ = run(capsys, "alexander", "10_66", "--method", "spec")
         assert code == 0 and "16*t^2" in out
 
+    @pytest.mark.parametrize("method", ["det", "statesum", "spec", "all"])
+    def test_unknown_segment_exit_2(self, capsys, method):
+        code, out, err = run(capsys, "alexander", "figure-eight", "--method", method,
+                             "--segment", "99")
+        assert (code, out, err) == (2, "", "error: unknown segment id 99\n")
+
 
 class TestVerifyCmd:
     def test_bundled_corpus_passes(self, capsys):
@@ -280,8 +286,15 @@ class TestByteOutput:
              "9fbc0ea17e25547088564f6744c4e1b08d8807e9851195ab4f5db77619027883"),
             (("two-bridge", "2,1,2,3", "--report-theorem3"),
              "ac31938010af420f24b13a9205df1d9dd9d5cb7fe03a748d0d03d910c43d4f7b"),
+            (("states", "10_66", "--segment", "1", "--format", "json"),
+             "1d2d15a6a89f716de2f97791b99ce128cffefd5fad1dfe6ef11eb9871ae8d8cf"),
+            (("quiver", "10_66", "--reduced"),
+             "711378dd83837dca39e1defadfba1de86a5693bb77e6b1c8ca69572d0aed5b07"),
+            (("alexander", "conway"),
+             "8b614d447c523e98af7ff0832e5ec25aea976bdedcb3f3f37491ede22ed0e46c"),
         ],
-        ids=["verify-fast", "fpoly-10_66", "two-bridge-2123"],
+        ids=["verify-fast", "fpoly-10_66", "two-bridge-2123", "states-10_66-json",
+             "quiver-10_66-reduced", "alexander-conway"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

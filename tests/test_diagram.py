@@ -5,14 +5,9 @@ import pytest
 from knotquiver.diagram import (
     DiagramError,
     ParseError,
-    SegmentClass,
-    classify_segment,
-    compute_regions,
     continued_fraction_value,
-    is_knot,
     parse_pd,
     two_bridge,
-    validate,
 )
 from knotquiver.oracle import alexander_det
 from knotquiver.poly import LaurentPoly
@@ -87,64 +82,41 @@ class TestParse:
 
 class TestRegionsAndValidate:
     def test_region_counts(self, trefoil, fig8, corpus_diagrams):
-        assert len(compute_regions(trefoil)) == 5
-        assert len(compute_regions(fig8)) == 6
-        assert len(compute_regions(corpus_diagrams["10_66"])) == 12
+        assert len(trefoil.regions) == 5
+        assert len(fig8.regions) == 6
+        assert len(corpus_diagrams["10_66"].regions) == 12
 
     def test_each_side_once(self, fig8):
         sides = [entry for r in fig8.regions for entry in r.boundary]
         assert len(sides) == len(set(sides)) == 2 * len(fig8.segments)
 
     def test_fig8_valid(self, fig8):
-        report = validate(fig8)
+        report = fig8.validate()
         assert report.ok and report.curl_free
 
     def test_curl_detected(self):
         kink = parse_pd("X(1,2,2,1)")
-        report = validate(kink)
+        report = kink.validate()
         assert not report.ok and not report.curl_free
 
     def test_disconnected_detected(self):
         two_trefoils = TREFOIL_PD + " X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
         d = parse_pd(two_trefoils)
-        report = validate(d)
+        report = d.validate()
         assert not report.connected and not report.ok
-
-    def test_prime_assumption_recorded(self, fig8):
-        assert validate(fig8, prime_assumed=True).prime_assumed is True
-        assert validate(fig8).prime_assumed is None
 
 
 class TestClassify:
     def test_fig8_classes(self, fig8):
-        expected = {
-            1: SegmentClass.OVER_TO_UNDER,
-            2: SegmentClass.UNDER_TO_OVER,
-            3: SegmentClass.OVER_TO_UNDER,
-            4: SegmentClass.UNDER_TO_OVER,
-            5: SegmentClass.OVER_TO_UNDER,
-            8: SegmentClass.UNDER_TO_OVER,
-        }
-        for seg, cls in expected.items():
-            assert classify_segment(fig8, seg) == cls
+        # y_j -> -t (2) from under to over, -1/t (-2) from over to under
+        expected = {1: -2, 2: 2, 3: -2, 4: 2, 5: -2, 6: 2, 7: -2, 8: 2}
+        assert fig8.specialization_exponents() == expected
 
     def test_alternating_never_same(self, corpus_diagrams):
+        # no segment of an alternating diagram passes the same way at both ends
         for name in ("trefoil", "figure-eight", "10_66", "two-bridge-27-10"):
             d = corpus_diagrams[name]
-            assert all(
-                classify_segment(d, j) != SegmentClass.SAME for j in d.segment_ids()
-            )
-
-    def test_unknown_segment(self, fig8):
-        with pytest.raises(DiagramError):
-            classify_segment(fig8, 99)
-
-    def test_per_crossing_balance(self, corpus_diagrams):
-        # each crossing carries exactly two over and two under segment ends
-        for d in corpus_diagrams.values():
-            for c in d.crossings:
-                passages = [c.passage(s) for s in range(4)]
-                assert passages.count("over") == 2 and passages.count("under") == 2
+            assert 0 not in d.specialization_exponents().values()
 
 
 class TestTwoBridge:
@@ -152,7 +124,7 @@ class TestTwoBridge:
         d = two_bridge([2, 1, 2, 3])
         assert d.n == 8
         assert continued_fraction_value([2, 1, 2, 3]) == (27, 10)
-        assert is_knot([2, 1, 2, 3]) and d.components == 1
+        assert continued_fraction_value([2, 1, 2, 3])[0] % 2 == 1 and d.components == 1
 
     def test_single_block_trefoil(self):
         d = two_bridge([3])
@@ -181,11 +153,10 @@ class TestTwoBridge:
             if sum(cf) < 2:
                 continue
             d = two_bridge(cf)
-            report = validate(d)
+            report = d.validate()
             assert report.ok, (cf, report.notes)
             assert d.n == sum(cf)
-            assert (d.components == 1) == is_knot(cf)
-            assert all(
-                classify_segment(d, j) != SegmentClass.SAME for j in d.segment_ids()
-            )
+            # a 2-bridge link is a knot iff the numerator is odd
+            assert (d.components == 1) == (continued_fraction_value(cf)[0] % 2 == 1)
+            assert 0 not in d.specialization_exponents().values()
             assert d.marked_segment in d.segments

@@ -50,10 +50,10 @@ class TestDeterminant:
             build_matrix(fig8, bad)
 
     def test_matrix_shape(self, fig8):
+        # 4 crossings by the 6 - 2 regions that keep their column
         m = build_matrix(fig8, fig8.regions_at_segment(1))
-        assert len(m.entries) == 4
-        assert all(len(row) == 4 for row in m.entries)
-        assert len(m.region_order) == 4
+        assert len(m) == 4
+        assert all(len(row) == 4 for row in m)
 
     def test_agrees_with_statesum_on_links(self):
         for cf in ([2], [4], [2, 2, 2], [3, 1]):

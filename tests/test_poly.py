@@ -84,9 +84,9 @@ class TestMultiPoly:
         f = MultiPoly.from_vectors(4, [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)])
         assert f.num_terms == 3
         assert f.constant_term() == 1
-        assert f.coefficient({2: 1, 3: 1}) == 1
+        assert f.terms[((2, 1), (3, 1))] == 1
         # repeated vectors add up
-        assert MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)]).coefficient({1: 1}) == 2
+        assert MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)]).terms[((1, 1),)] == 2
 
     @pytest.mark.parametrize("vec", [(), (1,), (0, 1, 0)])
     def test_from_vectors_rejects_wrong_length(self, vec):
@@ -125,7 +125,7 @@ class TestMultiPoly:
         assert spec == LaurentPoly({-2: -1, 0: 3, 2: -1})
 
     def test_specialize_constant(self):
-        assert MultiPoly.const(4, 1).specialize({}) == LaurentPoly.one()
+        assert MultiPoly.from_vectors(4, [(0, 0, 0, 0)]).specialize({}) == LaurentPoly.one()
 
     def test_specialize_missing_class(self):
         f = MultiPoly.from_vectors(2, [(1, 0)])
@@ -135,7 +135,7 @@ class TestMultiPoly:
     def test_alternating_sum(self):
         f = MultiPoly.from_vectors(8, FIG8_T1)
         assert f.evaluate_at_minus_one() == 1  # degrees 0,1,2,2,3
-        assert MultiPoly.const(2, 1).evaluate_at_minus_one() == 1
+        assert MultiPoly.from_vectors(2, [(0, 0)]).evaluate_at_minus_one() == 1
 
     def test_json_roundtrip(self):
         f = MultiPoly.from_vectors(5, [(2, 0, 0, 1, 0), (0, 0, 0, 0, 0)])
@@ -158,23 +158,11 @@ class TestMultiPoly:
         assert f.evaluate_at_minus_one() == 1
 
 
-# -- ring laws on random sparse polynomials ------------------------------------
+# -- ring laws on random Laurent polynomials -------------------------------------
 
 laurent_polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=-9, max_value=9), max_size=5
 ).map(LaurentPoly)
-
-monomials = st.dictionaries(
-    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3), max_size=3
-)
-multi_polys = st.lists(
-    st.tuples(monomials, st.integers(min_value=-5, max_value=5)), max_size=4
-).map(
-    lambda rows: sum(
-        (MultiPoly.const(4, c) * MultiPoly(4, {tuple(sorted(m.items())): 1}) for m, c in rows),
-        MultiPoly.zero(4),
-    )
-)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,14 +175,6 @@ def test_laurent_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + LaurentPoly.zero() == a
     assert a * LaurentPoly.one() == a
-
-
-@settings(max_examples=40, deadline=None)
-@given(multi_polys, multi_polys, multi_polys)
-def test_multipoly_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
 
 
 @settings(max_examples=40, deadline=None)

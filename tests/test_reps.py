@@ -18,13 +18,14 @@ from knotquiver.reps import (
     compute_partition,
     enumerate_submodules,
     lattice_iso_check,
-    level_graph_report,
     link_module,
     relation_paths,
     state_module,
     t_direct,
 )
 from knotquiver.states import build_lattice
+
+from .level_graph import level_graph_report
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +295,7 @@ class TestStateModules:
         for a in q.arrows:
             key = (a.src, a.tgt)
             if key in expected_kinds:
-                assert rep.map_kind(a.id) == expected_kinds[key], key
+                assert rep.maps[a.id].kind() == expected_kinds[key], key
         by_pair = {(a.src, a.tgt): rep.maps[a.id] for a in q.arrows}
         assert by_pair[(18, 8)] == PartialShift.identity(2)
         assert by_pair[(18, 8)].to_dense() == ((1, 0), (0, 1))
@@ -338,7 +339,7 @@ class TestStateModules:
             q = build_quiver(d)
             lat = build_lattice(d, 1)
             rep = link_module(d, q, lat)
-            support = rep.support()
+            support = set(rep.dim_vector())
             if not support:
                 continue
             adj = {v: set() for v in support}
@@ -373,7 +374,7 @@ class TestPartition:
         for i in fig8.segment_ids():
             part = compute_partition(fig8, i)
             rep = link_module(fig8, q, lats[i])
-            assert part.dims() == rep.dims
+            assert part.level_of == rep.dims
 
     def test_t_direct_equals_max_state_module(self, corpus_diagrams):
         for name, d in corpus_diagrams.items():

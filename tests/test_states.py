@@ -1,16 +1,40 @@
+import gc
+
 import pytest
 
 from knotquiver.diagram import DiagramError
 from knotquiver.poly import LaurentPoly
 from knotquiver.states import (
+    _up_move,
     build_lattice,
     enumerate_states,
     lattice_to_json,
     state_sign,
     state_sum_alexander,
     state_weight_exponent,
-    transpositions,
 )
+
+
+def _down_move(diagram, state, j):
+    """Predecessor of ``state`` under the counterclockwise transposition at j."""
+    (tc, ts), (hc, hs) = diagram.segments[j].tail, diagram.segments[j].head
+    if tc == hc or state[tc] != ts or state[hc] != hs:
+        return None
+    prev = list(state)
+    prev[tc] = (ts - 1) % 4
+    prev[hc] = (hs - 1) % 4
+    return tuple(prev)
+
+
+def transpositions(diagram, state):
+    """All (segment, "up" | "down", state) moves available from a state."""
+    moves = []
+    for j in diagram.segment_ids():
+        for kind, move in (("up", _up_move), ("down", _down_move)):
+            nxt = move(diagram, state, j)
+            if nxt is not None:
+                moves.append((j, kind, nxt))
+    return moves
 
 
 class TestEnumeration:
@@ -31,6 +55,17 @@ class TestEnumeration:
     def test_invalid_segment(self, fig8):
         with pytest.raises(DiagramError):
             enumerate_states(fig8, 0)
+
+    def test_leaves_no_reference_cycle(self, corpus_diagrams):
+        # the search state is freed on return, without the cyclic collector
+        for d in corpus_diagrams.values():
+            gc.collect()
+            gc.disable()
+            try:
+                enumerate_states(d, 1)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_markers_bijective(self, fig8):
         lat = build_lattice(fig8, 1)

@@ -21,7 +21,7 @@ class TestTypeA:
     def test_marked_segment_gives_type_a_module(self):
         for cf in ([3], [2, 2], [2, 1, 2, 3], [1, 2, 1], [4, 3]):
             d, q, rep, ml = _marked_lattice(cf)
-            support = rep.support()
+            support = set(rep.dim_vector())
             assert all(v == 1 for v in rep.dim_vector().values()), cf
             assert rep.total_dim() == sum(cf) - 1, cf
             # the support induces a path: two endpoints, the rest of degree 2
@@ -48,7 +48,7 @@ class TestHeightTheorem:
     def test_single_element_lattice(self):
         # sum(cf) = 1 is a curl; the smallest honest case has one crossing
         # more, so check the degenerate statement on the trivial module
-        f = MultiPoly.const(2, 1)
+        f = MultiPoly(2, {(): 1})
         assert f.evaluate_at_minus_one() == 1
 
     def test_examples(self):
