@@ -10,6 +10,14 @@ reads it from the slots at both ends of a segment.  Segments are labeled
 1..2n along the strand orientation, the way state sums and quiver
 constructions expect them.
 
+Both front ends, PD parsing (``parse_pd``) and slot-level wiring
+(``diagram_from_wiring``, behind ``two_bridge``), reduce their input to
+the same data: each crossing's arcs in ccw order with its ``over_in``
+slot, and the (crossing, slot) of each arc's tail and head.
+``_assemble`` alone turns that into a diagram: it follows each arc to
+its successor, relabels the arcs 1..2n component by component and
+builds the crossings and segments.
+
 Regions (faces of the planar complement) are computed by the standard
 face traversal of the rotation system: a walk arriving at slot ``s``
 leaves through slot ``s - 1``, which keeps the traversed face on the
@@ -94,14 +102,11 @@ class LinkDiagram:
         crossings: list[Crossing],
         segments: dict[int, Segment],
         components: int,
-        arc_labels: dict[int, int] | None = None,
         marked_segment: int | None = None,
     ):
         self.crossings = tuple(crossings)
         self.segments = dict(segments)
         self.components = components
-        # internal segment id -> arc label of the original input
-        self.arc_labels = dict(arc_labels) if arc_labels else {j: j for j in segments}
         self.marked_segment = marked_segment
         self.regions: tuple[Region, ...]
         self.corner_region: tuple[tuple[int, int, int, int], ...]
@@ -243,97 +248,58 @@ class LinkDiagram:
         return f"LinkDiagram(n={self.n}, components={self.components})"
 
 
-# -- construction from raw crossing data ------------------------------------
+# -- construction from arc ends --------------------------------------------
 
 
 def _assemble(
     raw: list[tuple[tuple[int, int, int, int], int]],
-    end_is_head: dict[tuple[int, int], bool],
-    arc_start: dict[int, int] | None = None,
+    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]],
     marked_arc: int | None = None,
 ) -> LinkDiagram:
     """Build a LinkDiagram from crossings given as (ccw arc labels, over_in slot).
 
-    ``end_is_head[(crossing, slot)]`` says whether the arc end in that slot
-    is the arriving end of its arc.  Arcs are relabeled 1..2n along the
-    orientation, component by component.
+    ``ends[arc]`` is the (crossing, slot) of the arc's tail and of its head.
+    Arcs are relabeled 1..2n along the orientation, component by component,
+    each component starting from its lowest input label.
     """
-    n = len(raw)
-    positions: dict[int, list[tuple[int, int]]] = {}
-    for c, (arcs, _over_in) in enumerate(raw):
-        for s, arc in enumerate(arcs):
-            positions.setdefault(arc, []).append((c, s))
-    for arc, occ in positions.items():
-        if len(occ) != 2:
-            raise ParseError(f"arc label {arc} appears {len(occ)} times (expected 2)")
-
-    head_pos: dict[int, tuple[int, int]] = {}
-    tail_pos: dict[int, tuple[int, int]] = {}
-    for arc, occ in positions.items():
-        heads = [p for p in occ if end_is_head[p]]
-        if len(heads) != 1:
-            raise ParseError(f"inconsistent orientation at arc {arc}")
-        head_pos[arc] = heads[0]
-        tail_pos[arc] = occ[0] if occ[1] == heads[0] else occ[1]
-
-    # successor along the strand: the arc leaving the crossing where this one arrives
-    succ: dict[int, int] = {}
-    for arc, (c, s) in head_pos.items():
-        out_slot = (s + 2) % 4
-        succ[arc] = raw[c][0][out_slot]
-        if end_is_head[(c, out_slot)]:
-            raise ParseError(f"inconsistent orientation at crossing {c}")
-
-    # decompose into components, relabel along orientation
-    if arc_start is None:
-        arc_start = {}
-    remaining = set(positions)
     new_id: dict[int, int] = {}
-    next_id = 1
-    component_of_arc: dict[int, int] = {}
-    comp = 0
-    while remaining:
-        # component containing the smallest remaining arc label
-        seed = min(remaining)
-        cycle = [seed]
-        cur = succ[seed]
-        while cur != seed:
-            cycle.append(cur)
-            cur = succ[cur]
-        start = arc_start.get(comp, min(cycle))
-        if start not in cycle:
-            raise ParseError(f"start arc {start} not in component {comp}")
-        k = cycle.index(start)
-        ordered = cycle[k:] + cycle[:k]
-        for arc in ordered:
-            new_id[arc] = next_id
-            component_of_arc[arc] = comp
-            next_id += 1
-            remaining.discard(arc)
-        comp += 1
+    component_of: dict[int, int] = {}
+    components = 0
+    for seed in sorted(ends):
+        if seed in new_id:
+            continue
+        arc = seed
+        while arc not in new_id:
+            new_id[arc] = len(new_id) + 1
+            component_of[arc] = components
+            # the successor leaves the crossing where this arc arrives
+            c, s = ends[arc][1]
+            arc = raw[c][0][(s + 2) % 4]
+        components += 1
 
     crossings = [
         Crossing(c, tuple(new_id[a] for a in arcs), over_in)
         for c, (arcs, over_in) in enumerate(raw)
     ]
-    segments: dict[int, Segment] = {}
-    for arc, occ in positions.items():
-        sid = new_id[arc]
-        hc, hs = head_pos[arc]
-        tc, ts = tail_pos[arc]
-        segments[sid] = Segment(
-            id=sid,
-            tail=(tc, ts),
-            head=(hc, hs),
-            component=component_of_arc[arc],
-        )
-    arc_labels = {new_id[a]: a for a in positions}
+    # segments in order of first appearance in the crossings' slots
+    segments = {
+        new_id[arc]: Segment(new_id[arc], *ends[arc], component_of[arc])
+        for arc in dict.fromkeys(a for arcs, _ in raw for a in arcs)
+    }
     marked = new_id[marked_arc] if marked_arc is not None else None
-    return LinkDiagram(crossings, segments, comp, arc_labels, marked_segment=marked)
+    return LinkDiagram(crossings, segments, components, marked_segment=marked)
 
 
-def _orient_pd(terms: list[tuple[int, int, int, int]]) -> dict[tuple[int, int], bool]:
-    """Decide which arc ends are heads (arriving) for all crossing slots."""
+def _orient_pd(
+    terms: list[tuple[int, int, int, int]],
+) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """The (crossing, slot) of each arc's tail and head.
+
+    Slot 0 of every crossing is a head and slot 2 a tail; the two ends of
+    an arc, and the two over slots of a crossing, have opposite roles.
+    Over strands that these rules leave open are oriented by the arc
+    numbering.
+    """
     positions: dict[int, list[tuple[int, int]]] = {}
     for c, arcs in enumerate(terms):
         for s, arc in enumerate(arcs):
@@ -342,70 +308,50 @@ def _orient_pd(terms: list[tuple[int, int, int, int]]) -> dict[tuple[int, int], 
         if len(occ) != 2:
             raise ParseError(f"arc label {arc} appears {len(occ)} times (expected 2)")
 
-    end_is_head: dict[tuple[int, int], bool] = {}
-    for c, arcs in enumerate(terms):
-        end_is_head[(c, 0)] = True
-        end_is_head[(c, 2)] = False
+    is_head: dict[tuple[int, int], bool] = {}
 
-    def set_end(pos: tuple[int, int], value: bool, queue: list[tuple[int, int]]) -> None:
-        if pos in end_is_head:
-            if end_is_head[pos] != value:
-                raise ParseError("inconsistent orientation in PD code")
-            return
-        end_is_head[pos] = value
-        queue.append(pos)
+    def orient(seeds: list[tuple[tuple[int, int], bool]]) -> None:
+        """Fix the role of each seed end and of every end it forces."""
+        queue = list(seeds)
+        while queue:
+            pos, value = queue.pop()
+            if pos in is_head:
+                if is_head[pos] != value:
+                    raise ParseError("inconsistent orientation in PD code")
+                continue
+            is_head[pos] = value
+            c, s = pos
+            a, b = positions[terms[c][s]]
+            queue.append((b if pos == a else a, not value))
+            if s % 2:
+                queue.append(((c, 4 - s), not value))
 
-    queue = [(c, s) for c in range(len(terms)) for s in (0, 2)]
-    while queue:
-        c, s = queue.pop()
-        arc = terms[c][s]
-        value = end_is_head[(c, s)]
-        # the arc's other end has the opposite role
-        a, b = positions[arc]
-        other = b if (c, s) == a else a
-        set_end(other, not value, queue)
-        # the partner over-slot of a decided over-slot has the opposite role
-        if s in (1, 3):
-            set_end((c, 4 - s), not value, queue)
-
+    orient([((c, s), s == 0) for c in range(len(terms)) for s in (0, 2)])
     # components that never pass under anywhere: fall back to arc numbering
     for c, arcs in enumerate(terms):
-        if (c, 1) in end_is_head:
+        if (c, 1) in is_head:
             continue
         b, d = arcs[1], arcs[3]
         if d == b + 1:
-            first = (c, 1)
+            first = 1
         elif b == d + 1:
-            first = (c, 3)
+            first = 3
         else:
             # wrap-around of a component: the larger label flows into the smaller
-            first = (c, 1) if b > d else (c, 3)
-        queue = []
-        set_end(first, True, queue)
-        set_end((first[0], 4 - first[1]), False, queue)
-        while queue:
-            cc, ss = queue.pop()
-            arc = terms[cc][ss]
-            a, bb = positions[arc]
-            other = bb if (cc, ss) == a else a
-            set_end(other, not end_is_head[(cc, ss)], queue)
-            if ss in (1, 3):
-                set_end((cc, 4 - ss), not end_is_head[(cc, ss)], queue)
+            first = 1 if b > d else 3
+        orient([((c, first), True)])
 
-    for arc, occ in positions.items():
-        if sum(end_is_head[p] for p in occ) != 1:
-            raise ParseError(f"inconsistent orientation at arc {arc}")
-    return end_is_head
+    return {arc: (b, a) if is_head[a] else (a, b) for arc, (a, b) in positions.items()}
 
 
-def parse_pd(text: str, arc_start: dict[int, int] | None = None) -> LinkDiagram:
+def parse_pd(text: str) -> LinkDiagram:
     """Parse PD notation into a LinkDiagram.
 
     Accepts whitespace-separated ``X(a,b,c,d)`` terms (arcs listed
     counterclockwise starting at the incoming under-strand) or the JSON
     mirror ``{"crossings": [[a,b,c,d], ...]}``.  Segments are relabeled
     1..2n along the orientation, starting each component at its lowest
-    input arc label unless ``arc_start`` overrides the choice.
+    input arc label; the input labels are not kept.
     """
     text = text.strip()
     if not text:
@@ -428,12 +374,9 @@ def parse_pd(text: str, arc_start: dict[int, int] | None = None) -> LinkDiagram:
     if not terms:
         raise ParseError("PD code contains no crossings")
 
-    end_is_head = _orient_pd(terms)
-    raw = []
-    for c, arcs in enumerate(terms):
-        over_in = 1 if end_is_head[(c, 1)] else 3
-        raw.append((arcs, over_in))
-    return _assemble(raw, end_is_head, arc_start=arc_start)
+    ends = _orient_pd(terms)
+    raw = [(arcs, 1 if ends[arcs[1]][1] == (c, 1) else 3) for c, arcs in enumerate(terms)]
+    return _assemble(raw, ends)
 
 
 def parse_valid_pd(text: str) -> LinkDiagram:
@@ -467,60 +410,38 @@ def diagram_from_wiring(
             if wiring[c2][s2] != (c, s):
                 raise DiagramError("wiring is not an involution on slot positions")
 
-    # orient each component by walking straight through crossings
-    arc_of: dict[tuple[int, int], int] = {}  # departure position -> arc id
-    head_of_arc: dict[int, tuple[int, int]] = {}
-    next_arc = 1
-    visited_departures: set[tuple[int, int]] = set()
-    for c0 in range(n):
-        for s0 in range(4):
-            if (c0, s0) in visited_departures:
-                continue
-            # skip if this position was already consumed as an arrival
-            if any(head == (c0, s0) for head in head_of_arc.values()):
-                continue
-            pos = (c0, s0)
-            while pos not in visited_departures:
-                visited_departures.add(pos)
-                arc_of[pos] = next_arc
-                arrival = wiring[pos[0]][pos[1]]
-                head_of_arc[next_arc] = arrival
-                next_arc += 1
-                pos = (arrival[0], (arrival[1] + 2) % 4)
-    if len(arc_of) != 2 * n:
-        raise DiagramError("wiring does not decompose into closed strands")
+    # orient each component by walking straight through crossings; arcs are
+    # numbered as they are met and both ends of an arc map to it
+    arc_at: dict[tuple[int, int], int] = {}
+    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    for start in ((c, s) for c in range(n) for s in range(4)):
+        tail = start
+        while tail not in arc_at:
+            arc = len(ends) + 1
+            arc_at[tail] = arc
+            head = wiring[tail[0]][tail[1]]
+            if head in arc_at:
+                raise DiagramError("wiring does not decompose into closed strands")
+            arc_at[head] = arc
+            ends[arc] = (tail, head)
+            tail = (head[0], (head[1] + 2) % 4)
 
+    # rotate each crossing so that slot 0 is the incoming under end
     raw = []
-    end_is_head: dict[tuple[int, int], bool] = {}
-    marked_arc = None
+    rotation = []
     for c in range(n):
-        arcs = [0, 0, 0, 0]
-        heads = [False] * 4
-        for s in range(4):
-            if (c, s) in arc_of:
-                arcs[s] = arc_of[(c, s)]
-                heads[s] = False
-            else:
-                candidates = [a for a, h in head_of_arc.items() if h == (c, s)]
-                arcs[s] = candidates[0]
-                heads[s] = True
-        # rotate so that slot 0 is the incoming under end
         under_pair = (1, 3) if over_diagonal[c] == 0 else (0, 2)
-        under_in = next(s for s in under_pair if heads[s])
-        rot = under_in
-        arcs = [arcs[(rot + k) % 4] for k in range(4)]
-        heads_rot = [heads[(rot + k) % 4] for k in range(4)]
-        over_in = 1 if heads_rot[1] else 3
-        raw.append((tuple(arcs), over_in))
-        for k in range(4):
-            end_is_head[(c, k)] = heads_rot[k]
-    if marked_port is not None:
-        c, s = marked_port
-        if (c, s) in arc_of:
-            marked_arc = arc_of[(c, s)]
-        else:
-            marked_arc = next(a for a, h in head_of_arc.items() if h == (c, s))
-    return _assemble(raw, end_is_head, marked_arc=marked_arc)
+        rot = next(s for s in under_pair if ends[arc_at[c, s]][1] == (c, s))
+        arcs = tuple(arc_at[c, (rot + k) % 4] for k in range(4))
+        over_in = 1 if ends[arcs[1]][1] == (c, (rot + 1) % 4) else 3
+        raw.append((arcs, over_in))
+        rotation.append(rot)
+    ends = {
+        arc: ((tc, (ts - rotation[tc]) % 4), (hc, (hs - rotation[hc]) % 4))
+        for arc, ((tc, ts), (hc, hs)) in ends.items()
+    }
+    marked_arc = arc_at[marked_port] if marked_port is not None else None
+    return _assemble(raw, ends, marked_arc=marked_arc)
 
 
 # -- two-bridge diagrams -------------------------------------------------------
@@ -555,21 +476,12 @@ def two_bridge(cf: list[int]) -> LinkDiagram:
         link[a] = b
         link[b] = a
 
-    wiring_slots: list[list[object]] = []
-    over_diag: list[int] = []
-
-    def new_crossing(over: int) -> int:
-        wiring_slots.append([None, None, None, None])
-        over_diag.append(over)
-        return len(wiring_slots) - 1
-
     # generated crossings use slots ccw = (NE, NW, SW, SE) = (0, 1, 2, 3)
     NE, NW, SW, SE = 0, 1, 2, 3
+    c = 0
     for i, a in enumerate(cf):
         horizontal = i % 2 == 0
         for _ in range(a):
-            # uniform handedness keeps the whole chain alternating
-            c = new_crossing(0)
             if horizontal:
                 x = link["NE"]
                 y = link["SE"]
@@ -584,6 +496,7 @@ def two_bridge(cf: list[int]) -> LinkDiagram:
                 wire(y, (c, NE))
                 wire((c, SW), "SW")
                 wire((c, SE), "SE")
+            c += 1
 
     # closure: the long arc leaves the west end of the first block and wraps
     # around to the free end of the last block (NE after a horizontal block,
@@ -598,6 +511,7 @@ def two_bridge(cf: list[int]) -> LinkDiagram:
     wire(first_end, last_end)
     wire(cap_a, cap_b)
 
-    wiring = [[link[(c, s)] for s in range(4)] for c in range(len(wiring_slots))]
-    diagram = diagram_from_wiring(wiring, over_diag, marked_port=first_end)  # type: ignore[arg-type]
-    return diagram
+    wiring = [[link[(c, s)] for s in range(4)] for c in range(sum(cf))]
+    # uniform handedness keeps the whole chain alternating
+    over_diagonal = [0] * sum(cf)
+    return diagram_from_wiring(wiring, over_diagonal, marked_port=first_end)  # type: ignore[arg-type]

@@ -84,13 +84,9 @@ def build_quiver(diagram: LinkDiagram) -> Quiver:
 
 def crossing_cycle(q: Quiver, crossing: int) -> tuple[int, ...]:
     """The 4-cycle of a crossing, as a composable sequence of arrow ids."""
-    by_corner = {a.corner: a for a in q.arrows if a.crossing == crossing}
     # arrow at corner k runs slot(k+1) -> slot(k); the next arrow in the
     # cycle starts where this one ends, i.e. sits at corner k-1
-    start = by_corner[0]
-    cycle = [start]
-    for k in (3, 2, 1):
-        cycle.append(by_corner[k])
+    cycle = [q.arrow_at_corner(crossing, k) for k in (0, 3, 2, 1)]
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if a.tgt != b.src:
             raise DiagramError(f"crossing cycle of {crossing} is not composable")

@@ -96,9 +96,6 @@ class PartialShift(_Shape):
         """rows x (rows-1) inclusion padding a zero in the last coordinate."""
         return cls(rows, rows - 1, 0, 1, rows - 1)
 
-    def rank(self) -> int:
-        return self.hi - self.lo + 1
-
     def kind(self) -> str:
         """Classify the map as I, J, V, H, or E (involving a zero space)."""
         rows, cols = self.rows, self.cols
@@ -231,9 +228,6 @@ class Partition:
     base_segment: int
     level_of: dict[int, int]
     levels: list[LevelData]
-
-    def level_sets(self) -> list[set[int]]:
-        return [ld.segments | ld.added for ld in self.levels]
 
 
 def _component_split(diagram: LinkDiagram, segs: set[int]) -> list[set[int]]:

@@ -34,12 +34,7 @@ from .reps import (
     state_module,
     t_direct,
 )
-from .states import (
-    StateLattice,
-    build_lattice,
-    enumerate_states,
-    state_sum_alexander,
-)
+from .states import StateLattice, build_lattice, state_sum_alexander
 
 
 @dataclass
@@ -48,6 +43,7 @@ class SegmentReport:
     states: int
     f_terms: int
     spec: LaurentPoly
+    statesum: LaurentPoly
     alexander_ok: bool
     lattice_iso_ok: bool
     relations_ok: bool | None
@@ -214,6 +210,7 @@ def _segment_report(
         states=lat.size,
         f_terms=f.num_terms,
         spec=spec,
+        statesum=ssum,
         alexander_ok=thm1,
         lattice_iso_ok=thm2,
         relations_ok=relations,
@@ -232,9 +229,6 @@ def verify_diagram(
     w = build_potential(diagram, q)
     structure = check_structure(diagram, q, w)
     det = alexander_det(diagram)
-    first = min(diagram.segment_ids())
-    statesum = state_sum_alexander(diagram, enumerate_states(diagram, first))
-    oracles_agree = det.dot_eq(statesum)
 
     delta_one = abs(det.value_at_one())
     delta_one_ok = delta_one == (1 if diagram.components == 1 else 0)
@@ -258,6 +252,8 @@ def verify_diagram(
     segments = [
         _segment_report(diagram, q, w, paths, det, i) for i in diagram.segment_ids()
     ]
+    # the state sum of the first segment stands for the diagram
+    statesum = segments[0].statesum
 
     counts = {s.states for s in segments}
     notes = list(structure)
@@ -271,7 +267,7 @@ def verify_diagram(
         components=diagram.components,
         det=det,
         statesum=statesum,
-        oracles_agree=oracles_agree,
+        oracles_agree=det.dot_eq(statesum),
         delta_one_ok=delta_one_ok,
         palindrome_ok=palindrome_ok,
         centered_ok=centered_ok,

@@ -27,6 +27,11 @@ class LevelGraphReport:
     unique_crossing_leaf_per_component: bool
 
 
+def level_sets(part: Partition) -> list[set[int]]:
+    """The segments of each level, with those added inside pinched lobes."""
+    return [ld.segments | ld.added for ld in part.levels]
+
+
 def level_graph_report(
     diagram: LinkDiagram, q: Quiver, part: Partition
 ) -> list[LevelGraphReport]:
@@ -41,9 +46,9 @@ def level_graph_report(
     reported as data, not asserted.
     """
     reports = []
-    level_sets = part.level_sets()
-    for d in range(1, len(level_sets)):
-        segs = level_sets[d]
+    sets = level_sets(part)
+    for d in range(1, len(sets)):
+        segs = sets[d]
         crossing_vertices = [
             c for c in range(diagram.n) if all(s in segs for s in diagram.crossings[c].segments)
         ]

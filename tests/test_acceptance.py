@@ -19,6 +19,8 @@ from knotquiver.quiver import build_potential, build_quiver
 from knotquiver.reps import enumerate_submodules, link_module
 from knotquiver.states import build_lattice
 
+from .level_graph import level_sets
+
 
 def t_poly(coeffs, m=0):
     return LaurentPoly.from_t_coefficients(coeffs, m)
@@ -93,7 +95,7 @@ def test_criterion_2_10_66(corpus_diagrams):
     expected_dims = {j: 1 for j in (2, 3, 4, 6, 7, 9, 10, 12, 16, 17, 19, 20)}
     expected_dims.update({8: 2, 18: 2})
     part = compute_partition(d, 1)
-    sets = part.level_sets()
+    sets = level_sets(part)
     ok = (
         f.num_terms == 75
         and spec.dot_eq(target)

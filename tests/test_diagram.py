@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,9 @@ from knotquiver.diagram import (
     DiagramError,
     ParseError,
     continued_fraction_value,
+    diagram_from_wiring,
     parse_pd,
+    parse_valid_pd,
     two_bridge,
 )
 from knotquiver.oracle import alexander_det
@@ -26,8 +29,6 @@ class TestParse:
         assert fig8.n == 4
         assert len(fig8.segments) == 8
         assert len(fig8.regions) == 6
-        # input arcs already run 1..8 along the orientation
-        assert fig8.arc_labels == {j: j for j in range(1, 9)}
 
     def test_fig8_region_structure(self, fig8):
         faces = sorted(sorted(set(r.segment_ids())) for r in fig8.regions)
@@ -58,14 +59,7 @@ class TestParse:
         # same trefoil with arcs renamed; relabeling must restore 1..2n order
         scrambled = "X(10,41,20,50) X(30,60,41,10) X(50,20,60,30)"
         d = parse_pd(scrambled)
-        assert sorted(d.arc_labels.values()) == [10, 20, 30, 41, 50, 60]
         assert d.to_pd() == TREFOIL_PD
-
-    def test_start_segment_override(self):
-        base = parse_pd(TREFOIL_PD)
-        shifted = parse_pd(TREFOIL_PD, arc_start={0: 3})
-        assert shifted.arc_labels[1] == 3
-        assert sorted(shifted.arc_labels.values()) == sorted(base.arc_labels.values())
 
     def test_multi_component_numbering(self):
         hopf = two_bridge([2])
@@ -78,6 +72,81 @@ class TestParse:
         assert sorted(len(v) for v in comps.values()) == [2, 2]
         for ids in comps.values():
             assert sorted(ids) == list(range(min(ids), min(ids) + len(ids)))
+
+
+# 2-bridge diagrams that pin the wiring front end, next to the corpus's PD codes
+PINNED_CFS = [
+    [2], [3], [1, 1], [2, 2], [1, 1, 1], [4, 3], [3, 1, 4], [2, 1, 2, 3],
+    [1, 2, 3, 1], [2, 2, 2, 2], [1, 4, 1, 2, 2], [3, 3, 1, 1, 2, 1],
+]
+
+
+def _segment_ends(d):
+    return [[j, *s.tail, *s.head, s.component] for j, s in sorted(d.segments.items())]
+
+
+def _pinned_diagrams(corpus_diagrams):
+    return sorted(corpus_diagrams.items()) + [(str(cf), two_bridge(cf)) for cf in PINNED_CFS]
+
+
+class TestConstruction:
+    """What both front ends decide: crossings, segment ends, marked segment."""
+
+    def test_digest(self, corpus_diagrams):
+        record = [
+            [name, d.canonical_json(), d.marked_segment, _segment_ends(d)]
+            for name, d in _pinned_diagrams(corpus_diagrams)
+        ]
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        assert digest == "40ff942f4e6e5b98b1996ed8381d000f59d84398b995961612d91cb830d71a7b"
+
+    def test_pd_reproduces_diagram(self, corpus_diagrams):
+        # every component of these diagrams passes under somewhere, so the
+        # input labels only order the arcs: a strictly increasing relabeling
+        # gives the same diagram
+        for name, d in _pinned_diagrams(corpus_diagrams):
+            relabeled = " ".join(
+                "X({},{},{},{})".format(*(j * j + 7 for j in c.segments)) for c in d.crossings
+            )
+            for text in (d.to_pd(), relabeled):
+                got = parse_pd(text)
+                assert got.canonical_json() == d.canonical_json(), (name, text)
+                assert _segment_ends(got) == _segment_ends(d), (name, text)
+
+    def test_over_only_component(self):
+        # the (2,4) torus link with its component 5..8 passing over at every
+        # crossing: that component is oriented by the arc numbering, from the
+        # wrap-around pair (8, 5), the pair (8, 7) or the pair (6, 7)
+        terms = ["X(4,8,1,5)", "X(1,8,2,7)", "X(2,6,3,7)", "X(3,6,4,5)"]
+        for k in (0, 1, 2):
+            text = " ".join(terms[k:] + terms[:k])
+            assert parse_pd(text).to_pd() == text
+
+    def test_notes_follow_input_order(self):
+        # segment 2 is listed first in the input, so it is reported first
+        with pytest.raises(DiagramError) as info:
+            parse_valid_pd("X(2,1,1,2)")
+        assert str(info.value) == (
+            "invalid diagram: segment 2 begins and ends at crossing 0 (curl); "
+            "segment 1 begins and ends at crossing 0 (curl); "
+            "region 0 is a monogon (curl); region 2 is a monogon (curl)"
+        )
+
+    def test_inconsistent_orientation(self):
+        with pytest.raises(ParseError, match="^inconsistent orientation in PD code$"):
+            parse_pd("X(5,1,8,6) X(1,5,2,4) X(7,2,8,3) X(3,6,4,7)")
+
+    @pytest.mark.parametrize(
+        "wiring, message",
+        [
+            ([[(0, 2), (0, 3), (0, 0), (0, 3)]], "not an involution"),
+            # slots 1 and 3 are wired to themselves: the strand turns back
+            ([[(0, 2), (0, 1), (0, 0), (0, 3)]], "does not decompose into closed strands"),
+        ],
+    )
+    def test_bad_wiring(self, wiring, message):
+        with pytest.raises(DiagramError, match=message):
+            diagram_from_wiring(wiring, [0])
 
 
 class TestRegionsAndValidate:
