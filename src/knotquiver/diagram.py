@@ -298,7 +298,8 @@ def _orient_pd(
     Slot 0 of every crossing is a head and slot 2 a tail; the two ends of
     an arc, and the two over slots of a crossing, have opposite roles.
     Over strands that these rules leave open are oriented by the arc
-    numbering.
+    numbering: the ranks of the labels, not their values, so any strictly
+    increasing relabeling orients them alike.
     """
     positions: dict[int, list[tuple[int, int]]] = {}
     for c, arcs in enumerate(terms):
@@ -327,11 +328,13 @@ def _orient_pd(
                 queue.append(((c, 4 - s), not value))
 
     orient([((c, s), s == 0) for c in range(len(terms)) for s in (0, 2)])
-    # components that never pass under anywhere: fall back to arc numbering
+    # components that never pass under anywhere: fall back to arc numbering,
+    # read as each label's rank among all labels so that gaps do not matter
+    rank = {arc: k for k, arc in enumerate(sorted(positions))}
     for c, arcs in enumerate(terms):
         if (c, 1) in is_head:
             continue
-        b, d = arcs[1], arcs[3]
+        b, d = rank[arcs[1]], rank[arcs[3]]
         if d == b + 1:
             first = 1
         elif b == d + 1:
@@ -404,6 +407,15 @@ def diagram_from_wiring(
     Orientations are chosen per component deterministically.
     """
     n = len(wiring)
+    ports = {(c, s) for c in range(n) for s in range(4)}
+    for row in wiring:
+        if len(row) != 4 or not all(isinstance(end, tuple) and end in ports for end in row):
+            raise DiagramError(
+                f"wiring needs 4 entries per crossing, each a (crossing, slot) "
+                f"tuple with crossing < {n} and slot < 4"
+            )
+    if len(over_diagonal) != n or any(o not in (0, 1) for o in over_diagonal):
+        raise DiagramError(f"over_diagonal needs {n} entries, each 0 or 1")
     for c in range(n):
         for s in range(4):
             c2, s2 = wiring[c][s]

@@ -675,15 +675,17 @@ def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
     """Is height -> dimension vector a lattice isomorphism?
 
     Both lattices store an element as a tuple over the sorted segment ids,
-    so once their coordinate orders agree the heights and the dimension
-    vectors, and the two cover sets, compare as tuples.
+    so once their coordinate orders agree each state maps to the submodule
+    whose dimension vector is its height.  That map must be a bijection,
+    and it must carry the state covers onto the submodule covers, compared
+    as (index, segment, index) triples.
     """
     if list(sl.segment_index.items()) != [(v, k) for k, v in enumerate(ml.vertex_order)]:
         return False
-    heights, elements = sl.heights, ml.elements
-    distinct = set(heights)
-    if len(distinct) != len(heights) or len(elements) != len(heights) or distinct != set(elements):
+    if len(ml.elements) != len(sl.heights):
         return False
-    state_edges = {(heights[a], j, heights[b]) for a, j, b in sl.covers}
-    mod_edges = {(elements[a], v, elements[b]) for a, v, b in ml.covers}
-    return state_edges == mod_edges
+    index = {e: k for k, e in enumerate(ml.elements)}
+    m = [index.get(h, -1) for h in sl.heights]
+    if -1 in m or len(set(m)) != len(m):
+        return False
+    return {(m[a], j, m[b]) for a, j, b in sl.covers} == set(ml.covers)

@@ -13,6 +13,7 @@ crossing ``c`` sits in the corner between slots ``k`` and ``k+1``.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -60,88 +61,100 @@ def base_regions(diagram: LinkDiagram, i: int) -> tuple[int, int]:
 
 
 def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
-    """All Kauffman states relative to segment i, by backtracking.
+    """All Kauffman states relative to segment i.
 
     This is a perfect-matching enumeration between crossings and usable
-    regions along corner incidences, with most-constrained-first ordering
-    and a dead-region pruning rule.
+    regions along corner incidences, crossing by crossing in
+    most-constrained-first order, on an explicit stack.  A count per
+    region of the unplaced crossings that can still fill it prunes every
+    branch that leaves an unused region without such a crossing.  Placing
+    a crossing lowers only the counts of its own regions, so testing those
+    regions prunes exactly the branches that a rescan of all regions would
+    prune: the search tree does not depend on how the rule is tested.
     """
     excluded = set(base_regions(diagram, i))
     n = diagram.n
+    corner_region = diagram.corner_region
     choices: list[list[int]] = []
     for c in range(n):
-        corners = [k for k in range(4) if diagram.corner_region[c][k] not in excluded]
+        usable = [k for k in range(4) if corner_region[c][k] not in excluded]
         regions_seen: set[int] = set()
-        usable = []
-        for k in corners:
-            r = diagram.corner_region[c][k]
+        for k in usable:
+            r = corner_region[c][k]
             if r in regions_seen:
                 raise DiagramError(
                     f"region {r} meets crossing {c} in two corners; "
                     "diagram violates the primality assumption"
                 )
             regions_seen.add(r)
-            usable.append(k)
         choices.append(usable)
 
-    region_crossings: dict[int, set[int]] = {}
-    for c in range(n):
-        for k in choices[c]:
-            region_crossings.setdefault(diagram.corner_region[c][k], set()).add(c)
-
     order = sorted(range(n), key=lambda c: len(choices[c]))
+    # per depth: the corners and regions open to the crossing placed there
+    corners = [choices[c] for c in order]
+    regions = [[corner_region[c][k] for k in choices[c]] for c in order]
+    # per region: the unplaced crossings that can still fill it
+    fillers = [0] * len(diagram.regions)
+    for regs in regions:
+        for r in regs:
+            fillers[r] += 1
+    used = [False] * len(diagram.regions)
+    assignment = [0] * n
     results: list[State] = []
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
 
-    def remaining_ok(depth: int) -> bool:
-        # every unused region must still admit an unassigned crossing
-        pending = set(order[depth:])
-        for r, crossings in region_crossings.items():
-            if r in used:
+    # per depth on the current path: the region taken, the next option to
+    # try, and the regions allowed (-1: any unused one, r: only r, -2: none)
+    placed = [0] * n
+    resume = [0] * n
+    allowed = [0] * n
+    depth, entering = 0, True
+    while depth >= 0:
+        regs = regions[depth]
+        if entering:
+            # the crossing leaves the unplaced ones; an unused region of it
+            # that no other unplaced crossing can fill is dead unless this
+            # marker takes it, so one dead region forces the choice
+            dead = -1
+            for r in regs:
+                fillers[r] -= 1
+                if not fillers[r] and not used[r]:
+                    dead = r if dead == -1 else -2
+            allowed[depth] = dead
+            p = 0
+        else:
+            used[placed[depth]] = False
+            dead, p = allowed[depth], resume[depth]
+        while p < len(regs):
+            r = regs[p]
+            p += 1
+            if used[r] or (dead != -1 and r != dead):
                 continue
-            if not (crossings & pending):
-                return False
-        return True
-
-    def extend(depth: int) -> None:
-        if depth == n:
-            results.append(tuple(assignment[c] for c in range(n)))
-            return
-        c = order[depth]
-        for k in choices[c]:
-            r = diagram.corner_region[c][k]
-            if r in used:
+            assignment[order[depth]] = corners[depth][p - 1]
+            if depth == n - 1:
+                results.append(tuple(assignment))
                 continue
-            assignment[c] = k
-            used.add(r)
-            if remaining_ok(depth + 1):
-                extend(depth + 1)
-            used.discard(r)
-            del assignment[c]
-
-    extend(0)
-    del extend  # the closure refers to itself: drop the cycle with the search state
+            used[r] = True
+            placed[depth], resume[depth] = r, p
+            depth, entering = depth + 1, True
+            break
+        else:
+            for r in regs:
+                fillers[r] += 1
+            depth, entering = depth - 1, False
     results.sort()
     return results
 
 
-def _up_move(diagram: LinkDiagram, state: State, j: int) -> State | None:
-    """Successor of ``state`` under the counterclockwise transposition at j."""
-    seg = diagram.segments[j]
-    (tc, ts), (hc, hs) = seg.tail, seg.head
-    if tc == hc:
-        return None  # curl; not reachable on validated diagrams
-    if state[tc] != (ts - 1) % 4 or state[hc] != (hs - 1) % 4:
-        return None
-    nxt = list(state)
-    nxt[tc] = ts
-    nxt[hc] = hs
-    return tuple(nxt)
-
-
 def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
-    """Enumerate states and grade them by transposition heights from the bottom."""
+    """Enumerate states and grade them by transposition heights from the bottom.
+
+    The counterclockwise transposition at segment j moves the marker at
+    j's tail from the corner just before its tail slot to the tail slot's
+    corner, and likewise at j's head.  So a marker at corner k of crossing
+    c can only take part in the move at the segment whose tail sits at
+    slot k+1 of c: each state's up-covers are found from its n markers by
+    one table lookup each, listed by segment id.
+    """
     states = enumerate_states(diagram, i)
     if not states:
         raise DiagramError(f"no Kauffman states relative to segment {i}")
@@ -149,22 +162,44 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
     seg_ids = diagram.segment_ids()
     seg_pos = {j: p for p, j in enumerate(seg_ids)}
 
+    # tail_move[c][k]: (j, slot k+1, head crossing, head slot, head's
+    # corner before the move) for the segment j whose tail is at slot k+1
+    # of crossing c; None where a head sits there or j is a curl
+    tail_move: list[list[tuple[int, int, int, int, int] | None]] = [
+        [None] * 4 for _ in range(diagram.n)
+    ]
+    for j, seg in diagram.segments.items():
+        (tc, ts), (hc, hs) = seg.tail, seg.head
+        if tc != hc:  # a curl has no move; not reachable on validated diagrams
+            tail_move[tc][(ts - 1) % 4] = (j, ts, hc, hs, (hs - 1) % 4)
+
     covers: list[tuple[int, int, int]] = []
-    out_deg = [0] * len(states)
+    ups: list[list[tuple[int, int]]] = []  # per state: (segment, successor)
     in_deg = [0] * len(states)
     for k, s in enumerate(states):
-        for j in seg_ids:
-            up = _up_move(diagram, s, j)
-            if up is None:
+        found = []
+        for c, corner in enumerate(s):
+            move = tail_move[c][corner]
+            if move is None:
                 continue
-            if up not in index:
+            j, ts, hc, hs, before = move
+            if s[hc] != before:
+                continue
+            nxt = list(s)
+            nxt[c] = ts
+            nxt[hc] = hs
+            up = index.get(tuple(nxt))
+            if up is None:
                 raise DiagramError("transposition left the state set; corrupt diagram")
-            covers.append((k, j, index[up]))
-            out_deg[k] += 1
-            in_deg[index[up]] += 1
+            found.append((j, up))
+        found.sort()
+        ups.append(found)
+        for j, up in found:
+            covers.append((k, j, up))
+            in_deg[up] += 1
 
     minima = [k for k in range(len(states)) if in_deg[k] == 0]
-    maxima = [k for k in range(len(states)) if out_deg[k] == 0]
+    maxima = [k for k in range(len(states)) if not ups[k]]
     if len(minima) != 1 or len(maxima) != 1:
         raise DiagramError(
             f"state poset has {len(minima)} minimal and {len(maxima)} maximal elements"
@@ -173,14 +208,11 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
     heights: list[tuple[int, ...] | None] = [None] * len(states)
     heights[minima[0]] = tuple([0] * len(seg_ids))
     queue = [minima[0]]
-    up_by_src: dict[int, list[tuple[int, int]]] = {}
-    for k, j, k2 in covers:
-        up_by_src.setdefault(k, []).append((j, k2))
     while queue:
         k = queue.pop()
         hk = heights[k]
         assert hk is not None
-        for j, k2 in up_by_src.get(k, ()):
+        for j, k2 in ups[k]:
             h2 = list(hk)
             h2[seg_pos[j]] += 1
             h2t = tuple(h2)
@@ -227,48 +259,46 @@ def corner_weights(diagram: LinkDiagram, crossing: int) -> tuple[int, int, int, 
     return (0, -1, 0, +1)  # B at corner 1, W at corner 3
 
 
-def state_weight_exponent(diagram: LinkDiagram, state: State) -> int:
-    """Exponent e with w(state) = s**e under W = s, B = 1/s."""
-    return sum(corner_weights(diagram, c)[k] for c, k in enumerate(state))
-
-
-def state_sign(diagram: LinkDiagram, state: State) -> int:
-    """Sign of the state viewed as a bijection crossings -> regions.
-
-    Transposing two markers composes the bijection with a transposition,
-    so the sign flips across every cover edge of the lattice; together
-    with the weights this reproduces the Alexander determinant expansion.
-    """
-    image = [diagram.corner_region[c][k] for c, k in enumerate(state)]
-    order = sorted(range(len(image)), key=image.__getitem__)
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def state_sum_alexander(diagram: LinkDiagram, states: Iterable[State]) -> LaurentPoly:
     """Kauffman's state sum specialized at W = s, B = 1/s (s**2 = t).
 
     ``states`` are the Kauffman states relative to one segment, as
-    ``enumerate_states`` or ``StateLattice.states`` give them.  Returns the
-    unnormalized polynomial in Z[s, 1/s]; it equals the Alexander
-    polynomial of the diagram up to a signed power of t.
+    ``enumerate_states`` or ``StateLattice.states`` give them, so they all
+    place their markers in the same n regions.  Each state contributes
+    its sign times s to the sum of its ``corner_weights``.  The sign is
+    that of the state as a bijection from crossings to regions, taken
+    here as crossings -> ranks of the regions, numbered in the order of
+    their ids.  Transposing two markers composes the bijection with a
+    transposition, so the sign flips across every cover of the lattice.
+    Returns the unnormalized polynomial in Z[s, 1/s]; it equals the
+    Alexander polynomial of the diagram up to a signed power of t.
     """
+    n = diagram.n
+    weights = [corner_weights(diagram, c) for c in range(n)]
     terms: dict[int, int] = {}
-    for state in states:
-        e = state_weight_exponent(diagram, state)
-        terms[e] = terms.get(e, 0) + state_sign(diagram, state)
+    states = iter(states)
+    first = next(states, None)
+    if first is None:
+        return LaurentPoly(terms)
+    image = sorted(diagram.corner_region[c][k] for c, k in enumerate(first))
+    rank = {r: p for p, r in enumerate(image)}
+    # rank_at[c][k]: rank of the region at corner k of crossing c (-1 for
+    # the two excluded regions, which no marker takes)
+    rank_at = [[rank.get(r, -1) for r in diagram.corner_region[c]] for c in range(n)]
+    for state in itertools.chain((first,), states):
+        perm = [row[k] for row, k in zip(rank_at, state)]
+        # a permutation of n points with z cycles has sign (-1)**(n - z);
+        # each cycle is walked once, its points overwritten with -1
+        parity = n
+        for start in range(n):
+            k = perm[start]
+            if k < 0:
+                continue
+            parity -= 1
+            while k >= 0:
+                perm[k], k = -1, perm[k]
+        e = sum(w[k] for w, k in zip(weights, state))
+        terms[e] = terms.get(e, 0) + (-1 if parity % 2 else 1)
     return LaurentPoly(terms)
 
 

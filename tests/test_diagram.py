@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -120,7 +121,13 @@ class TestConstruction:
         terms = ["X(4,8,1,5)", "X(1,8,2,7)", "X(2,6,3,7)", "X(3,6,4,5)"]
         for k in (0, 1, 2):
             text = " ".join(terms[k:] + terms[:k])
-            assert parse_pd(text).to_pd() == text
+            d = parse_pd(text)
+            assert d.to_pd() == text
+            # the numbering is read by rank, so labels with gaps orient alike
+            relabeled = re.sub(r"\d+", lambda m: str(int(m.group()) ** 2 + 7), text)
+            got = parse_pd(relabeled)
+            assert got.canonical_json() == d.canonical_json(), relabeled
+            assert _segment_ends(got) == _segment_ends(d), relabeled
 
     def test_notes_follow_input_order(self):
         # segment 2 is listed first in the input, so it is reported first
@@ -142,11 +149,21 @@ class TestConstruction:
             ([[(0, 2), (0, 3), (0, 0), (0, 3)]], "not an involution"),
             # slots 1 and 3 are wired to themselves: the strand turns back
             ([[(0, 2), (0, 1), (0, 0), (0, 3)]], "does not decompose into closed strands"),
+            # ends out of range are rejected before the involution test reads them
+            ([[(5, 0), (0, 3), (0, 2), (0, 1)]], r"each a \(crossing, slot\)"),
+            ([[(0, 4), (0, 3), (0, 0), (0, 1)]], r"each a \(crossing, slot\)"),
+            ([[[0, 2], (0, 3), (0, 0), (0, 1)]], r"each a \(crossing, slot\)"),
+            ([[(0, 2), (0, 3), (0, 0)]], "4 entries per crossing"),
         ],
     )
     def test_bad_wiring(self, wiring, message):
         with pytest.raises(DiagramError, match=message):
             diagram_from_wiring(wiring, [0])
+
+    @pytest.mark.parametrize("over_diagonal", [[], [2], [0, 0]])
+    def test_bad_over_diagonal(self, over_diagonal):
+        with pytest.raises(DiagramError, match="over_diagonal needs 1 entries, each 0 or 1"):
+            diagram_from_wiring([[(0, 2), (0, 3), (0, 0), (0, 1)]], over_diagonal)
 
 
 class TestRegionsAndValidate:

@@ -626,3 +626,24 @@ class TestRelationsAndIso:
         last = len(lat.segment_index) - 1
         moved = {j: last - p for j, p in lat.segment_index.items()}
         assert not lattice_iso_check(replace(lat, segment_index=moved), ml)
+
+    def test_iso_check_rejects_mutants(self, fig8_ctx):
+        fig8, q, _w, lats = fig8_ctx
+        lat = lats[1]
+        ml = enumerate_submodules(q, link_module(fig8, q, lat))
+        assert lattice_iso_check(lat, ml)
+        (a, j, b), *rest = lat.covers
+        other = next(s for s in fig8.segment_ids() if s != j)
+        relabeled = replace(lat, covers=((a, other, b), *rest))
+        dropped = replace(lat, covers=tuple(rest))
+        heights = list(lat.heights)
+        heights[b] = heights[a]
+        merged = replace(lat, heights=tuple(heights))
+        for mutant in (relabeled, dropped, merged):
+            assert not lattice_iso_check(mutant, ml)
+        # with no covers to compare, only the height -> element map can differ
+        bottom = SubmoduleLattice(ml.dims, ml.elements[:1], ml.vertex_order, ())
+        top = lat.heights[lat.max_state]
+        lone = replace(lat, states=lat.states[:1], heights=(top,), covers=())
+        assert lattice_iso_check(replace(lone, heights=bottom.elements), bottom)
+        assert not lattice_iso_check(lone, bottom)

@@ -1,18 +1,96 @@
 import gc
+import random
+from itertools import product
 
 import pytest
 
-from knotquiver.diagram import DiagramError
+from knotquiver.diagram import DiagramError, two_bridge
 from knotquiver.poly import LaurentPoly
 from knotquiver.states import (
-    _up_move,
+    base_regions,
     build_lattice,
+    corner_weights,
     enumerate_states,
     lattice_to_json,
-    state_sign,
     state_sum_alexander,
-    state_weight_exponent,
 )
+
+# -- independent references: one segment, one state at a time ----------------
+
+
+def _up_move(diagram, state, j):
+    """Successor of ``state`` under the counterclockwise transposition at j."""
+    seg = diagram.segments[j]
+    (tc, ts), (hc, hs) = seg.tail, seg.head
+    if tc == hc:
+        return None  # curl; not reachable on validated diagrams
+    if state[tc] != (ts - 1) % 4 or state[hc] != (hs - 1) % 4:
+        return None
+    nxt = list(state)
+    nxt[tc] = ts
+    nxt[hc] = hs
+    return tuple(nxt)
+
+
+def state_weight_exponent(diagram, state):
+    """Exponent e with w(state) = s**e under W = s, B = 1/s."""
+    return sum(corner_weights(diagram, c)[k] for c, k in enumerate(state))
+
+
+def state_sign(diagram, state):
+    """Sign of the state as a bijection crossings -> regions, by sorting its image."""
+    image = [diagram.corner_region[c][k] for c, k in enumerate(state)]
+    order = sorted(range(len(image)), key=image.__getitem__)
+    sign = 1
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _brute_force_states(diagram, i):
+    """Every choice of one non-excluded corner per crossing with distinct regions."""
+    excluded = set(base_regions(diagram, i))
+    corners = [
+        [k for k in range(4) if diagram.corner_region[c][k] not in excluded]
+        for c in range(diagram.n)
+    ]
+    found = []
+    for state in product(*corners):
+        regions = {diagram.corner_region[c][k] for c, k in enumerate(state)}
+        if len(regions) == diagram.n:
+            found.append(state)
+    return found
+
+
+def _reference_covers(diagram, states):
+    index = {s: k for k, s in enumerate(states)}
+    return [
+        (k, j, index[up])
+        for k, s in enumerate(states)
+        for j in diagram.segment_ids()
+        if (up := _up_move(diagram, s, j)) is not None
+    ]
+
+
+def _random_two_bridge(seed, count, max_crossings):
+    """Seeded 2-bridge diagrams with 3..max_crossings crossings."""
+    rng = random.Random(seed)
+    diagrams = []
+    while len(diagrams) < count:
+        cf = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        if 3 <= sum(cf) <= max_crossings:
+            diagrams.append((str(cf), two_bridge(cf)))
+    return diagrams
 
 
 def _down_move(diagram, state, j):
@@ -190,3 +268,38 @@ class TestWeightsAndSum:
             exp = w_min + sum(exps[j] * m for j, m in h.items())
             assert state_weight_exponent(fig8, state) == exp
             assert state_sign(fig8, state) == sign_min * (-1) ** total
+
+
+class TestAgainstReferences:
+    """The state side against one-state-at-a-time references, on every segment."""
+
+    @staticmethod
+    def _cases(corpus_diagrams, max_crossings):
+        cases = [(name, d) for name, d in corpus_diagrams.items() if d.n <= max_crossings]
+        return cases + _random_two_bridge(7, 8, max_crossings)
+
+    def test_states_are_the_brute_force_matchings(self, corpus_diagrams):
+        for name, d in self._cases(corpus_diagrams, 8):
+            for i in d.segment_ids():
+                assert enumerate_states(d, i) == _brute_force_states(d, i), (name, i)
+
+    def test_covers_in_order(self, corpus_diagrams):
+        for name, d in self._cases(corpus_diagrams, 11):
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                assert list(lat.covers) == _reference_covers(d, lat.states), (name, i)
+
+    def test_state_sum_from_sorted_signs(self, corpus_diagrams):
+        for name, d in self._cases(corpus_diagrams, 11):
+            for i in d.segment_ids():
+                states = enumerate_states(d, i)
+                terms = {}
+                for s in states:
+                    e = state_weight_exponent(d, s)
+                    terms[e] = terms.get(e, 0) + state_sign(d, s)
+                expected = LaurentPoly(terms)
+                assert state_sum_alexander(d, states) == expected, (name, i)
+                assert state_sum_alexander(d, iter(states)) == expected, (name, i)
+
+    def test_empty_state_sum(self, fig8):
+        assert state_sum_alexander(fig8, []) == LaurentPoly({})
