@@ -189,7 +189,7 @@ def cmd_two_bridge(args: argparse.Namespace) -> int:
         alt = f.evaluate_at_minus_one()
         dims = rep.dim_vector()
         print(f"base segment: {i} (the long arc joining the first and last block)")
-        print(f"type-A dims: {sorted(dims.items())} (total {rep.total_dim()} = {total - 1})")
+        print(f"type-A dims: {sorted(dims.items())} (total {sum(rep.dims)} = {total - 1})")
         print(f"block boundaries l_j: {ells}")
         print(f"submodule lattice size: {ml.size} ({'odd' if ml.size % 2 else 'even'})")
         print(f"alternating height sum: {alt}")
@@ -220,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fpoly", help="F-polynomial of the link module T(i)")
     p.add_argument("input")
-    p.add_argument("--segment", type=int)
-    p.add_argument("--all", action="store_true", help="all segments")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--segment", type=int)
+    which.add_argument("--all", action="store_true", help="all segments")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_fpoly)

@@ -214,6 +214,9 @@ class LinkDiagram:
                     seen.add(d)
                     stack.append(d)
         connected = len(seen) == self.n
+        if not connected:
+            unreachable = sorted(set(range(self.n)) - seen)
+            notes.append(f"crossings {unreachable} are unreachable from crossing 0")
 
         euler_ok = len(self.regions) == self.n + 2 and len(self.segments) == 2 * self.n
         if not euler_ok:

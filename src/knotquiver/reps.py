@@ -22,10 +22,12 @@ matrix.  The link module T(i) is the module of the maximal state; an
 independent geometric construction from the level partition of the
 segments is kept as a cross-check.
 
-A submodule is stored as its dimension vector, a dense tuple over the
-sorted segment ids 1..2n: the coordinates of ``StateLattice.heights``
-and the exponents of y_1..y_2n in the F-polynomial, so the lattice
-isomorphism and F compare and consume the tuples as they are.
+Ids are positions: entry j - 1 of a dimension tuple is segment j, and
+entry a of a module's ``maps`` is the map on arrow a.  A module's
+``dims`` and a submodule's dimension vector are such tuples over the
+segments 1..2n, as are ``StateLattice.heights`` and the exponents of
+y_1..y_2n in the F-polynomial, so the lattice isomorphism and F compare
+and consume the tuples as they are.
 """
 
 from __future__ import annotations
@@ -125,14 +127,11 @@ class PartialShift(_Shape):
 class QuiverRep:
     """Representation: a dimension per vertex and a map per arrow."""
 
-    dims: dict[int, int]
-    maps: dict[int, PartialShift]  # arrow id -> map of shape (dim tgt, dim src)
+    dims: tuple[int, ...]  # entry j - 1: the dimension at segment j
+    maps: tuple[PartialShift, ...]  # entry a: arrow a's map, (dim tgt) x (dim src)
 
     def dim_vector(self) -> dict[int, int]:
-        return {v: d for v, d in self.dims.items() if d}
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return {v: d for v, d in enumerate(self.dims, 1) if d}
 
 
 # -- state modules -------------------------------------------------------------
@@ -151,10 +150,10 @@ def _crossing_history(
     k0 = lat.states[lat.min_state][crossing]
     segs = diagram.crossings[crossing].segments
     h = lat.heights[state_index]
-    total = sum(h[lat.segment_index[s]] for s in segs)
+    total = sum(h[s - 1] for s in segs)
     run = [segs[(k0 + 1 + m) % 4] for m in range(total)]
     for s in set(segs):
-        if run.count(s) != h[lat.segment_index[s]]:
+        if run.count(s) != h[s - 1]:
             raise DiagramError("marker history is inconsistent with heights")
     if total and lat.states[state_index][crossing] != (k0 + total) % 4:
         raise DiagramError("marker position disagrees with transposition count")
@@ -184,10 +183,10 @@ def _crossing_maps(total: int) -> tuple[PartialShift, ...]:
 def state_module(
     diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
 ) -> QuiverRep:
-    """The representation M(S) of a Kauffman state S."""
-    h = lat.heights[state_index]
-    dims = {j: h[lat.segment_index[j]] for j in diagram.segment_ids()}
-    maps: dict[int, PartialShift] = {}
+    """The representation M(S) of a Kauffman state S; its dims are S's height."""
+    dims = lat.heights[state_index]
+    # each arrow is the arrow at one corner of a crossing: all are set below
+    maps: list[PartialShift] = [PartialShift.identity(0)] * len(q.arrows)
     by_total: dict[int, tuple[PartialShift, ...]] = {}
     for c in range(diagram.n):
         k0, run = _crossing_history(diagram, lat, state_index, c)
@@ -199,12 +198,11 @@ def state_module(
         # corners k0, k0+1, k0+2, k0+3 in the order delta, alpha, beta, gamma
         for k, m in enumerate(by_total[total]):
             maps[q.arrow_at_corner(c, k0 + k).id] = m
-    rep = QuiverRep(dims, maps)
     for a in q.arrows:
-        m = rep.maps[a.id]
-        if (m.rows, m.cols) != (dims[a.tgt], dims[a.src]):
+        m = maps[a.id]
+        if (m.rows, m.cols) != (dims[a.tgt - 1], dims[a.src - 1]):
             raise DiagramError(f"map on arrow {a.id} has the wrong shape")
-    return rep
+    return QuiverRep(dims, tuple(maps))
 
 
 def link_module(diagram: LinkDiagram, q: Quiver, lat: StateLattice) -> QuiverRep:
@@ -436,28 +434,28 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
     equal levels, except at the pinched corner of an internal point,
     where the full shift block J acts.
     """
-    dims = dict(part.level_of)
+    dims = tuple(part.level_of[j] for j in diagram.segment_ids())
     pinched: set[tuple[int, int]] = set()
     for ld in part.levels:
         for rec in ld.internal_points:
             pinched.add((rec["crossing"], rec["region"]))
-    maps: dict[int, PartialShift] = {}
+    maps: list[PartialShift] = []
     for a in q.arrows:
-        ds, dt = dims[a.src], dims[a.tgt]
+        ds, dt = dims[a.src - 1], dims[a.tgt - 1]
         if ds == dt + 1:
-            maps[a.id] = PartialShift.drop_first(ds)
+            maps.append(PartialShift.drop_first(ds))
         elif ds + 1 == dt:
-            maps[a.id] = PartialShift.pad_last(dt)
+            maps.append(PartialShift.pad_last(dt))
         elif ds == dt:
             if (a.crossing, a.region) in pinched:
-                maps[a.id] = PartialShift.jordan(ds)
+                maps.append(PartialShift.jordan(ds))
             else:
-                maps[a.id] = PartialShift.identity(ds)
+                maps.append(PartialShift.identity(ds))
         else:
             raise DiagramError(
                 f"level step {ds}->{dt} on arrow {a.id} exceeds 1; corrupt partition"
             )
-    return QuiverRep(dims, maps)
+    return QuiverRep(dims, tuple(maps))
 
 
 # -- submodule lattice ----------------------------------------------------------
@@ -465,10 +463,8 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
 
 @dataclass(frozen=True)
 class SubmoduleLattice:
-    dims: dict[int, int]
-    elements: tuple[tuple[int, ...], ...]  # dim vectors over vertex_order
-    vertex_order: tuple[int, ...]  # the sorted vertex (segment) ids
-    covers: tuple[tuple[int, int, int], ...]  # (from index, vertex, to index)
+    elements: tuple[tuple[int, ...], ...]  # dim vectors; entry j - 1 is segment j
+    covers: tuple[tuple[int, int, int], ...]  # (from index, segment, to index)
 
     @property
     def size(self) -> int:
@@ -520,21 +516,18 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     happens.  The work therefore grows with the number of submodules, and
     every integer point is found without assuming any lattice theorem.
     """
-    vertices = tuple(sorted(rep.dims))
-    pos = {v: k for k, v in enumerate(vertices)}
-    n = len(vertices)
+    n = len(rep.dims)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # src -> (tgt, slack)
     pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # tgt -> (src, slack)
     for a in q.arrows:
         kind = rep.maps[a.id].kind()
         if kind == "E" or a.src == a.tgt:  # no constraint
             continue
-        s, t, slack = pos[a.src], pos[a.tgt], int(kind in ("J", "V"))
+        s, t, slack = a.src - 1, a.tgt - 1, int(kind in ("J", "V"))
         succ[s].append((t, slack))
         pred[t].append((s, slack))
 
-    dims_list = [rep.dims[v] for v in vertices]
-    top = dims_list[:]
+    top = list(rep.dims)
     _lower_hi(top, pred, list(range(n)))
     elements: list[tuple[int, ...]] = []
     stack = [(0, [0] * n, top)]
@@ -563,9 +556,9 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     index = {el: k for k, el in enumerate(elements)}
     covers = []
     # el + e_p keeps every constraint into p; test the bound and those out of p
-    tests = [(p, v, top[p], succ[p]) for p, v in enumerate(vertices)]
+    tests = [(p, top[p], succ[p]) for p in range(n)]
     for k, el in enumerate(elements):
-        for p, v, bound, out in tests:
+        for p, bound, out in tests:
             up = el[p] + 1
             if up > bound:
                 continue
@@ -573,8 +566,8 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
                 if el[t] < up - slack:
                     break
             else:
-                covers.append((k, v, index[el[:p] + (up,) + el[p + 1:]]))
-    return SubmoduleLattice(dict(rep.dims), tuple(elements), vertices, tuple(covers))
+                covers.append((k, p + 1, index[el[:p] + (up,) + el[p + 1:]]))
+    return SubmoduleLattice(tuple(elements), tuple(covers))
 
 
 # -- relations and lattice isomorphism -------------------------------------------
@@ -595,7 +588,6 @@ class RelationPaths(NamedTuple):
 
 
 def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
-    arrows = {a.id: a for a in q.arrows}
     cycles_with: dict[int, list[tuple[int, ...]]] = {}
     for cyc in list(w.plus) + list(w.minus):
         for aid in cyc:
@@ -609,10 +601,10 @@ def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
         for cyc in owning:
             k = cyc.index(a.id)
             path = cyc[k + 1:] + cyc[:k]
-            complements.append((arrows[path[0]].src if path else a.tgt, path))
+            complements.append((q.arrows[path[0]].src if path else a.tgt, path))
         pairs.append(tuple(complements))
     cycles = [
-        (arrows[cyc[k]].src, cyc[k:] + cyc[:k]) for cyc in w.plus for k in range(len(cyc))
+        (q.arrows[cyc[k]].src, cyc[k:] + cyc[:k]) for cyc in w.plus for k in range(len(cyc))
     ]
     return RelationPaths(tuple(pairs), tuple(cycles))
 
@@ -620,7 +612,9 @@ def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
 _new_tuple = tuple.__new__
 
 
-def compose_path(maps: dict[int, PartialShift], dim: int, path: tuple[int, ...]) -> PartialShift:
+def compose_path(
+    maps: tuple[PartialShift, ...], dim: int, path: tuple[int, ...]
+) -> PartialShift:
     """Composite of ``maps`` along a path of arrow ids from a vertex of
     dimension ``dim``, applied left to right; the empty path is the identity.
 
@@ -660,12 +654,12 @@ def check_relations(
     if paths is None:
         paths = relation_paths(q, w)
     maps, dims = rep.maps, rep.dims
-    jordan = {d: PartialShift.jordan(d) for d in set(dims.values())}
+    jordan = {d: PartialShift.jordan(d) for d in set(dims)}
     for (v1, path1), (v2, path2) in paths.pairs:
-        if compose_path(maps, dims[v1], path1) != compose_path(maps, dims[v2], path2):
+        if compose_path(maps, dims[v1 - 1], path1) != compose_path(maps, dims[v2 - 1], path2):
             return False
     for v, cycle in paths.cycles:
-        d = dims[v]
+        d = dims[v - 1]
         if compose_path(maps, d, cycle) != jordan[d]:
             return False
     return True
@@ -674,14 +668,12 @@ def check_relations(
 def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
     """Is height -> dimension vector a lattice isomorphism?
 
-    Both lattices store an element as a tuple over the sorted segment ids,
-    so once their coordinate orders agree each state maps to the submodule
-    whose dimension vector is its height.  That map must be a bijection,
-    and it must carry the state covers onto the submodule covers, compared
-    as (index, segment, index) triples.
+    Both lattices store an element as a tuple whose entry j - 1 is segment
+    j, so each state maps to the submodule whose dimension vector is its
+    height.  That map must be a bijection, and it must carry the state
+    covers onto the submodule covers, compared as (index, segment, index)
+    triples.
     """
-    if list(sl.segment_index.items()) != [(v, k) for k, v in enumerate(ml.vertex_order)]:
-        return False
     if len(ml.elements) != len(sl.heights):
         return False
     index = {e: k for k, e in enumerate(ml.elements)}

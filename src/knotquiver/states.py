@@ -8,7 +8,9 @@ corner counterclockwise across ``j``; these moves generate a lattice
 with unique minimal and maximal elements.
 
 States are stored as tuples ``corners[c] = k`` meaning the marker of
-crossing ``c`` sits in the corner between slots ``k`` and ``k+1``.
+crossing ``c`` sits in the corner between slots ``k`` and ``k+1``.  A
+state's height is a tuple whose entry j - 1 counts the transpositions at
+segment j on the way up from the minimal state.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ class StateLattice:
     states: tuple[State, ...]
     # up-covers: (state index, segment, successor state index)
     covers: tuple[tuple[int, int, int], ...]
-    # per state, a tuple over the sorted segment ids 1..2n: the coordinates
-    # of submodule dimension vectors and of F's exponents of y_1..y_2n
+    # per state, a tuple whose entry j - 1 is segment j: the coordinates of
+    # submodule dimension vectors and of F's exponents of y_1..y_2n
     heights: tuple[tuple[int, ...], ...]
     min_state: int
     max_state: int
-    segment_index: dict[int, int]  # segment id -> position in height vectors
 
     def height_vector(self, state_index: int) -> dict[int, int]:
-        row = self.heights[state_index]
-        return {seg: row[k] for seg, k in self.segment_index.items() if row[k]}
+        return {j: h for j, h in enumerate(self.heights[state_index], 1) if h}
 
     @property
     def size(self) -> int:
@@ -159,8 +159,6 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
     if not states:
         raise DiagramError(f"no Kauffman states relative to segment {i}")
     index = {s: k for k, s in enumerate(states)}
-    seg_ids = diagram.segment_ids()
-    seg_pos = {j: p for p, j in enumerate(seg_ids)}
 
     # tail_move[c][k]: (j, slot k+1, head crossing, head slot, head's
     # corner before the move) for the segment j whose tail is at slot k+1
@@ -206,7 +204,7 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
         )
 
     heights: list[tuple[int, ...] | None] = [None] * len(states)
-    heights[minima[0]] = tuple([0] * len(seg_ids))
+    heights[minima[0]] = (0,) * len(diagram.segments)
     queue = [minima[0]]
     while queue:
         k = queue.pop()
@@ -214,7 +212,7 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
         assert hk is not None
         for j, k2 in ups[k]:
             h2 = list(hk)
-            h2[seg_pos[j]] += 1
+            h2[j - 1] += 1
             h2t = tuple(h2)
             if heights[k2] is None:
                 heights[k2] = h2t
@@ -232,7 +230,6 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
         heights=tuple(h for h in heights if h is not None),
         min_state=minima[0],
         max_state=maxima[0],
-        segment_index=seg_pos,
     )
 
 

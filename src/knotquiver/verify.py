@@ -185,7 +185,7 @@ def _segment_report(
     try:
         part = compute_partition(diagram, i)
         direct = t_direct(diagram, q, part)
-        if direct.dims != rep.dims or direct.maps != rep.maps:
+        if direct != rep:
             part_ok = False
             notes.append("partition construction of T(i) disagrees with the maximal state")
     except PartitionUndefinedError as exc:

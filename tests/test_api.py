@@ -1,8 +1,10 @@
 """The library holds no code that only tests call, and its top level resolves.
 
-A module-level function or class of ``src/knotquiver`` must be named by
-code outside its own definition: elsewhere in the library (a re-export in
-``__init__`` does not count), in ``bench/*.py``, or in README.md.
+A module-level function or class of ``src/knotquiver``, and a method or
+property of such a class, must be named by code outside its own
+definition: elsewhere in the library (a re-export in ``__init__`` does not
+count), in ``bench/*.py``, or in README.md.  Dunder methods are called by
+Python itself and are exempt.
 """
 
 import ast
@@ -48,11 +50,19 @@ def test_every_definition_has_a_caller_outside_tests():
     }
     library = sum((c for counts in per_statement.values() for c in counts), Counter())
     unused = []
+
+    def check(name: str, node: ast.AST, own: Counter) -> None:
+        if library[node.name] - own[node.name] + outside[node.name] <= 0:
+            unused.append(f"{name}:{node.lineno} {node.name}")
+
     for name, tree in modules.items():
         for stmt, own in zip(tree.body, per_statement[name]):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if library[stmt.name] - own[stmt.name] + outside[stmt.name] <= 0:
-                    unused.append(f"{name}:{stmt.lineno} {stmt.name}")
+                check(name, stmt, own)
+            if isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                        check(name, member, _names(member))
     assert unused == []
 
 

@@ -89,6 +89,13 @@ class TestFpolyCmd:
         code, _, err = run(capsys, "fpoly", FIG8_PD)
         assert code == 2
 
+    def test_segment_and_all_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fpoly", "figure-eight", "--segment", "1", "--all"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "not allowed with argument" in err
+
     def test_cache_round_trip(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         code1, out1, _ = run(capsys, "fpoly", "10_66", "--segment", "1",
@@ -191,6 +198,13 @@ class TestAlexanderCmd:
     def test_10_66(self, capsys):
         code, out, _ = run(capsys, "alexander", "10_66", "--method", "spec")
         assert code == 0 and "16*t^2" in out
+
+    def test_disconnected_diagram_names_the_unreachable_crossings(self, capsys):
+        # a genus-1 two-crossing piece beside a trefoil: the Euler count holds
+        pd = "X(2,4,1,3) X(4,1,3,2) X(5,8,6,9) X(7,10,8,5) X(9,6,10,7)"
+        code, out, err = run(capsys, "alexander", pd)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid diagram: crossings [2, 3, 4] are unreachable from crossing 0\n"
 
     @pytest.mark.parametrize("method", ["det", "statesum", "spec", "all"])
     def test_unknown_segment_exit_2(self, capsys, method):

@@ -38,7 +38,7 @@ def fig8_ctx(fig8):
 
 def _mul(b, a):
     """The product b * a: apply a, then b."""
-    return compose_path({0: a, 1: b}, a.cols, (0, 1))
+    return compose_path((a, b), a.cols, (0, 1))
 
 
 def _zero(rows, cols):
@@ -171,7 +171,9 @@ class TestAgainstDense:
     def test_relation_paths_compose_like_matrices(self, data):
         # the composite that check_relations forms along a path of arrows
         dims = data.draw(st.lists(_dims, min_size=1, max_size=6))
-        maps = {k: data.draw(_shifts(rows=dims[k + 1], cols=dims[k])) for k in range(len(dims) - 1)}
+        maps = tuple(
+            data.draw(_shifts(rows=dims[k + 1], cols=dims[k])) for k in range(len(dims) - 1)
+        )
         path = tuple(range(len(dims) - 1))
         composite = compose_path(maps, dims[0], path)
         dense = PartialShift.identity(dims[0]).to_dense()
@@ -184,8 +186,8 @@ class TestAgainstDense:
 def _module_from_sequence(diagram, q, seq):
     """Reference construction of a state module from an explicit
     transposition sequence, applied crossing by crossing."""
-    maps = {}
-    dims = {j: seq.count(j) for j in diagram.segment_ids()}
+    maps = [None] * len(q.arrows)
+    dims = tuple(seq.count(j) for j in diagram.segment_ids())
     for c in range(diagram.n):
         segs = diagram.crossings[c].segments
         local = [j for j in seq if j in segs]
@@ -219,7 +221,7 @@ def _module_from_sequence(diagram, q, seq):
             maps[delta.id] = v(ell + 1)
             maps[gamma.id] = h(ell + 1)
             maps[beta.id] = maps[alpha.id] = i(ell + 1)
-    return QuiverRep(dims, maps)
+    return QuiverRep(dims, tuple(maps))
 
 
 def _random_sequence(lat, state_index, rng):
@@ -239,7 +241,13 @@ class TestStateModules:
     def test_min_state_zero(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
         rep = state_module(fig8, q, lats[1], lats[1].min_state)
-        assert rep.total_dim() == 0
+        assert sum(rep.dims) == 0
+
+    def test_dims_are_the_height(self, fig8_ctx):
+        fig8, q, _w, lats = fig8_ctx
+        lat = lats[1]
+        for k in range(lat.size):
+            assert state_module(fig8, q, lat, k).dims is lat.heights[k]
 
     def test_fig8_t1(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
@@ -314,7 +322,7 @@ class TestStateModules:
                 lat = build_lattice(d, i)
                 rep = link_module(d, q, lat)
                 for a in q.arrows:
-                    assert abs(rep.dims[a.src] - rep.dims[a.tgt]) <= 1
+                    assert abs(rep.dims[a.src - 1] - rep.dims[a.tgt - 1]) <= 1
 
     def test_cover_rank_step(self, fig8_ctx):
         # a transposition at a raises the rank on every arrow out of a by one
@@ -323,13 +331,42 @@ class TestStateModules:
         for a_idx, j, b_idx in lat.covers:
             lower = state_module(fig8, q, lat, a_idx)
             upper = state_module(fig8, q, lat, b_idx)
-            assert upper.dims[j] == lower.dims[j] + 1
+            assert upper.dims[j - 1] == lower.dims[j - 1] + 1
             for arrow in q.arrows:
                 delta = _rank(upper.maps[arrow.id]) - _rank(lower.maps[arrow.id])
                 # rank grows on arrows out of j (it cannot when the target
                 # space is still zero-dimensional); others are untouched
-                expected = 1 if arrow.src == j and upper.dims[arrow.tgt] > 0 else 0
+                expected = 1 if arrow.src == j and upper.dims[arrow.tgt - 1] > 0 else 0
                 assert delta == expected
+
+    def test_heights_inconsistent_with_history(self, fig8_ctx):
+        # no cyclic run of two distinct segments transposes one segment twice
+        fig8, q, _w, lats = fig8_ctx
+        lat = lats[1]
+        heights = list(lat.heights)
+        heights[lat.min_state] = (2,) + heights[lat.min_state][1:]
+        mutant = replace(lat, heights=tuple(heights))
+        with pytest.raises(DiagramError, match="inconsistent with heights"):
+            state_module(fig8, q, mutant, lat.min_state)
+
+    def test_marker_disagrees_with_transposition_count(self, fig8_ctx):
+        fig8, q, _w, lats = fig8_ctx
+        lat = lats[1]
+        top = lat.states[lat.max_state]
+        c = next(c for c in range(fig8.n) if top[c] != lat.states[lat.min_state][c])
+        states = list(lat.states)
+        states[lat.max_state] = top[:c] + ((top[c] + 1) % 4,) + top[c + 1:]
+        mutant = replace(lat, states=tuple(states))
+        with pytest.raises(DiagramError, match="disagrees with transposition count"):
+            state_module(fig8, q, mutant, lat.max_state)
+
+    def test_map_shape_against_reversed_quiver(self, fig8_ctx):
+        # the lattice is consistent, so only a quiver whose arrows run the
+        # other way can put a V or H map between the wrong dimensions
+        fig8, q, _w, lats = fig8_ctx
+        reversed_q = Quiver(q.vertices, tuple(replace(a, src=a.tgt, tgt=a.src) for a in q.arrows))
+        with pytest.raises(DiagramError, match="wrong shape"):
+            state_module(fig8, reversed_q, lats[1], lats[1].max_state)
 
     def test_inclusion_along_order(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
@@ -378,7 +415,7 @@ class TestPartition:
         for i in fig8.segment_ids():
             part = compute_partition(fig8, i)
             rep = link_module(fig8, q, lats[i])
-            assert part.level_of == rep.dims
+            assert part.level_of == dict(enumerate(rep.dims, 1))
 
     def test_t_direct_equals_max_state_module(self, corpus_diagrams):
         for name, d in corpus_diagrams.items():
@@ -438,7 +475,8 @@ class TestSubmodules:
         fig8, q, _w, lats = fig8_ctx
         ml = enumerate_submodules(q, link_module(fig8, q, lats[1]))
         assert ml.size == 5
-        assert ml.vertex_order == tuple(range(1, 9))
+        # a cover at segment j raises entry j - 1 of the dimension vector
+        assert all(ml.elements[b][j - 1] == ml.elements[a][j - 1] + 1 for a, j, b in ml.covers)
         assert sorted(ml.elements) == [
             (0, 0, 0, 0, 0, 0, 0, 0),
             (0, 0, 0, 0, 1, 0, 0, 0),
@@ -486,9 +524,7 @@ def _reference_submodules(q, rep):
     first m(src) basis vectors into the span of the first m(tgt).  This
     reads neither the map kinds nor the difference constraints.
     """
-    vertices = sorted(rep.dims)
-    pos = {v: k for k, v in enumerate(vertices)}
-    dense = [(pos[a.src], pos[a.tgt], rep.maps[a.id].to_dense()) for a in q.arrows]
+    dense = [(a.src - 1, a.tgt - 1, rep.maps[a.id].to_dense()) for a in q.arrows]
 
     def closed(m):
         return all(
@@ -498,14 +534,14 @@ def _reference_submodules(q, rep):
             for r in range(m[t], len(dm))
         )
 
-    elements = [m for m in product(*(range(rep.dims[v] + 1) for v in vertices)) if closed(m)]
+    elements = [m for m in product(*(range(d + 1) for d in rep.dims)) if closed(m)]
     index = {m: k for k, m in enumerate(elements)}
     covers = []
     for k, m in enumerate(elements):
-        for p, v in enumerate(vertices):
+        for p in range(len(rep.dims)):
             up = m[:p] + (m[p] + 1,) + m[p + 1:]
             if up in index:
-                covers.append((k, v, index[up]))
+                covers.append((k, p + 1, index[up]))
     return tuple(elements), tuple(covers)
 
 
@@ -517,21 +553,21 @@ def _arrow(k, src, tgt):
 def _small_modules(draw):
     """A small quiver with an I/J/V/H (or zero) map on every arrow.
 
-    Vertex ids are arbitrary, arrows may form cycles and loops, and
-    ``ties`` adds identity 2-cycles, which force m(p) = m(q)."""
-    ids = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=5)))
-    dims = {v: draw(st.integers(0, 3)) for v in ids}
+    Vertices are 1..k, arrows may form cycles and loops, and ``ties``
+    adds identity 2-cycles, which force m(p) = m(q)."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=5)))
+    ids = range(1, len(dims) + 1)
     vertex = st.sampled_from(ids)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
     ties = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
-    arrows, maps = [], {}
+    arrows, maps = [], []
 
     def add(s, t, m):
-        maps[len(arrows)] = m
+        maps.append(m)
         arrows.append(_arrow(len(arrows), s, t))
 
     for s, t in pairs:
-        ds, dt = dims[s], dims[t]
+        ds, dt = dims[s - 1], dims[t - 1]
         if ds == dt:
             add(s, t, draw(st.sampled_from([PartialShift.identity(ds), PartialShift.jordan(ds)])))
         elif ds == dt + 1:
@@ -539,10 +575,10 @@ def _small_modules(draw):
         elif dt == ds + 1:
             add(s, t, PartialShift.pad_last(dt))
     for s, t in ties:
-        if dims[s] == dims[t]:
-            add(s, t, PartialShift.identity(dims[s]))
-            add(t, s, PartialShift.identity(dims[s]))
-    return Quiver(tuple(ids), tuple(arrows)), QuiverRep(dims, maps)
+        if dims[s - 1] == dims[t - 1]:
+            add(s, t, PartialShift.identity(dims[s - 1]))
+            add(t, s, PartialShift.identity(dims[s - 1]))
+    return Quiver(tuple(ids), tuple(arrows)), QuiverRep(dims, tuple(maps))
 
 
 class TestSubmodulesAgainstBruteForce:
@@ -556,7 +592,7 @@ class TestSubmodulesAgainstBruteForce:
     def test_identity_cycle_ties_vertices(self):
         q = Quiver((1, 2, 3), (_arrow(0, 1, 2), _arrow(1, 2, 1), _arrow(2, 2, 3)))
         eye = PartialShift.identity(2)
-        rep = QuiverRep({1: 2, 2: 2, 3: 1}, {0: eye, 1: eye, 2: PartialShift.drop_first(2)})
+        rep = QuiverRep((2, 2, 1), (eye, eye, PartialShift.drop_first(2)))
         ml = enumerate_submodules(q, rep)
         assert ml.elements == ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (2, 2, 1))
         assert (ml.elements, ml.covers) == _reference_submodules(q, rep)
@@ -580,15 +616,17 @@ class TestRelationsAndIso:
     def test_mutant_fails(self, fig8_ctx):
         fig8, q, w, lats = fig8_ctx
         rep = link_module(fig8, q, lats[2])
-        broken = {a.id: m for a, m in ((a, rep.maps[a.id]) for a in q.arrows)}
+        broken = list(rep.maps)
         victim = next(
             a for a in q.arrows
-            if rep.dims[a.src] == rep.dims[a.tgt] == 1 and rep.maps[a.id].to_dense() == ((1,),)
+            if rep.dims[a.src - 1] == rep.dims[a.tgt - 1] == 1
+            and rep.maps[a.id].to_dense() == ((1,),)
         )
         broken[victim.id] = _zero(1, 1)
         assert broken[victim.id].to_dense() == ((0,),)
-        assert not check_relations(QuiverRep(rep.dims, broken), q, w)
-        assert not check_relations(QuiverRep(rep.dims, broken), q, w, relation_paths(q, w))
+        mutant = QuiverRep(rep.dims, tuple(broken))
+        assert not check_relations(mutant, q, w)
+        assert not check_relations(mutant, q, w, relation_paths(q, w))
 
     def test_shared_paths_agree_with_fresh(self, fig8_ctx):
         fig8, q, w, lats = fig8_ctx
@@ -614,19 +652,6 @@ class TestRelationsAndIso:
         ml2 = enumerate_submodules(q, link_module(fig8, q, lats[2]))
         assert not lattice_iso_check(lats[1], ml2)
 
-    def test_iso_check_needs_one_coordinate_order(self, fig8_ctx):
-        fig8, q, _w, lats = fig8_ctx
-        lat = lats[1]
-        ml = enumerate_submodules(q, link_module(fig8, q, lat))
-        assert lattice_iso_check(lat, ml)
-        # the same tuples read over the segment ids in another order
-        relabeled = SubmoduleLattice(ml.dims, ml.elements, ml.vertex_order[::-1], ml.covers)
-        assert not lattice_iso_check(lat, relabeled)
-        # segment ids in the same order, but at other positions of the heights
-        last = len(lat.segment_index) - 1
-        moved = {j: last - p for j, p in lat.segment_index.items()}
-        assert not lattice_iso_check(replace(lat, segment_index=moved), ml)
-
     def test_iso_check_rejects_mutants(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
         lat = lats[1]
@@ -642,7 +667,7 @@ class TestRelationsAndIso:
         for mutant in (relabeled, dropped, merged):
             assert not lattice_iso_check(mutant, ml)
         # with no covers to compare, only the height -> element map can differ
-        bottom = SubmoduleLattice(ml.dims, ml.elements[:1], ml.vertex_order, ())
+        bottom = SubmoduleLattice(ml.elements[:1], ())
         top = lat.heights[lat.max_state]
         lone = replace(lat, states=lat.states[:1], heights=(top,), covers=())
         assert lattice_iso_check(replace(lone, heights=bottom.elements), bottom)

@@ -23,7 +23,7 @@ class TestTypeA:
             d, q, rep, ml = _marked_lattice(cf)
             support = set(rep.dim_vector())
             assert all(v == 1 for v in rep.dim_vector().values()), cf
-            assert rep.total_dim() == sum(cf) - 1, cf
+            assert sum(rep.dims) == sum(cf) - 1, cf
             # the support induces a path: two endpoints, the rest of degree 2
             adj = {v: set() for v in support}
             for a in q.arrows:
