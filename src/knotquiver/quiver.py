@@ -31,17 +31,17 @@ class Quiver:
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
     # (crossing, corner) -> arrow, the first arrow wins; derived, so not compared
-    _by_corner: dict[tuple[int, int], Arrow] = field(
+    by_corner: dict[tuple[int, int], Arrow] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
         for a in self.arrows:
-            self._by_corner.setdefault((a.crossing, a.corner), a)
+            self.by_corner.setdefault((a.crossing, a.corner), a)
 
     def arrow_at_corner(self, crossing: int, corner: int) -> Arrow:
         try:
-            return self._by_corner[crossing, corner % 4]
+            return self.by_corner[crossing, corner % 4]
         except KeyError:
             raise KeyError((crossing, corner)) from None
 

@@ -32,8 +32,10 @@ and consume the tuples as they are.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-
+from itertools import compress, count
+from operator import ne
 from typing import NamedTuple
 
 from .diagram import DiagramError, LinkDiagram
@@ -137,36 +139,15 @@ class QuiverRep:
 # -- state modules -------------------------------------------------------------
 
 
-def _crossing_history(
-    diagram: LinkDiagram, lat: StateLattice, state_index: int, crossing: int
-) -> tuple[int, list[int]]:
-    """Start corner and the ccw run of segments transposed at a crossing.
-
-    The marker of the crossing starts at its minimal-state corner and is
-    pushed one corner counterclockwise by every transposition at one of
-    the four incident segments, crossing that segment on the way.  The
-    run is therefore determined by the minimal marker and the heights.
-    """
-    k0 = lat.states[lat.min_state][crossing]
-    segs = diagram.crossings[crossing].segments
-    h = lat.heights[state_index]
-    total = sum(h[s - 1] for s in segs)
-    run = [segs[(k0 + 1 + m) % 4] for m in range(total)]
-    for s in set(segs):
-        if run.count(s) != h[s - 1]:
-            raise DiagramError("marker history is inconsistent with heights")
-    if total and lat.states[state_index][crossing] != (k0 + total) % 4:
-        raise DiagramError("marker position disagrees with transposition count")
-    return k0, run
-
-
+@functools.cache
 def _crossing_maps(total: int) -> tuple[PartialShift, ...]:
     """The maps at corners k0 .. k0+3 (delta, alpha, beta, gamma) after
     ``total`` = 4*ell + rem transpositions at a crossing.
 
     For rem = 0 they are J and three identities of size ell.  Otherwise
     delta is V, the arrow rem corners on is H, and the identities are of
-    size ell + 1 between them and of size ell after the H.
+    size ell + 1 between them and of size ell after the H.  Partial shifts
+    are immutable, so every crossing with the same total shares one tuple.
     """
     ell, rem = divmod(total, 4)
     i, j = PartialShift.identity, PartialShift.jordan
@@ -180,29 +161,51 @@ def _crossing_maps(total: int) -> tuple[PartialShift, ...]:
     return (v, i(ell + 1), i(ell + 1), h)
 
 
+def _check_shapes(q: Quiver, rep: QuiverRep) -> None:
+    dims, maps = rep.dims, rep.maps
+    for a in q.arrows:
+        m = maps[a.id]
+        if m.rows != dims[a.tgt - 1] or m.cols != dims[a.src - 1]:
+            raise DiagramError(f"map on arrow {a.id} has the wrong shape")
+
+
 def state_module(
     diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
 ) -> QuiverRep:
-    """The representation M(S) of a Kauffman state S; its dims are S's height."""
+    """The representation M(S) of a Kauffman state S; its dims are S's height.
+
+    The marker of a crossing starts at its minimal-state corner k0 and is
+    pushed one corner counterclockwise by every transposition at one of
+    the four incident segments, crossing that segment on the way.  So the
+    transpositions there are a cyclic run from slot k0+1, and after
+    ``total`` = 4*ell + rem of them the segment at slot k0+1+p has been
+    transposed ell + (p < rem) times: the heights must say so, and the
+    marker must sit at corner k0 + total.
+    """
     dims = lat.heights[state_index]
+    state = lat.states[state_index]
+    crossings = diagram.crossings
+    by_corner = q.by_corner
     # each arrow is the arrow at one corner of a crossing: all are set below
     maps: list[PartialShift] = [PartialShift.identity(0)] * len(q.arrows)
-    by_total: dict[int, tuple[PartialShift, ...]] = {}
-    for c in range(diagram.n):
-        k0, run = _crossing_history(diagram, lat, state_index, c)
-        total = len(run)
-        if total not in by_total:
-            by_total[total] = _crossing_maps(total)
-        # arrows of this crossing by corner; the first transposed segment
-        # "a" sits at slot k0+1, and the cycle a->d->c->b->a corresponds to
-        # corners k0, k0+1, k0+2, k0+3 in the order delta, alpha, beta, gamma
-        for k, m in enumerate(by_total[total]):
-            maps[q.arrow_at_corner(c, k0 + k).id] = m
-    for a in q.arrows:
-        m = maps[a.id]
-        if (m.rows, m.cols) != (dims[a.tgt - 1], dims[a.src - 1]):
-            raise DiagramError(f"map on arrow {a.id} has the wrong shape")
-    return QuiverRep(dims, tuple(maps))
+    for c, k0 in enumerate(lat.states[lat.min_state]):
+        segs = crossings[c].segments
+        run = segs[k0 + 1:] + segs[:k0 + 1]  # the slots k0+1 .. k0+4
+        counts = (dims[run[0] - 1], dims[run[1] - 1], dims[run[2] - 1], dims[run[3] - 1])
+        total = sum(counts)
+        ell, rem = divmod(total, 4)
+        if counts != (ell + (0 < rem), ell + (1 < rem), ell + (2 < rem), ell):
+            raise DiagramError("marker history is inconsistent with heights")
+        if total and state[c] != (k0 + total) % 4:
+            raise DiagramError("marker position disagrees with transposition count")
+        # the first transposed segment "a" sits at slot k0+1, and the cycle
+        # a->d->c->b->a corresponds to corners k0, k0+1, k0+2, k0+3 in the
+        # order delta, alpha, beta, gamma
+        for k, m in enumerate(_crossing_maps(total)):
+            maps[by_corner[c, (k0 + k) % 4].id] = m
+    rep = QuiverRep(dims, tuple(maps))
+    _check_shapes(q, rep)
+    return rep
 
 
 def link_module(diagram: LinkDiagram, q: Quiver, lat: StateLattice) -> QuiverRep:
@@ -573,18 +576,36 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
 # -- relations and lattice isomorphism -------------------------------------------
 
 
-class RelationPaths(NamedTuple):
-    """The paths of arrow ids that the Jacobian relations compare.
+class Relation(NamedTuple):
+    """One Jacobian relation, owned by an arrow of the quiver.
 
-    ``pairs`` holds, per arrow, its two complementary paths (one in its
-    crossing cycle, one in its region cycle); ``cycles`` holds every
-    crossing cycle rooted at each of its arrows.  Each path comes with the
-    vertex it starts from.  They depend only on the quiver and the
-    potential.
+    The path ``lhs`` of arrow ids from vertex ``v1`` must act as the path
+    ``rhs`` from vertex ``v2`` does: these are the arrow's two complementary
+    paths, one in its crossing cycle and one in its region cycle.  When
+    ``rhs`` is None, ``lhs`` is a full crossing cycle rooted at the arrow,
+    and it must act as the full shift block at ``v1``.
     """
 
-    pairs: tuple[tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]], ...]
-    cycles: tuple[tuple[int, tuple[int, ...]], ...]
+    arrow: int
+    v1: int
+    lhs: tuple[int, ...]
+    v2: int
+    rhs: tuple[int, ...] | None
+
+
+class RelationPaths(NamedTuple):
+    """The Jacobian relations of a quiver with potential, indexed for a walk.
+
+    ``by_arrow[a]`` lists the relations whose paths read arrow a, and
+    ``by_vertex[v - 1]`` those with a path that starts at vertex v, as
+    indices into ``relations``.  A relation's verdict on a module depends
+    on nothing else, so a module that differs from a checked one only on
+    some arrows and vertices needs only those relations composed again.
+    """
+
+    relations: tuple[Relation, ...]
+    by_arrow: tuple[tuple[int, ...], ...]
+    by_vertex: tuple[tuple[int, ...], ...]
 
 
 def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
@@ -592,7 +613,7 @@ def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
     for cyc in list(w.plus) + list(w.minus):
         for aid in cyc:
             cycles_with.setdefault(aid, []).append(cyc)
-    pairs = []
+    relations = []
     for a in q.arrows:
         owning = cycles_with.get(a.id, [])
         if len(owning) != 2:
@@ -602,14 +623,26 @@ def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
             k = cyc.index(a.id)
             path = cyc[k + 1:] + cyc[:k]
             complements.append((q.arrows[path[0]].src if path else a.tgt, path))
-        pairs.append(tuple(complements))
-    cycles = [
-        (q.arrows[cyc[k]].src, cyc[k:] + cyc[:k]) for cyc in w.plus for k in range(len(cyc))
-    ]
-    return RelationPaths(tuple(pairs), tuple(cycles))
+        (v1, path1), (v2, path2) = complements
+        relations.append(Relation(a.id, v1, path1, v2, path2))
+    for cyc in w.plus:
+        for k in range(len(cyc)):
+            v = q.arrows[cyc[k]].src
+            relations.append(Relation(cyc[k], v, cyc[k:] + cyc[:k], v, None))
+    by_arrow: list[list[int]] = [[] for _ in q.arrows]
+    by_vertex: list[list[int]] = [[] for _ in q.vertices]
+    for r, (_a, v1, path1, v2, path2) in enumerate(relations):
+        for aid in sorted(set(path1 + (path2 or ()))):
+            by_arrow[aid].append(r)
+        for v in sorted({v1, v2}):
+            by_vertex[v - 1].append(r)
+    return RelationPaths(
+        tuple(relations), tuple(map(tuple, by_arrow)), tuple(map(tuple, by_vertex))
+    )
 
 
 _new_tuple = tuple.__new__
+_full_shift = functools.cache(PartialShift.jordan)
 
 
 def compose_path(
@@ -640,6 +673,21 @@ def compose_path(
     return _new_tuple(PartialShift, (rows, dim, o, lo, hi))
 
 
+def _holds(maps: tuple[PartialShift, ...], dims: tuple[int, ...], rel: Relation) -> bool:
+    """Does a relation hold on the module with these maps and dimensions?
+
+    A path whose maps do not compose acts as nothing, so its relation fails.
+    """
+    _arrow, v1, lhs, v2, rhs = rel
+    d = dims[v1 - 1]
+    try:
+        if rhs is None:
+            return compose_path(maps, d, lhs) == _full_shift(d)
+        return compose_path(maps, d, lhs) == compose_path(maps, dims[v2 - 1], rhs)
+    except ValueError:
+        return False
+
+
 def check_relations(
     rep: QuiverRep, q: Quiver, w: Potential, paths: RelationPaths | None = None
 ) -> bool:
@@ -648,21 +696,73 @@ def check_relations(
     For every arrow the two complementary paths of its crossing cycle and
     its region cycle must act identically, and every full crossing cycle
     based at a vertex of dimension d must act as the full shift block of
-    size d.  ``paths`` is ``relation_paths(q, w)``, which callers checking
-    many modules of one quiver can compute once.
+    size d.  A map whose shape disagrees with ``rep.dims`` raises a
+    ``DiagramError``.  ``paths`` is ``relation_paths(q, w)``, which callers
+    checking many modules of one quiver can compute once.
     """
     if paths is None:
         paths = relation_paths(q, w)
-    maps, dims = rep.maps, rep.dims
-    jordan = {d: PartialShift.jordan(d) for d in set(dims)}
-    for (v1, path1), (v2, path2) in paths.pairs:
-        if compose_path(maps, dims[v1 - 1], path1) != compose_path(maps, dims[v2 - 1], path2):
-            return False
-    for v, cycle in paths.cycles:
-        d = dims[v - 1]
-        if compose_path(maps, d, cycle) != jordan[d]:
-            return False
-    return True
+    _check_shapes(q, rep)
+    return all(_holds(rep.maps, rep.dims, rel) for rel in paths.relations)
+
+
+def relation_violation(
+    diagram: LinkDiagram,
+    q: Quiver,
+    w: Potential,
+    lat: StateLattice,
+    top: QuiverRep,
+    paths: RelationPaths,
+) -> tuple[int, Relation] | None:
+    """A state whose module violates a Jacobian relation, and the relation.
+
+    Returns None when every state module satisfies every relation.  The
+    walk follows the spanning tree of the first cover into each state, down
+    from the minimal state, whose module gets ``check_relations`` in full.
+    Every other module comes from ``state_module`` and is compared with its
+    parent's, map by map and dimension by dimension: only the relations
+    that read a changed map or start at a changed vertex are composed
+    again, since each other one has the inputs, and so the verdict, of the
+    parent's.  A cover changes the module only at one segment and its four
+    arrows, so each state composes a few relations rather than all of them.
+    ``top`` is T(i), the maximal state's module, which is not built again.
+    """
+    relations, by_arrow, by_vertex = paths
+
+    def module(k: int) -> QuiverRep:
+        return top if k == lat.max_state else state_module(diagram, q, lat, k)
+
+    root = lat.min_state
+    rep = module(root)
+    try:
+        holds = check_relations(rep, q, w, paths)
+    except DiagramError:
+        # a map of the wrong shape: the crossing cycle through it fails
+        holds = False
+    if not holds:
+        return root, next(rel for rel in relations if not _holds(rep.maps, rep.dims, rel))
+    children: list[list[int]] = [[] for _ in range(lat.size)]
+    reached = [False] * lat.size
+    reached[root] = True
+    for a, _j, b in lat.covers:
+        if not reached[b]:
+            reached[b] = True
+            children[a].append(b)
+    # one entry per state still to check, holding its parent's module
+    stack = [(k, rep) for k in children[root]]
+    while stack:
+        k, parent = stack.pop()
+        rep = module(k)
+        todo: set[int] = set()
+        for a in compress(count(), map(ne, rep.maps, parent.maps)):
+            todo.update(by_arrow[a])
+        for v in compress(count(), map(ne, rep.dims, parent.dims)):
+            todo.update(by_vertex[v])
+        for r in sorted(todo):
+            if not _holds(rep.maps, rep.dims, relations[r]):
+                return k, relations[r]
+        stack.extend((child, rep) for child in children[k])
+    return None
 
 
 def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:

@@ -25,13 +25,12 @@ from .reps import (
     QuiverRep,
     RelationPaths,
     SubmoduleLattice,
-    check_relations,
     compute_partition,
     enumerate_submodules,
     lattice_iso_check,
     link_module,
     relation_paths,
-    state_module,
+    relation_violation,
     t_direct,
 )
 from .states import StateLattice, build_lattice, state_sum_alexander
@@ -196,15 +195,19 @@ def _segment_report(
         notes.append(f"partition failed: {exc}")
     relations: bool | None = None
     if paths is not None:
-        # T(i) is the module of the maximal state: reuse it
-        relations = all(
-            check_relations(
-                rep if k == lat.max_state else state_module(diagram, q, lat, k), q, w, paths
+        violation = relation_violation(diagram, q, w, lat, rep, paths)
+        relations = violation is None
+        if violation is not None:
+            k, rel = violation
+            what = (
+                "the crossing cycle from it is not the full shift"
+                if rel.rhs is None
+                else "its two complementary paths act differently"
             )
-            for k in range(lat.size)
-        )
-        if not relations:
-            notes.append("a state module violates the Jacobian relations")
+            notes.append(
+                f"the module of state {k} (height {lat.height_vector(k)}) violates the"
+                f" Jacobian relation of arrow {rel.arrow}: {what}"
+            )
     return SegmentReport(
         segment=i,
         states=lat.size,

@@ -62,7 +62,7 @@ class TestQuiver:
         q1, q2 = build_quiver(fig8), build_quiver(fig8)
         q1.arrow_at_corner(0, 0)
         assert q1 == q2 and hash(q1) == hash(q2)
-        assert "_by_corner" not in repr(q1)
+        assert "by_corner" not in repr(q1)
 
 
 class TestPotential:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotquiver.diagram import DiagramError
+from knotquiver import reps
+from knotquiver.diagram import DiagramError, two_bridge
 from knotquiver.quiver import Arrow, Quiver, build_potential, build_quiver
 from knotquiver.reps import (
     PartialShift,
@@ -20,10 +21,12 @@ from knotquiver.reps import (
     lattice_iso_check,
     link_module,
     relation_paths,
+    relation_violation,
     state_module,
     t_direct,
 )
 from knotquiver.states import build_lattice
+from knotquiver.verify import verify_diagram
 
 from .level_graph import level_graph_report, level_sets
 
@@ -237,6 +240,37 @@ def _random_sequence(lat, state_index, rng):
     return list(reversed(seq))
 
 
+def _crossing_history(diagram, lat, state_index, crossing):
+    """Start corner and the ccw run of segments transposed at a crossing,
+    as an explicit list: the construction ``state_module`` replaced."""
+    k0 = lat.states[lat.min_state][crossing]
+    segs = diagram.crossings[crossing].segments
+    h = lat.heights[state_index]
+    total = sum(h[s - 1] for s in segs)
+    run = [segs[(k0 + 1 + m) % 4] for m in range(total)]
+    for s in set(segs):
+        if run.count(s) != h[s - 1]:
+            raise DiagramError("marker history is inconsistent with heights")
+    if total and lat.states[state_index][crossing] != (k0 + total) % 4:
+        raise DiagramError("marker position disagrees with transposition count")
+    return k0, run
+
+
+def _run_list_module(diagram, q, lat, state_index):
+    """Reference state module from the run lists, one arrow lookup at a time."""
+    dims = lat.heights[state_index]
+    maps = [PartialShift.identity(0)] * len(q.arrows)
+    for c in range(diagram.n):
+        k0, run = _crossing_history(diagram, lat, state_index, c)
+        for k, m in enumerate(reps._crossing_maps(len(run))):
+            maps[q.arrow_at_corner(c, k0 + k).id] = m
+    for a in q.arrows:
+        m = maps[a.id]
+        if (m.rows, m.cols) != (dims[a.tgt - 1], dims[a.src - 1]):
+            raise DiagramError(f"map on arrow {a.id} has the wrong shape")
+    return QuiverRep(dims, tuple(maps))
+
+
 class TestStateModules:
     def test_min_state_zero(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
@@ -314,6 +348,14 @@ class TestStateModules:
         assert by_pair[(18, 9)].to_dense() == ((0, 1),)
         assert by_pair[(9, 18)].to_dense() == ((1,), (0,))
         assert by_pair[(19, 3)].to_dense() == ((0,),)
+
+    def test_equals_run_list_reference(self, corpus_diagrams):
+        for name, d in corpus_diagrams.items():
+            q = build_quiver(d)
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                for k in range(lat.size):
+                    assert state_module(d, q, lat, k) == _run_list_module(d, q, lat, k), (name, i, k)
 
     def test_dims_differ_by_at_most_one(self, corpus_diagrams):
         for d in corpus_diagrams.values():
@@ -672,3 +714,145 @@ class TestRelationsAndIso:
         lone = replace(lat, states=lat.states[:1], heights=(top,), covers=())
         assert lattice_iso_check(replace(lone, heights=bottom.elements), bottom)
         assert not lattice_iso_check(lone, bottom)
+
+    def test_wrong_shape_is_a_typed_error(self, fig8_ctx):
+        fig8, q, w, lats = fig8_ctx
+        rep = link_module(fig8, q, lats[1])
+        raised = QuiverRep(tuple(d + 1 for d in rep.dims), rep.maps)
+        with pytest.raises(DiagramError, match=r"map on arrow \d+ has the wrong shape"):
+            check_relations(raised, q, w)
+
+
+# -- the walk over the state lattice against every module checked in full -------
+
+
+def _all_state_modules_hold(d, q, w, lat):
+    """Reference gate: every state module built and checked in full."""
+    paths = relation_paths(q, w)
+    return all(check_relations(state_module(d, q, lat, k), q, w, paths) for k in range(lat.size))
+
+
+def _walk(d, q, w, lat):
+    return relation_violation(d, q, w, lat, link_module(d, q, lat), relation_paths(q, w))
+
+
+def _tree(lat):
+    """The walk's spanning tree: the first cover into each state; its
+    parent map and the depth of each state."""
+    parent = {}
+    for a, _j, b in lat.covers:
+        parent.setdefault(b, a)
+    depth = {lat.min_state: 0}
+    for k in sorted(range(lat.size), key=lambda k: sum(lat.heights[k])):
+        if k in parent:
+            depth[k] = depth[parent[k]] + 1
+    return parent, depth
+
+
+def _other_map(m):
+    """A partial shift of the same shape as m that differs from it."""
+    zero = PartialShift(m.rows, m.cols, 0, 1, 0)
+    return zero if m != zero else PartialShift(m.rows, m.cols, 0, 1, min(m.rows, m.cols))
+
+
+def _with_map(rep, arrow, m):
+    """The module with the map on one arrow replaced by m."""
+    return QuiverRep(rep.dims, rep.maps[:arrow] + (m,) + rep.maps[arrow + 1:])
+
+
+def _corrupt(monkeypatch, lat, target, arrow, new_map=None):
+    """Make ``state_module`` corrupt one map of one state of ``lat``."""
+    original = reps.state_module
+
+    def corrupted(diagram, q, lat2, k):
+        rep = original(diagram, q, lat2, k)
+        if lat2.base_segment != lat.base_segment or k != target:
+            return rep
+        return _with_map(rep, arrow, _other_map(rep.maps[arrow]) if new_map is None else new_map)
+
+    monkeypatch.setattr(reps, "state_module", corrupted)
+    return corrupted
+
+
+class TestRelationWalk:
+    def test_same_verdict_as_every_module_in_full(self, corpus_diagrams):
+        rng = random.Random(10)
+        cases = list(corpus_diagrams.items())
+        while len(cases) < len(corpus_diagrams) + 6:
+            cf = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            if 3 <= sum(cf) <= 10:
+                cases.append((str(cf), two_bridge(cf)))
+        for name, d in cases:
+            q = build_quiver(d)
+            w = build_potential(d, q)
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                expected = _all_state_modules_hold(d, q, w, lat)
+                assert (_walk(d, q, w, lat) is None) == expected, (name, i)
+
+    def test_corrupt_maps_against_the_full_check(self, corpus_diagrams, monkeypatch):
+        # one map of one state changed to another of the same shape: the walk
+        # and the full check agree, and the walk names a failing relation
+        rng = random.Random(4)
+        verdicts = set()
+        for name in ("two-bridge-27-10", "10_66"):
+            d = corpus_diagrams[name]
+            q = build_quiver(d)
+            w = build_potential(d, q)
+            paths = relation_paths(q, w)
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                for target in rng.sample(range(lat.size), 3):
+                    arrow = rng.randrange(len(q.arrows))
+                    with monkeypatch.context() as m:
+                        corrupted = _corrupt(m, lat, target, arrow)
+                        expected = check_relations(corrupted(d, q, lat, target), q, w, paths)
+                        found = _walk(d, q, w, lat)
+                    verdicts.add(expected)
+                    assert (found is None) == expected, (name, i, target, arrow)
+                    if found is not None:
+                        k, rel = found
+                        rep = corrupted(d, q, lat, k)
+                        assert k == target
+                        assert not reps._holds(rep.maps, rep.dims, rel)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("where", ["minimal", "mid-depth", "leaf", "maximal"])
+    def test_corrupt_state_fails_verify(self, corpus_diagrams, monkeypatch, where):
+        # one map changed to another of the same shape breaks a relation only
+        # in a state with four or more transpositions at some crossing; on
+        # 10_66 segment 1 the first of these is at depth 5 of the walk's tree
+        d = corpus_diagrams["10_66"]
+        q = build_quiver(d)
+        w = build_potential(d, q)
+        lat = build_lattice(d, 1)
+        parent, depth = _tree(lat)
+        inner = set(parent.values())
+        if where == "minimal":
+            # the zero module has only 0 x 0 maps: give one the wrong shape
+            target, arrow, new_map = lat.min_state, 0, PartialShift.identity(1)
+        else:
+            candidates = {
+                "mid-depth": [k for k in inner if depth[k] == max(depth.values()) // 2],
+                "leaf": [k for k in range(lat.size) if k not in inner and k != lat.max_state],
+                "maximal": [lat.max_state],
+            }[where]
+            # the first (state, arrow) whose corruption the full check rejects
+            target, arrow = next(
+                (k, a.id)
+                for k in sorted(candidates)
+                for rep in [state_module(d, q, lat, k)]
+                for a in q.arrows
+                if not check_relations(_with_map(rep, a.id, _other_map(rep.maps[a.id])), q, w)
+            )
+            new_map = None
+        _corrupt(monkeypatch, lat, target, arrow, new_map)
+        report = verify_diagram(d)
+        first, *rest = report.segments
+        assert first.relations_ok is False and not report.ok
+        assert all(s.relations_ok for s in rest)
+        note = (
+            f"the module of state {target} (height {lat.height_vector(target)})"
+            " violates the Jacobian relation of arrow "
+        )
+        assert any(n.startswith(note) for n in first.notes), first.notes
