@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import ne
 from typing import NamedTuple
 
 from .diagram import DiagramError, LinkDiagram
@@ -163,16 +161,22 @@ def _crossing_maps(total: int) -> tuple[PartialShift, ...]:
 
 def _check_shapes(q: Quiver, rep: QuiverRep) -> None:
     dims, maps = rep.dims, rep.maps
+    if len(dims) != len(q.vertices) or len(maps) != len(q.arrows):
+        raise DiagramError("module has the wrong number of dimensions or maps")
     for a in q.arrows:
         m = maps[a.id]
         if m.rows != dims[a.tgt - 1] or m.cols != dims[a.src - 1]:
             raise DiagramError(f"map on arrow {a.id} has the wrong shape")
 
 
-def state_module(
-    diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
-) -> QuiverRep:
-    """The representation M(S) of a Kauffman state S; its dims are S's height.
+def _pattern(total: int) -> tuple[int, int, int, int]:
+    """The heights at slots k0+1 .. k0+4 after ``total`` transpositions."""
+    ell, rem = divmod(total, 4)
+    return (ell + (0 < rem), ell + (1 < rem), ell + (2 < rem), ell)
+
+
+def _crossing_totals(diagram: LinkDiagram, lat: StateLattice, state_index: int) -> list[int]:
+    """The number of transpositions at each crossing on the way to a state.
 
     The marker of a crossing starts at its minimal-state corner k0 and is
     pushed one corner counterclockwise by every transposition at one of
@@ -184,26 +188,40 @@ def state_module(
     """
     dims = lat.heights[state_index]
     state = lat.states[state_index]
-    crossings = diagram.crossings
-    by_corner = q.by_corner
-    # each arrow is the arrow at one corner of a crossing: all are set below
-    maps: list[PartialShift] = [PartialShift.identity(0)] * len(q.arrows)
+    totals = []
     for c, k0 in enumerate(lat.states[lat.min_state]):
-        segs = crossings[c].segments
+        segs = diagram.crossings[c].segments
         run = segs[k0 + 1:] + segs[:k0 + 1]  # the slots k0+1 .. k0+4
         counts = (dims[run[0] - 1], dims[run[1] - 1], dims[run[2] - 1], dims[run[3] - 1])
         total = sum(counts)
-        ell, rem = divmod(total, 4)
-        if counts != (ell + (0 < rem), ell + (1 < rem), ell + (2 < rem), ell):
+        if counts != _pattern(total):
             raise DiagramError("marker history is inconsistent with heights")
         if total and state[c] != (k0 + total) % 4:
             raise DiagramError("marker position disagrees with transposition count")
+        totals.append(total)
+    return totals
+
+
+def state_module(
+    diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
+) -> QuiverRep:
+    """The representation M(S) of a Kauffman state S; its dims are S's height.
+
+    ``_crossing_totals`` checks the heights and markers against the
+    transposition history and counts the transpositions at each crossing,
+    which fix the crossing's four maps.
+    """
+    totals = _crossing_totals(diagram, lat, state_index)
+    by_corner = q.by_corner
+    # each arrow is the arrow at one corner of a crossing: all are set below
+    maps: list[PartialShift] = [PartialShift.identity(0)] * len(q.arrows)
+    for c, (k0, total) in enumerate(zip(lat.states[lat.min_state], totals)):
         # the first transposed segment "a" sits at slot k0+1, and the cycle
         # a->d->c->b->a corresponds to corners k0, k0+1, k0+2, k0+3 in the
         # order delta, alpha, beta, gamma
         for k, m in enumerate(_crossing_maps(total)):
             maps[by_corner[c, (k0 + k) % 4].id] = m
-    rep = QuiverRep(dims, tuple(maps))
+    rep = QuiverRep(lat.heights[state_index], tuple(maps))
     _check_shapes(q, rep)
     return rep
 
@@ -593,22 +611,7 @@ class Relation(NamedTuple):
     rhs: tuple[int, ...] | None
 
 
-class RelationPaths(NamedTuple):
-    """The Jacobian relations of a quiver with potential, indexed for a walk.
-
-    ``by_arrow[a]`` lists the relations whose paths read arrow a, and
-    ``by_vertex[v - 1]`` those with a path that starts at vertex v, as
-    indices into ``relations``.  A relation's verdict on a module depends
-    on nothing else, so a module that differs from a checked one only on
-    some arrows and vertices needs only those relations composed again.
-    """
-
-    relations: tuple[Relation, ...]
-    by_arrow: tuple[tuple[int, ...], ...]
-    by_vertex: tuple[tuple[int, ...], ...]
-
-
-def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
+def relation_paths(q: Quiver, w: Potential) -> tuple[Relation, ...]:
     cycles_with: dict[int, list[tuple[int, ...]]] = {}
     for cyc in list(w.plus) + list(w.minus):
         for aid in cyc:
@@ -629,16 +632,7 @@ def relation_paths(q: Quiver, w: Potential) -> RelationPaths:
         for k in range(len(cyc)):
             v = q.arrows[cyc[k]].src
             relations.append(Relation(cyc[k], v, cyc[k:] + cyc[:k], v, None))
-    by_arrow: list[list[int]] = [[] for _ in q.arrows]
-    by_vertex: list[list[int]] = [[] for _ in q.vertices]
-    for r, (_a, v1, path1, v2, path2) in enumerate(relations):
-        for aid in sorted(set(path1 + (path2 or ()))):
-            by_arrow[aid].append(r)
-        for v in sorted({v1, v2}):
-            by_vertex[v - 1].append(r)
-    return RelationPaths(
-        tuple(relations), tuple(map(tuple, by_arrow)), tuple(map(tuple, by_vertex))
-    )
+    return tuple(relations)
 
 
 _new_tuple = tuple.__new__
@@ -674,94 +668,101 @@ def compose_path(
 
 
 def _holds(maps: tuple[PartialShift, ...], dims: tuple[int, ...], rel: Relation) -> bool:
-    """Does a relation hold on the module with these maps and dimensions?
-
-    A path whose maps do not compose acts as nothing, so its relation fails.
-    """
+    """Does a relation hold on a module whose maps fit its dimensions?"""
     _arrow, v1, lhs, v2, rhs = rel
     d = dims[v1 - 1]
-    try:
-        if rhs is None:
-            return compose_path(maps, d, lhs) == _full_shift(d)
-        return compose_path(maps, d, lhs) == compose_path(maps, dims[v2 - 1], rhs)
-    except ValueError:
-        return False
+    if rhs is None:
+        return compose_path(maps, d, lhs) == _full_shift(d)
+    return compose_path(maps, d, lhs) == compose_path(maps, dims[v2 - 1], rhs)
 
 
-def check_relations(
-    rep: QuiverRep, q: Quiver, w: Potential, paths: RelationPaths | None = None
-) -> bool:
+def check_relations(rep: QuiverRep, q: Quiver, w: Potential) -> bool:
     """Jacobian relations of the potential on a representation.
 
     For every arrow the two complementary paths of its crossing cycle and
     its region cycle must act identically, and every full crossing cycle
     based at a vertex of dimension d must act as the full shift block of
-    size d.  A map whose shape disagrees with ``rep.dims`` raises a
-    ``DiagramError``.  ``paths`` is ``relation_paths(q, w)``, which callers
-    checking many modules of one quiver can compute once.
+    size d.  A module whose dimensions or maps do not fit the quiver, in
+    number or in shape, raises a ``DiagramError``.
     """
-    if paths is None:
-        paths = relation_paths(q, w)
     _check_shapes(q, rep)
-    return all(_holds(rep.maps, rep.dims, rel) for rel in paths.relations)
+    return all(_holds(rep.maps, rep.dims, rel) for rel in relation_paths(q, w))
+
+
+def _violated(rep: QuiverRep, q: Quiver, w: Potential) -> Relation | None:
+    """The first relation that fails on a module checked in full, if any."""
+    if check_relations(rep, q, w):
+        return None
+    return next(rel for rel in relation_paths(q, w) if not _holds(rep.maps, rep.dims, rel))
+
+
+def _leading(m: PartialShift, rows: int, cols: int) -> PartialShift | None:
+    """The top-left rows x cols block of m (rows <= m.rows, cols <= m.cols),
+    or None unless m carries the first ``cols`` basis vectors into the first ``rows``."""
+    hi = min(m.hi, cols)
+    if m.lo <= hi and hi - m.o > rows:
+        return None
+    return PartialShift(rows, cols, m.o, m.lo, hi)
+
+
+def _crossing_tables(
+    diagram: LinkDiagram, q: Quiver, lat: StateLattice, top: QuiverRep
+) -> list[set[int]]:
+    """Per crossing, the totals t <= T_c (its total in the maximal state)
+    for which the leading restriction of T(i)'s four maps there is
+    invariant and is ``_crossing_maps(t)``.  The arrow at corner k0+k runs
+    from slot k0+k+1 to slot k0+k, so it restricts to the heights at those
+    two slots."""
+    tables = []
+    for c, k0 in enumerate(lat.states[lat.min_state]):
+        maps = [top.maps[q.by_corner[c, (k0 + k) % 4].id] for k in range(4)]
+        t_max = sum(top.dims[j - 1] for j in diagram.crossings[c].segments)
+        tables.append({
+            t
+            for t in range(t_max + 1)
+            for h in [_pattern(t)]
+            if all(
+                _leading(m, h[k - 1], h[k]) == want
+                for k, (m, want) in enumerate(zip(maps, _crossing_maps(t)))
+            )
+        })
+    return tables
 
 
 def relation_violation(
-    diagram: LinkDiagram,
-    q: Quiver,
-    w: Potential,
-    lat: StateLattice,
-    top: QuiverRep,
-    paths: RelationPaths,
+    diagram: LinkDiagram, q: Quiver, w: Potential, lat: StateLattice, top: QuiverRep
 ) -> tuple[int, Relation] | None:
     """A state whose module violates a Jacobian relation, and the relation.
 
-    Returns None when every state module satisfies every relation.  The
-    walk follows the spanning tree of the first cover into each state, down
-    from the minimal state, whose module gets ``check_relations`` in full.
-    Every other module comes from ``state_module`` and is compared with its
-    parent's, map by map and dimension by dimension: only the relations
-    that read a changed map or start at a changed vertex are composed
-    again, since each other one has the inputs, and so the verdict, of the
-    parent's.  A cover changes the module only at one segment and its four
-    arrows, so each state composes a few relations rather than all of them.
-    ``top`` is T(i), the maximal state's module, which is not built again.
+    Returns None when every state module satisfies every relation.  ``top``
+    is T(i), the maximal state's module, checked in full.  Every other
+    module M(S) is checked as a submodule of T(i):
+
+    - T(i) satisfies the relations;
+    - the span of the first h_j basis vectors at each segment j, with h the
+      height of S, is invariant under T(i)'s maps, and M(S) is T(i)
+      restricted to it;
+    - so M(S) satisfies every relation (Derksen, Weyman and Zelevinsky:
+      a subrepresentation of a Jacobian-algebra module is one).  A path
+      composed in M(S) is the restriction of that path in T(i), so paths
+      equal in T(i) are equal in M(S), and a crossing cycle acting as J(D)
+      in T(i) acts as the leading d x d block of J(D), which is J(d).
+
+    The restriction at a crossing depends only on its total, so
+    ``_crossing_tables`` checks the second fact once per crossing and
+    total, and a state whose totals are all in their tables passes: O(n)
+    integer work per state.  A state that misses a table is built with
+    ``state_module`` and checked in full, so the verdict is that of
+    checking every state module in full.
     """
-    relations, by_arrow, by_vertex = paths
-
-    def module(k: int) -> QuiverRep:
-        return top if k == lat.max_state else state_module(diagram, q, lat, k)
-
-    root = lat.min_state
-    rep = module(root)
-    try:
-        holds = check_relations(rep, q, w, paths)
-    except DiagramError:
-        # a map of the wrong shape: the crossing cycle through it fails
-        holds = False
-    if not holds:
-        return root, next(rel for rel in relations if not _holds(rep.maps, rep.dims, rel))
-    children: list[list[int]] = [[] for _ in range(lat.size)]
-    reached = [False] * lat.size
-    reached[root] = True
-    for a, _j, b in lat.covers:
-        if not reached[b]:
-            reached[b] = True
-            children[a].append(b)
-    # one entry per state still to check, holding its parent's module
-    stack = [(k, rep) for k in children[root]]
-    while stack:
-        k, parent = stack.pop()
-        rep = module(k)
-        todo: set[int] = set()
-        for a in compress(count(), map(ne, rep.maps, parent.maps)):
-            todo.update(by_arrow[a])
-        for v in compress(count(), map(ne, rep.dims, parent.dims)):
-            todo.update(by_vertex[v])
-        for r in sorted(todo):
-            if not _holds(rep.maps, rep.dims, relations[r]):
-                return k, relations[r]
-        stack.extend((child, rep) for child in children[k])
+    if (bad := _violated(top, q, w)) is not None:
+        return lat.max_state, bad
+    tables = _crossing_tables(diagram, q, lat, top)
+    for k in range(lat.size):
+        totals = _crossing_totals(diagram, lat, k)
+        if any(t not in table for t, table in zip(totals, tables)):
+            if (bad := _violated(state_module(diagram, q, lat, k), q, w)) is not None:
+                return k, bad
     return None
 
 

@@ -4,10 +4,11 @@ Runs, for every diagram and every segment, the full pipeline and all
 cross-checks: the three Alexander computations must agree up to signed
 powers of t, the Kauffman state lattice must be isomorphic to the
 submodule lattice of T(i), every state module must satisfy the Jacobian
-relations, and the structural counts must hold.  Every caller runs the
-per-segment chain, state lattice -> T(i) -> submodule lattice ->
-F-polynomial -> specialization, through ``run_segment``.  Verification
-neither reads nor writes the result cache.
+relations (T(i) is checked once, and each state module as the leading
+submodule of T(i) that its height cuts out), and the structural counts
+must hold.  Every caller runs the per-segment chain, state lattice ->
+T(i) -> submodule lattice -> F-polynomial -> specialization, through
+``run_segment``.  Verification neither reads nor writes the result cache.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .diagram import DiagramError, LinkDiagram
 from .reps import (
     PartitionUndefinedError,
     QuiverRep,
-    RelationPaths,
     SubmoduleLattice,
     compute_partition,
     enumerate_submodules,
     lattice_iso_check,
     link_module,
-    relation_paths,
     relation_violation,
     t_direct,
 )
@@ -163,9 +162,9 @@ def _segment_report(
     diagram: LinkDiagram,
     q: Quiver,
     w: Potential,
-    paths: RelationPaths | None,
     det: LaurentPoly,
     i: int,
+    check_all_states: bool,
 ) -> SegmentReport:
     notes: list[str] = []
     lat, rep, ml, f, spec = run_segment(diagram, q, i)
@@ -194,8 +193,8 @@ def _segment_report(
         part_ok = False
         notes.append(f"partition failed: {exc}")
     relations: bool | None = None
-    if paths is not None:
-        violation = relation_violation(diagram, q, w, lat, rep, paths)
+    if check_all_states:
+        violation = relation_violation(diagram, q, w, lat, rep)
         relations = violation is None
         if violation is not None:
             k, rel = violation
@@ -250,10 +249,9 @@ def verify_diagram(
             shown = "0" if det.is_zero else det.normalize().render()
             expected_note = f"expected {wanted.render()}, computed {shown}"
 
-    # the relation paths depend only on (q, w): build them once for all states
-    paths = relation_paths(q, w) if check_all_states else None
     segments = [
-        _segment_report(diagram, q, w, paths, det, i) for i in diagram.segment_ids()
+        _segment_report(diagram, q, w, det, i, check_all_states)
+        for i in diagram.segment_ids()
     ]
     # the state sum of the first segment stands for the diagram
     statesum = segments[0].statesum

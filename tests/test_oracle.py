@@ -1,6 +1,6 @@
 import pytest
 
-from knotquiver.diagram import DiagramError, two_bridge
+from knotquiver.diagram import DiagramError, continued_fraction_value, two_bridge
 from knotquiver.oracle import alexander_det, build_matrix
 from knotquiver.poly import LaurentPoly
 from knotquiver.states import enumerate_states, state_sum_alexander
@@ -70,6 +70,33 @@ class TestDeterminant:
         # Conway polynomial z^4, so Delta = (t - 1)^4 / t^2 up to units
         assert det.dot_eq(t([1, -4, 6, -4, 1]))
         assert det.dot_eq(state_sum_alexander(d, enumerate_states(d, 1)))
+
+
+def _compositions(n):
+    """Every sequence of positive integers with sum n."""
+    if n == 0:
+        yield []
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield [first, *rest]
+
+
+class TestClosedForms:
+    def test_two_bridge_determinant(self):
+        # b(p, q) has |Delta(-1)| = p, the order of H_1 of its double
+        # branched cover L(p, q); at s = i, t = s**2 = -1, and s**e = i**e
+        units = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        count = 0
+        for n in range(2, 10):
+            for cf in _compositions(n):
+                p, _q = continued_fraction_value(cf)
+                re = im = 0
+                for e, c in alexander_det(two_bridge(cf)).terms.items():
+                    re += c * units[e % 4][0]
+                    im += c * units[e % 4][1]
+                assert re * re + im * im == p * p, cf
+                count += 1
+        assert count == 510
 
 
 class TestTheorem1Report:

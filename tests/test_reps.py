@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotquiver import reps
+from knotquiver import reps, verify
 from knotquiver.diagram import DiagramError, two_bridge
 from knotquiver.quiver import Arrow, Quiver, build_potential, build_quiver
 from knotquiver.reps import (
@@ -20,7 +20,6 @@ from knotquiver.reps import (
     enumerate_submodules,
     lattice_iso_check,
     link_module,
-    relation_paths,
     relation_violation,
     state_module,
     t_direct,
@@ -168,6 +167,21 @@ class TestAgainstDense:
                 m.kind()
         else:
             assert m.kind() == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_leading_block(self, data):
+        # the relation gate's restriction: the top-left block of the dense
+        # matrix, or None when a leading column has a 1 below its rows
+        m = data.draw(_shifts())
+        rows, cols = data.draw(st.integers(0, m.rows)), data.draw(st.integers(0, m.cols))
+        dense = m.to_dense()
+        block = reps._leading(m, rows, cols)
+        if any(any(row[:cols]) for row in dense[rows:]):
+            assert block is None
+        else:
+            assert block.to_dense() == tuple(row[:cols] for row in dense[:rows])
+            assert (block.rows, block.cols) == (rows, cols)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -356,6 +370,25 @@ class TestStateModules:
                 lat = build_lattice(d, i)
                 for k in range(lat.size):
                     assert state_module(d, q, lat, k) == _run_list_module(d, q, lat, k), (name, i, k)
+
+    def test_leading_submodule_of_t(self, corpus_diagrams):
+        # M(S) is T(i) restricted to the first h_j basis vectors at each
+        # segment j, h the height of S, and that span is invariant under T(i)
+        for name, d in corpus_diagrams.items():
+            q = build_quiver(d)
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                top = [m.to_dense() for m in link_module(d, q, lat).maps]
+                dense = {}
+                for k, h in enumerate(lat.heights):
+                    maps = state_module(d, q, lat, k).maps
+                    for a in q.arrows:
+                        rows, cols, m = h[a.tgt - 1], h[a.src - 1], maps[a.id]
+                        if m not in dense:
+                            dense[m] = m.to_dense()
+                        block = tuple(r[:cols] for r in top[a.id][:rows])
+                        assert dense[m] == block, (name, i, k, a.id)
+                        assert not any(any(r[:cols]) for r in top[a.id][rows:]), (name, i, k, a.id)
 
     def test_dims_differ_by_at_most_one(self, corpus_diagrams):
         for d in corpus_diagrams.values():
@@ -668,15 +701,6 @@ class TestRelationsAndIso:
         assert broken[victim.id].to_dense() == ((0,),)
         mutant = QuiverRep(rep.dims, tuple(broken))
         assert not check_relations(mutant, q, w)
-        assert not check_relations(mutant, q, w, relation_paths(q, w))
-
-    def test_shared_paths_agree_with_fresh(self, fig8_ctx):
-        fig8, q, w, lats = fig8_ctx
-        paths = relation_paths(q, w)
-        for k in range(lats[2].size):
-            rep = state_module(fig8, q, lats[2], k)
-            assert check_relations(rep, q, w, paths)
-            assert check_relations(rep, q, w)
 
     def test_zero_rep_satisfies(self, fig8_ctx):
         fig8, q, w, lats = fig8_ctx
@@ -721,32 +745,31 @@ class TestRelationsAndIso:
         raised = QuiverRep(tuple(d + 1 for d in rep.dims), rep.maps)
         with pytest.raises(DiagramError, match=r"map on arrow \d+ has the wrong shape"):
             check_relations(raised, q, w)
+        # too few maps, and one dimension and one map more than the quiver has
+        short = QuiverRep(rep.dims, rep.maps[:-1])
+        long = QuiverRep(rep.dims + (0,), rep.maps + rep.maps[:1])
+        for mutant in (short, long):
+            with pytest.raises(DiagramError, match="wrong number of dimensions or maps"):
+                check_relations(mutant, q, w)
 
 
-# -- the walk over the state lattice against every module checked in full -------
+# -- the submodule-embedding gate against every module checked in full ----------
 
 
 def _all_state_modules_hold(d, q, w, lat):
     """Reference gate: every state module built and checked in full."""
-    paths = relation_paths(q, w)
-    return all(check_relations(state_module(d, q, lat, k), q, w, paths) for k in range(lat.size))
+    return all(check_relations(state_module(d, q, lat, k), q, w) for k in range(lat.size))
 
 
-def _walk(d, q, w, lat):
-    return relation_violation(d, q, w, lat, link_module(d, q, lat), relation_paths(q, w))
+def _first_failing(d, q, w, lat):
+    """The state the gate must name: the maximal state if T(i) fails, else
+    the first state, in index order, whose module fails in full."""
+    order = [lat.max_state, *range(lat.size)]
+    return next(k for k in order if not check_relations(state_module(d, q, lat, k), q, w))
 
 
-def _tree(lat):
-    """The walk's spanning tree: the first cover into each state; its
-    parent map and the depth of each state."""
-    parent = {}
-    for a, _j, b in lat.covers:
-        parent.setdefault(b, a)
-    depth = {lat.min_state: 0}
-    for k in sorted(range(lat.size), key=lambda k: sum(lat.heights[k])):
-        if k in parent:
-            depth[k] = depth[parent[k]] + 1
-    return parent, depth
+def _gate(d, q, w, lat):
+    return relation_violation(d, q, w, lat, link_module(d, q, lat))
 
 
 def _other_map(m):
@@ -760,8 +783,24 @@ def _with_map(rep, arrow, m):
     return QuiverRep(rep.dims, rep.maps[:arrow] + (m,) + rep.maps[arrow + 1:])
 
 
-def _corrupt(monkeypatch, lat, target, arrow, new_map=None):
-    """Make ``state_module`` corrupt one map of one state of ``lat``."""
+def _corrupt_crossing_maps(monkeypatch, total, corner):
+    """Make ``_crossing_maps`` change the map at one corner, keeping its
+    shape, after ``total`` transpositions at a crossing."""
+    original = reps._crossing_maps
+
+    def corrupted(t):
+        maps = original(t)
+        if t != total:
+            return maps
+        return maps[:corner] + (_other_map(maps[corner]),) + maps[corner + 1:]
+
+    monkeypatch.setattr(reps, "_crossing_maps", corrupted)
+
+
+def _corrupt_state(monkeypatch, lat, target, arrow, new_map=None):
+    """Make ``state_module`` change one map of one state of ``lat``, and
+    empty every crossing table, so that the gate checks each state in full
+    and meets the changed module wherever it sits in the lattice."""
     original = reps.state_module
 
     def corrupted(diagram, q, lat2, k):
@@ -771,10 +810,14 @@ def _corrupt(monkeypatch, lat, target, arrow, new_map=None):
         return _with_map(rep, arrow, _other_map(rep.maps[arrow]) if new_map is None else new_map)
 
     monkeypatch.setattr(reps, "state_module", corrupted)
-    return corrupted
+    monkeypatch.setattr(
+        reps, "_crossing_tables", lambda diagram, q, lat2, top: [set() for _ in diagram.crossings]
+    )
 
 
 class TestRelationWalk:
+    """``relation_violation``: T(i) in full, then each state's embedding."""
+
     def test_same_verdict_as_every_module_in_full(self, corpus_diagrams):
         rng = random.Random(10)
         cases = list(corpus_diagrams.items())
@@ -788,56 +831,84 @@ class TestRelationWalk:
             for i in d.segment_ids():
                 lat = build_lattice(d, i)
                 expected = _all_state_modules_hold(d, q, w, lat)
-                assert (_walk(d, q, w, lat) is None) == expected, (name, i)
+                assert (_gate(d, q, w, lat) is None) == expected, (name, i)
 
     def test_corrupt_maps_against_the_full_check(self, corpus_diagrams, monkeypatch):
-        # one map of one state changed to another of the same shape: the walk
-        # and the full check agree, and the walk names a failing relation
+        # the maps of every crossing with one total changed at one corner,
+        # in T(i) as in every state module: a state below T(i) that misses
+        # its table is checked in full, and the gate names the same state
+        # as the reference, with a relation that fails on its module
         rng = random.Random(4)
-        verdicts = set()
+        verdicts, below_top = set(), set()
         for name in ("two-bridge-27-10", "10_66"):
             d = corpus_diagrams[name]
             q = build_quiver(d)
             w = build_potential(d, q)
-            paths = relation_paths(q, w)
-            for i in d.segment_ids():
-                lat = build_lattice(d, i)
-                for target in rng.sample(range(lat.size), 3):
-                    arrow = rng.randrange(len(q.arrows))
-                    with monkeypatch.context() as m:
-                        corrupted = _corrupt(m, lat, target, arrow)
-                        expected = check_relations(corrupted(d, q, lat, target), q, w, paths)
-                        found = _walk(d, q, w, lat)
-                    verdicts.add(expected)
-                    assert (found is None) == expected, (name, i, target, arrow)
-                    if found is not None:
-                        k, rel = found
-                        rep = corrupted(d, q, lat, k)
-                        assert k == target
-                        assert not reps._holds(rep.maps, rep.dims, rel)
+            for total, corner in rng.sample(list(product(range(1, 7), range(4))), 3):
+                with monkeypatch.context() as m:
+                    _corrupt_crossing_maps(m, total, corner)
+                    for i in d.segment_ids():
+                        lat = build_lattice(d, i)
+                        expected = _all_state_modules_hold(d, q, w, lat)
+                        found = _gate(d, q, w, lat)
+                        verdicts.add(expected)
+                        assert (found is None) == expected, (name, total, corner, i)
+                        if found is not None:
+                            k, rel = found
+                            rep = state_module(d, q, lat, k)
+                            assert k == _first_failing(d, q, w, lat)
+                            assert not reps._holds(rep.maps, rep.dims, rel)
+                            below_top.add(k != lat.max_state)
         assert verdicts == {True, False}
+        assert True in below_top
 
-    @pytest.mark.parametrize("where", ["minimal", "mid-depth", "leaf", "maximal"])
+    def test_corrupt_top_is_named(self, fig8_ctx):
+        # any map of T(i) changed so that T(i) fails: the gate names the
+        # maximal state and a relation that fails on the corrupted T(i)
+        fig8, q, w, lats = fig8_ctx
+        failed = 0
+        for lat in lats.values():
+            top = link_module(fig8, q, lat)
+            for a in q.arrows:
+                mutant = _with_map(top, a.id, _other_map(top.maps[a.id]))
+                if not check_relations(mutant, q, w):
+                    failed += 1
+                    k, rel = relation_violation(fig8, q, w, lat, mutant)
+                    assert k == lat.max_state
+                    assert not reps._holds(mutant.maps, mutant.dims, rel)
+        assert failed
+
+    @pytest.mark.parametrize(
+        "where", ["minimal", "mid-depth", "leaf", "crossing-maps", "maximal"]
+    )
     def test_corrupt_state_fails_verify(self, corpus_diagrams, monkeypatch, where):
-        # one map changed to another of the same shape breaks a relation only
-        # in a state with four or more transpositions at some crossing; on
-        # 10_66 segment 1 the first of these is at depth 5 of the walk's tree
+        # 10_66 segment 1 fails, and its note names the state and the arrow:
+        # - minimal, mid-depth, leaf: one map of the minimal state, of a state
+        #   of half the maximal height, or of a state that only T(i) covers,
+        #   with every crossing table empty so that the state is checked in full
+        # - crossing-maps: below T(i), through a crossing table that misses
+        # - maximal: at T(i) itself
         d = corpus_diagrams["10_66"]
         q = build_quiver(d)
         w = build_potential(d, q)
         lat = build_lattice(d, 1)
-        parent, depth = _tree(lat)
-        inner = set(parent.values())
         if where == "minimal":
-            # the zero module has only 0 x 0 maps: give one the wrong shape
-            target, arrow, new_map = lat.min_state, 0, PartialShift.identity(1)
-        else:
+            # the zero module has only 0 x 0 maps: one of the wrong shape is
+            # an error of the module, not a relation that fails
+            _corrupt_state(monkeypatch, lat, lat.min_state, 0, PartialShift.identity(1))
+            with pytest.raises(DiagramError, match="map on arrow 0 has the wrong shape"):
+                verify_diagram(d)
+            return
+        if where in ("mid-depth", "leaf"):
+            rank = [sum(h) for h in lat.heights]
+            above = {k: set() for k in range(lat.size)}
+            for a, _j, b in lat.covers:
+                above[a].add(b)
             candidates = {
-                "mid-depth": [k for k in inner if depth[k] == max(depth.values()) // 2],
-                "leaf": [k for k in range(lat.size) if k not in inner and k != lat.max_state],
-                "maximal": [lat.max_state],
+                "mid-depth": [k for k in range(lat.size) if rank[k] == rank[lat.max_state] // 2],
+                "leaf": [k for k in range(lat.size) if above[k] == {lat.max_state}],
             }[where]
-            # the first (state, arrow) whose corruption the full check rejects
+            # the first (state, arrow) whose changed map the full check rejects
             target, arrow = next(
                 (k, a.id)
                 for k in sorted(candidates)
@@ -845,12 +916,33 @@ class TestRelationWalk:
                 for a in q.arrows
                 if not check_relations(_with_map(rep, a.id, _other_map(rep.maps[a.id])), q, w)
             )
-            new_map = None
-        _corrupt(monkeypatch, lat, target, arrow, new_map)
+            _corrupt_state(monkeypatch, lat, target, arrow)
+        elif where == "crossing-maps":
+            # a corruption that T(i) survives, so a state below it fails
+            _corrupt_crossing_maps(monkeypatch, 3, 1)
+            target = _first_failing(d, q, w, lat)
+            assert target != lat.max_state
+        else:
+            top = link_module(d, q, lat)
+            # the first arrow whose changed map makes T(i) fail
+            bad = next(
+                mutant
+                for a in q.arrows
+                for mutant in [_with_map(top, a.id, _other_map(top.maps[a.id]))]
+                if not check_relations(mutant, q, w)
+            )
+            original = verify.link_module
+
+            def corrupted(diagram, q2, lat2):
+                return bad if lat2.base_segment == 1 else original(diagram, q2, lat2)
+
+            monkeypatch.setattr(verify, "link_module", corrupted)
+            target = lat.max_state
         report = verify_diagram(d)
         first, *rest = report.segments
         assert first.relations_ok is False and not report.ok
-        assert all(s.relations_ok for s in rest)
+        if where != "crossing-maps":
+            assert all(s.relations_ok for s in rest)
         note = (
             f"the module of state {target} (height {lat.height_vector(target)})"
             " violates the Jacobian relation of arrow "
