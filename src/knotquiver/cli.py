@@ -8,7 +8,6 @@ entry).  Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cache import RunCache
@@ -20,6 +19,7 @@ from .diagram import (
     parse_valid_pd,
     two_bridge,
 )
+from .jsontext import json_text
 from .oracle import alexander_det
 from .poly import LaurentPoly
 from .quiver import build_potential, build_quiver, export, reduce_two_cycles
@@ -95,8 +95,7 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
             }
             for i, f, spec in rows
         ]
-        json.dump(data, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(data) + "\n")
         return 0
     for i, f, spec in rows:
         top = "*".join(f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in f.top_term())
@@ -175,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_two_bridge(args: argparse.Namespace) -> int:
     cf = _parse_cf(args.cf)
-    diagram = two_bridge(cf)
+    diagram = two_bridge(cf).require_valid()
     num, den = continued_fraction_value(cf)
     kind = "knot" if diagram.components == 1 else f"link ({diagram.components} components)"
     print(f"K{cf}: {diagram.n} crossings, continued fraction {num}/{den}, {kind}")

@@ -229,6 +229,13 @@ class LinkDiagram:
                 notes.append(f"segment {seg.id} has the same region on both sides")
         return ValidationReport(curl_free, connected, euler_ok, notes)
 
+    def require_valid(self) -> "LinkDiagram":
+        """This diagram, or DiagramError naming every failed check."""
+        report = self.validate()
+        if not report.ok:
+            raise DiagramError("invalid diagram: " + "; ".join(report.notes))
+        return self
+
     # -- serialization --------------------------------------------------------
 
     def to_pd(self) -> str:
@@ -387,11 +394,7 @@ def parse_pd(text: str) -> LinkDiagram:
 
 def parse_valid_pd(text: str) -> LinkDiagram:
     """``parse_pd``, raising DiagramError unless the diagram validates."""
-    diagram = parse_pd(text)
-    report = diagram.validate()
-    if not report.ok:
-        raise DiagramError("invalid diagram: " + "; ".join(report.notes))
-    return diagram
+    return parse_pd(text).require_valid()
 
 
 # -- programmatic construction (wiring level) ---------------------------------

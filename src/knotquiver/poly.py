@@ -1,60 +1,61 @@
-"""Exact sparse polynomials.
+"""Exact polynomials.
 
 Two types are used throughout the package:
 
 * ``MultiPoly`` -- the F-polynomial: a generating function over a lattice
   in variables ``y_1, ..., y_m`` (one variable per segment of a diagram),
-  with one monomial per lattice element.  A lattice element enters as a
-  dense exponent tuple whose entry k - 1 is the exponent of ``y_k``: the
-  form in which state heights and submodule dimension vectors are stored
-  (over the sorted segment ids 1..2n), and the rows of ``to_json``.  It is
-  built, compared, queried, specialized and serialized, but it has no
-  ring operations.
+  with one monomial per lattice element.  A monomial is its dense
+  exponent tuple, whose entry k - 1 is the exponent of ``y_k``: the form
+  in which state heights and submodule dimension vectors are stored (over
+  the sorted segment ids 1..2n), and the rows of ``to_json``.  So the
+  lattice's tuples are the keys of ``terms`` as they are.  The sparse
+  ``((variable, exponent), ...)`` view is derived only to sort and to
+  print.  F is built, compared, queried, specialized and serialized, but
+  it has no ring operations.
 
-* ``LaurentPoly`` -- integer Laurent polynomials in a single variable
-  ``s`` with the convention ``s**2 == t``.  Working in ``s`` keeps the
-  half-integer powers of ``t`` that appear in state sums inside one ring;
-  a value is printed in ``t`` only when every ``s``-exponent is even.
-  This is the only ring: the region-matrix determinant adds, multiplies
-  and divides its entries.
+* ``LaurentPoly`` -- sparse integer Laurent polynomials in a single
+  variable ``s`` with the convention ``s**2 == t``.  Working in ``s``
+  keeps the half-integer powers of ``t`` that appear in state sums inside
+  one ring; a value is printed in ``t`` only when every ``s``-exponent is
+  even.  This is the only ring: the region-matrix determinant adds,
+  multiplies and divides its entries.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, compress
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-# Inside a polynomial a monomial is stored sparsely as sorted
-# ((variable, exponent), ...) tuples; variables are 1-based segment ids.
+# A dense exponent vector over y_1..y_nvars: the key of a MultiPoly term.
+Exponents = tuple[int, ...]
+# The sparse view of a monomial, sorted ((variable, exponent), ...) pairs
+# with 1-based variables; the order in which terms are printed and written.
 Monomial = tuple[tuple[int, int], ...]
 
 
-def _dense_monomial(nvars: int, exps: Sequence[int]) -> Monomial:
-    """The monomial of a dense exponent vector over y_1..y_nvars."""
-    if len(exps) != nvars:
-        raise ValueError(f"exponent vector of length {len(exps)}, expected {nvars}")
-    # from a list, not a generator: tuple() of a generator over-allocates,
-    # and one F holds a monomial per submodule
-    return tuple([(v, e) for v, e in enumerate(exps, 1) if e])
+def _sparse(exps: Exponents) -> Monomial:
+    return tuple(compress(enumerate(exps, 1), exps))
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+def _check_lengths(nvars: int, vectors: Iterable[Exponents]) -> None:
+    wrong = set(map(len, vectors)) - {nvars}
+    if wrong:
+        raise ValueError(f"exponent vector of length {min(wrong)}, expected {nvars}")
 
 
 class MultiPoly:
-    """Sparse polynomial in y_1..y_nvars with integer coefficients (no ring operations)."""
+    """Polynomial in y_1..y_nvars with integer coefficients, keyed by dense
+    exponent tuples (no ring operations)."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
         self.nvars = nvars
-        self.terms: dict[Monomial, int] = {}
-        if terms:
-            for mono, coef in terms.items():
-                if coef:
-                    self.terms[mono] = coef
+        self.terms: dict[Exponents, int] = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -62,13 +63,13 @@ class MultiPoly:
     def from_vectors(cls, nvars: int, vectors: Iterable[Sequence[int]]) -> "MultiPoly":
         """Sum of ``y**vec`` over dense exponent vectors of length ``nvars``.
 
-        Each vector contributes coefficient 1; repeated vectors add up.
+        Each vector contributes coefficient 1; repeated vectors add up.  A
+        tuple is stored as it is.
         """
-        terms: dict[Monomial, int] = {}
-        for vec in vectors:
-            mono = _dense_monomial(nvars, vec)
-            terms[mono] = terms.get(mono, 0) + 1
-        return cls(nvars, terms)
+        f = cls(nvars)
+        f.terms = dict(Counter(map(tuple, vectors)))
+        _check_lengths(nvars, f.terms)
+        return f
 
     # -- queries -------------------------------------------------------
 
@@ -84,24 +85,25 @@ class MultiPoly:
         return len(self.terms)
 
     def constant_term(self) -> int:
-        return self.terms.get((), 0)
+        return self.terms.get((0,) * self.nvars, 0)
 
     def coefficients(self) -> list[int]:
-        return [c for _, c in sorted(self.terms.items())]
+        """The coefficients, in no particular order."""
+        return list(self.terms.values())
 
     def top_term(self) -> Monomial:
-        """Monomial of maximal total degree (must be unique)."""
+        """Sparse monomial of maximal total degree (must be unique)."""
         if not self.terms:
             raise ValueError("zero polynomial has no top term")
-        top = max(self.terms, key=lambda m: (_mono_degree(m), m))
-        deg = _mono_degree(top)
-        if sum(1 for m in self.terms if _mono_degree(m) == deg) > 1:
+        degrees = list(map(sum, self.terms))
+        deg = max(degrees)
+        if degrees.count(deg) > 1:
             raise ValueError("top total degree is not attained uniquely")
-        return top
+        return _sparse(list(self.terms)[degrees.index(deg)])
 
     def evaluate_at_minus_one(self) -> int:
         """Value at y_j = -1 for all j."""
-        return sum(c * (-1) ** (_mono_degree(m) % 2) for m, c in self.terms.items())
+        return sum(-c if sum(e) % 2 else c for e, c in self.terms.items())
 
     # -- specialization -----------------------------------------------
 
@@ -110,34 +112,36 @@ class MultiPoly:
 
         The substitution used for link diagrams sends a segment variable
         to ``-t``, ``-t**-1`` or ``-1`` depending on its over/under class,
-        i.e. to ``-s**2``, ``-s**-2`` or ``-s**0``.
+        i.e. to ``-s**2``, ``-s**-2`` or ``-s**0``.  A monomial's exponent
+        of s is the dot product of its vector with these exponents, and
+        its sign is the parity of its degree.  A variable without an
+        exponent raises KeyError if some term uses it.
         """
+        weights = []
+        for var in range(1, self.nvars + 1):
+            w = s_exponents.get(var)
+            if w is None:
+                if any(e[var - 1] for e in self.terms):
+                    raise KeyError(f"no specialization for variable y_{var}")
+                w = 0
+            weights.append(w)
         out: dict[int, int] = {}
-        for mono, coef in self.terms.items():
-            total = _mono_degree(mono)
-            exp = 0
-            for var, e in mono:
-                try:
-                    exp += e * s_exponents[var]
-                except KeyError:
-                    raise KeyError(f"no specialization for variable y_{var}") from None
-            c = out.get(exp, 0) + coef * (-1) ** (total % 2)
-            if c:
-                out[exp] = c
-            else:
-                out.pop(exp, None)
+        for e, coef in self.terms.items():
+            exp = sum(map(mul, e, weights))
+            out[exp] = out.get(exp, 0) + (-coef if sum(e) % 2 else coef)
         return LaurentPoly(out)
 
     # -- rendering / serialization ------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda mc: (_mono_degree(mc[0]), mc[0]))
+    def _sorted_terms(self) -> list[tuple[int, Monomial, Exponents, int]]:
+        """(degree, sparse monomial, exponents, coefficient), sorted."""
+        return sorted((sum(e), _sparse(e), e, c) for e, c in self.terms.items())
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for mono, coef in self._sorted_terms():
+        for _deg, mono, _e, coef in self._sorted_terms():
             factors = [
                 f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in mono
             ]
@@ -153,21 +157,29 @@ class MultiPoly:
         return " ".join(parts)
 
     def to_json(self) -> dict:
-        rows = []
-        for mono, coef in self._sorted_terms():
-            dense = [0] * self.nvars
-            for v, e in mono:
-                dense[v - 1] = e
-            rows.append({"exp": dense, "coef": coef})
+        rows = [{"exp": e, "coef": c} for _deg, _mono, e, c in self._sorted_terms()]
         return {"nvars": self.nvars, "terms": rows}
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
+        """Inverse of ``to_json``; repeated rows add up.
+
+        Raises ValueError unless ``nvars`` and every coefficient are ints
+        and every exponent is a non-negative int of the right count (a
+        bool is not an int here).
+        """
         nvars = data["nvars"]
-        terms: dict[Monomial, int] = {}
-        for row in data["terms"]:
-            mono = _dense_monomial(nvars, row["exp"])
-            terms[mono] = terms.get(mono, 0) + row["coef"]
+        exps = [tuple(row["exp"]) for row in data["terms"]]
+        coefs = [row["coef"] for row in data["terms"]]
+        entries = list(chain.from_iterable(exps))
+        if {type(nvars), *map(type, entries), *map(type, coefs)} - {int}:
+            raise ValueError("exponents and coefficients must be ints")
+        if entries and min(entries) < 0:
+            raise ValueError("exponents must be non-negative")
+        _check_lengths(nvars, exps)
+        terms: dict[Exponents, int] = {}
+        for e, c in zip(exps, coefs):
+            terms[e] = terms.get(e, 0) + c
         return cls(nvars, terms)
 
     def __repr__(self) -> str:
@@ -347,7 +359,11 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({e: c for e, c in data["s_terms"]})
+        """Inverse of ``to_json``; ValueError unless every entry is an int."""
+        terms = {e: c for e, c in data["s_terms"]}
+        if {*map(type, terms), *map(type, terms.values())} - {int}:
+            raise ValueError("exponents and coefficients must be ints")
+        return cls(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"

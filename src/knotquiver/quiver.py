@@ -10,10 +10,10 @@ one region cycle (length = number of boundary segments, negative sign).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .diagram import DiagramError, LinkDiagram
+from .jsontext import json_text
 
 
 @dataclass(frozen=True)
@@ -213,5 +213,5 @@ def export(q: Quiver, w: Potential | ReducedQP | None, fmt: str) -> str:
             data["potential"] = {"plus": [list(c) for c in w.plus], "minus": [list(c) for c in w.minus]}
         if isinstance(w, ReducedQP):
             data["substitutions"] = {str(k): list(v) for k, v in sorted(w.substitutions.items())}
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json_text(data) + "\n"
     raise ValueError(f"unsupported export format {fmt!r}")

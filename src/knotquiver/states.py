@@ -16,11 +16,11 @@ segment j on the way up from the minimal state.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import DiagramError, LinkDiagram
+from .jsontext import json_text
 from .poly import LaurentPoly
 
 State = tuple[int, ...]  # corner slot of the marker, indexed by crossing
@@ -319,4 +319,4 @@ def lattice_to_json(diagram: LinkDiagram, lat: StateLattice) -> str:
         "min_state": lat.min_state,
         "max_state": lat.max_state,
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json_text(data) + "\n"

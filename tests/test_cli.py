@@ -287,6 +287,15 @@ class TestTwoBridgeCmd:
         code, _, err = run(capsys, "two-bridge", "0,2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [(), ("--report-theorem3",)])
+    def test_invalid_diagram_exit_2(self, capsys, argv):
+        # [1] wires one crossing into a curl: the only composition of at
+        # most 8 crossings whose diagram fails validation, as fpoly says too
+        code, out, err = run(capsys, "two-bridge", "1", *argv)
+        assert (code, out) == (2, "")
+        assert "invalid diagram" in err and "curl" in err
+        assert run(capsys, "fpoly", "X(1,2,2,1)", "--all")[0] == 2
+
 
 class TestByteOutput:
     """The CLI's stdout stays byte-identical across refactors."""

@@ -84,9 +84,10 @@ class TestMultiPoly:
         f = MultiPoly.from_vectors(4, [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)])
         assert f.num_terms == 3
         assert f.constant_term() == 1
-        assert f.terms[((2, 1), (3, 1))] == 1
+        # terms are keyed by the dense exponent vectors themselves
+        assert f.terms[(0, 1, 1, 0)] == 1
         # repeated vectors add up
-        assert MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)]).terms[((1, 1),)] == 2
+        assert MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)]).terms[(1, 0)] == 2
 
     @pytest.mark.parametrize("vec", [(), (1,), (0, 1, 0)])
     def test_from_vectors_rejects_wrong_length(self, vec):
@@ -97,6 +98,15 @@ class TestMultiPoly:
         data = {"nvars": 3, "terms": [{"exp": [1, 0], "coef": 1}]}
         with pytest.raises(ValueError, match="expected 3"):
             MultiPoly.from_json(data)
+
+    @pytest.mark.parametrize(
+        "exp, coef",
+        [([1, True], 1), ([1, 1.0], 1), ([1, -1], 1), ([1, None], 1), ([1, 0], True), ([1, 0], 2.0)],
+    )
+    def test_from_json_rejects_entries_that_are_not_ints(self, exp, coef):
+        with pytest.raises(ValueError):
+            MultiPoly.from_json({"nvars": 2, "terms": [{"exp": [0, 0], "coef": 1},
+                                                       {"exp": exp, "coef": coef}]})
 
     def test_render_sorted(self):
         f = MultiPoly.from_vectors(8, FIG8_T1)
@@ -129,8 +139,10 @@ class TestMultiPoly:
 
     def test_specialize_missing_class(self):
         f = MultiPoly.from_vectors(2, [(1, 0)])
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="y_1"):
             f.specialize({2: 0})
+        # a variable that no term uses needs no exponent
+        assert MultiPoly.from_vectors(2, [(0, 1)]).specialize({2: 2}) == LaurentPoly({2: -1})
 
     def test_alternating_sum(self):
         f = MultiPoly.from_vectors(8, FIG8_T1)

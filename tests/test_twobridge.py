@@ -48,7 +48,7 @@ class TestHeightTheorem:
     def test_single_element_lattice(self):
         # sum(cf) = 1 is a curl; the smallest honest case has one crossing
         # more, so check the degenerate statement on the trivial module
-        f = MultiPoly(2, {(): 1})
+        f = MultiPoly(2, {(0, 0): 1})
         assert f.evaluate_at_minus_one() == 1
 
     def test_examples(self):
