@@ -3,14 +3,18 @@
 Vertices are the segments.  Every corner of a crossing (a crossing
 together with one of its four adjacent regions) contributes one arrow:
 sweeping that corner clockwise around the crossing runs from the source
-segment to the target segment.  Each arrow therefore lies in exactly one
-crossing cycle (length 4, positive sign in the potential) and exactly
-one region cycle (length = number of boundary segments, negative sign).
+segment to the target segment.  Arrow 4c+k is corner k of crossing c, so
+the arrows of a corner list are read off by position.  Each arrow
+therefore lies in exactly one crossing cycle (length 4, positive sign in
+the potential) and exactly one region cycle (length = number of boundary
+segments, negative sign).  The 2-cycle reduction removes the bigon
+arrows by splicing the crossing cycles' successor map around them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .diagram import DiagramError, LinkDiagram
 from .jsontext import json_text
@@ -23,27 +27,17 @@ class Arrow:
     tgt: int
     crossing: int
     region: int
-    corner: int  # corner slot at the crossing (between slots corner, corner+1)
 
 
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices are segment ids.  In a quiver from ``build_quiver``,
+    ``arrows[4*c + k]`` is the arrow at corner k of crossing c (between
+    slots k and k+1), and its id is its position.  A reduced quiver keeps
+    the ids of the arrows it keeps, so its ids have gaps."""
+
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
-    # (crossing, corner) -> arrow, the first arrow wins; derived, so not compared
-    by_corner: dict[tuple[int, int], Arrow] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        for a in self.arrows:
-            self.by_corner.setdefault((a.crossing, a.corner), a)
-
-    def arrow_at_corner(self, crossing: int, corner: int) -> Arrow:
-        try:
-            return self.by_corner[crossing, corner % 4]
-        except KeyError:
-            raise KeyError((crossing, corner)) from None
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,6 @@ class ReducedQP:
     quiver: Quiver
     plus: tuple[tuple[int, ...], ...]
     minus: tuple[tuple[int, ...], ...]
-    removed_arrows: tuple[int, ...]
     # arrow id -> the path of arrow ids it equals in the Jacobian algebra
     substitutions: dict[int, tuple[int, ...]]
 
@@ -78,99 +71,80 @@ def build_quiver(diagram: LinkDiagram) -> Quiver:
             src = diagram.segment_at(c, corner + 1)
             tgt = diagram.segment_at(c, corner)
             region = diagram.region_of_corner(c, corner)
-            arrows.append(Arrow(len(arrows), src, tgt, c, region, corner))
+            arrows.append(Arrow(len(arrows), src, tgt, c, region))
     return Quiver(tuple(diagram.segment_ids()), tuple(arrows))
 
 
-def crossing_cycle(q: Quiver, crossing: int) -> tuple[int, ...]:
-    """The 4-cycle of a crossing, as a composable sequence of arrow ids."""
-    # arrow at corner k runs slot(k+1) -> slot(k); the next arrow in the
-    # cycle starts where this one ends, i.e. sits at corner k-1
-    cycle = [q.arrow_at_corner(crossing, k) for k in (0, 3, 2, 1)]
+def _cycle(
+    q: Quiver, corners: Iterable[tuple[int, int]], kind: str, index: int
+) -> tuple[int, ...]:
+    """The arrows at a list of (crossing, corner) pairs, as a composable
+    cycle of arrow ids rooted at its smallest id."""
+    cycle = [q.arrows[4 * c + k] for c, k in corners]
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if a.tgt != b.src:
-            raise DiagramError(f"crossing cycle of {crossing} is not composable")
-    return _rotate_min(tuple(a.id for a in cycle))
-
-
-def region_cycle(q: Quiver, diagram: LinkDiagram, region: int) -> tuple[int, ...]:
-    """The boundary cycle of a region, as a composable sequence of arrow ids."""
-    corners = diagram.regions[region].corners
-    cycle = [q.arrow_at_corner(c, k) for c, k in corners]
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if a.tgt != b.src:
-            raise DiagramError(f"region cycle of {region} is not composable")
+            raise DiagramError(f"{kind} cycle of {index} is not composable")
     return _rotate_min(tuple(a.id for a in cycle))
 
 
 def build_potential(diagram: LinkDiagram, q: Quiver) -> Potential:
-    plus = tuple(crossing_cycle(q, c) for c in range(diagram.n))
-    minus = tuple(region_cycle(q, diagram, r) for r in range(len(diagram.regions)))
+    # the arrow at corner k runs slot(k+1) -> slot(k); the next arrow in a
+    # crossing cycle starts where this one ends, i.e. sits at corner k-1
+    plus = tuple(
+        _cycle(q, ((c, k) for k in (0, 3, 2, 1)), "crossing", c) for c in range(diagram.n)
+    )
+    minus = tuple(_cycle(q, r.corners, "region", r.id) for r in diagram.regions)
     return Potential(plus, minus)
 
 
 def reduce_two_cycles(q: Quiver, w: Potential) -> ReducedQP:
     """Remove the 2-cycles coming from bigon regions.
 
-    Every bigon contributes a 2-cycle {a, b} to the potential; the two
-    crossing cycles through a and b are joined into one longer cycle and
-    in the quotient each removed arrow equals the complementary length-3
-    path of its own crossing cycle.  The joining is applied iteratively,
-    so chains of bigons (twist regions) collapse correctly.
+    Every bigon contributes a 2-cycle {a, b} to the potential, and in the
+    quotient each removed arrow equals the complementary length-3 path of
+    the other's crossing cycle.  The plus terms are read as a successor
+    map on arrows; removing {a, b} sends prev(a) to next(b) and prev(b)
+    to next(a), skipping a side where a and b were adjacent.  This joins
+    two terms into one, or splits one term in two, and chains of bigons
+    (twist regions) collapse one splice at a time.  The reduced plus
+    terms are the orbits of the final map.
     """
-    arrows = {a.id: a for a in q.arrows}
-    two_cycles: list[tuple[int, ...]] = []
-    minus_rest: list[tuple[int, ...]] = []
-    for cyc in w.minus:
-        if len(cyc) == 2:
-            two_cycles.append(cyc)
-        else:
-            minus_rest.append(cyc)
-    for cyc in two_cycles:
-        a, b = (arrows[i] for i in cyc)
-        if a.src != b.tgt or a.tgt != b.src:
+    two_cycles = [cyc for cyc in w.minus if len(cyc) == 2]
+    minus_rest = [cyc for cyc in w.minus if len(cyc) != 2]
+    for a, b in two_cycles:
+        if q.arrows[a].src != q.arrows[b].tgt or q.arrows[a].tgt != q.arrows[b].src:
             raise DiagramError("malformed 2-cycle in potential")
 
-    # substitution records from the original crossing cycles: for a 2-cycle
-    # {a, b} the cyclic derivative at a forces b to equal the complementary
+    # the cyclic derivative at a forces b to equal the complementary
     # length-3 path of a's crossing cycle, and symmetrically for b
-    by_crossing = {arrows[cyc[0]].crossing: cyc for cyc in w.plus}
+    term_of = {x: cyc for cyc in w.plus for x in cyc}
     substitutions: dict[int, tuple[int, ...]] = {}
-    removed: set[int] = set()
-    for cyc in two_cycles:
-        for aid in cyc:
-            removed.add(aid)
-    for cyc in two_cycles:
-        a, b = cyc
+    for a, b in two_cycles:
         for gone, partner in ((a, b), (b, a)):
-            own = by_crossing[arrows[gone].crossing]
+            own = term_of[gone]
             k = own.index(gone)
             substitutions[partner] = own[k + 1:] + own[:k]
 
-    # join crossing cycles across bigons
-    terms: list[list[int]] = [list(c) for c in w.plus]
+    nxt = {x: cyc[(k + 1) % len(cyc)] for cyc in w.plus for k, x in enumerate(cyc)}
+    prev = {y: x for x, y in nxt.items()}
     for a, b in two_cycles:
-        ta = next(i for i, t in enumerate(terms) if a in t)
-        tb = next(i for i, t in enumerate(terms) if b in t)
-        if ta != tb:
-            ca, cb = terms[ta], terms[tb]
-            ka, kb = ca.index(a), cb.index(b)
-            # drop a and b; splice the remainders at the matching endpoints
-            joined = ca[ka + 1:] + ca[:ka] + cb[kb + 1:] + cb[:kb]
-            terms = [t for i, t in enumerate(terms) if i not in (ta, tb)]
-            terms.append(joined)
-        else:
-            c = terms[ta]
-            ka, kb = c.index(a), c.index(b)
-            if ka > kb:
-                ka, kb = kb, ka
-            seg1 = c[ka + 1:kb]
-            seg2 = c[kb + 1:] + c[:ka]
-            terms = [t for i, t in enumerate(terms) if i != ta]
-            for seg in (seg1, seg2):
-                if seg:
-                    terms.append(seg)
+        na, nb, pa, pb = nxt.pop(a), nxt.pop(b), prev.pop(a), prev.pop(b)
+        if pa != b:
+            nxt[pa], prev[nb] = nb, pa
+        if pb != a:
+            nxt[pb], prev[na] = na, pb
+    terms: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for start in nxt:
+        orbit, x = [], start
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = nxt[x]
+        if orbit:
+            terms.append(tuple(orbit))
 
+    removed = {x for cyc in two_cycles for x in cyc}
     kept = tuple(a for a in q.arrows if a.id not in removed)
     reduced_quiver = Quiver(q.vertices, kept)
     pairs = {(a.src, a.tgt) for a in kept}
@@ -179,20 +153,18 @@ def reduce_two_cycles(q: Quiver, w: Potential) -> ReducedQP:
             raise DiagramError(
                 f"2-cycle between {a.src} and {a.tgt} does not come from a bigon"
             )
-    plus = tuple(sorted(_rotate_min(tuple(t)) for t in terms))
-    minus = tuple(sorted(_rotate_min(tuple(t)) for t in minus_rest))
-    for cyc in plus + minus:
-        for aid in cyc:
-            if aid in removed:
-                raise DiagramError("reduction left a removed arrow in the potential")
-    return ReducedQP(reduced_quiver, plus, minus, tuple(sorted(removed)), substitutions)
+    plus = tuple(sorted(_rotate_min(t) for t in terms))
+    minus = tuple(sorted(_rotate_min(t) for t in minus_rest))
+    if any(aid in removed for cyc in plus + minus for aid in cyc):
+        raise DiagramError("reduction left a removed arrow in the potential")
+    return ReducedQP(reduced_quiver, plus, minus, substitutions)
 
 
 # -- export ---------------------------------------------------------------
 
 
-def export(q: Quiver, w: Potential | ReducedQP | None, fmt: str) -> str:
-    """Render the quiver (and optionally potential) as DOT or JSON."""
+def export(q: Quiver, w: Potential | ReducedQP, fmt: str) -> str:
+    """Render the quiver and potential as DOT or JSON."""
     if fmt == "dot":
         lines = ["digraph quiver {"]
         for v in q.vertices:
@@ -208,9 +180,8 @@ def export(q: Quiver, w: Potential | ReducedQP | None, fmt: str) -> str:
                 {"id": a.id, "src": a.src, "tgt": a.tgt, "crossing": a.crossing, "region": a.region}
                 for a in q.arrows
             ],
+            "potential": {"plus": [list(c) for c in w.plus], "minus": [list(c) for c in w.minus]},
         }
-        if w is not None:
-            data["potential"] = {"plus": [list(c) for c in w.plus], "minus": [list(c) for c in w.minus]}
         if isinstance(w, ReducedQP):
             data["substitutions"] = {str(k): list(v) for k, v in sorted(w.substitutions.items())}
         return json_text(data) + "\n"

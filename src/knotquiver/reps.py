@@ -212,15 +212,14 @@ def state_module(
     which fix the crossing's four maps.
     """
     totals = _crossing_totals(diagram, lat, state_index)
-    by_corner = q.by_corner
-    # each arrow is the arrow at one corner of a crossing: all are set below
+    # arrow 4c+k is corner k of crossing c: all are set below
     maps: list[PartialShift] = [PartialShift.identity(0)] * len(q.arrows)
     for c, (k0, total) in enumerate(zip(lat.states[lat.min_state], totals)):
         # the first transposed segment "a" sits at slot k0+1, and the cycle
         # a->d->c->b->a corresponds to corners k0, k0+1, k0+2, k0+3 in the
         # order delta, alpha, beta, gamma
         for k, m in enumerate(_crossing_maps(total)):
-            maps[by_corner[c, (k0 + k) % 4].id] = m
+            maps[4 * c + (k0 + k) % 4] = m
     rep = QuiverRep(lat.heights[state_index], tuple(maps))
     _check_shapes(q, rep)
     return rep
@@ -705,9 +704,7 @@ def _leading(m: PartialShift, rows: int, cols: int) -> PartialShift | None:
     return PartialShift(rows, cols, m.o, m.lo, hi)
 
 
-def _crossing_tables(
-    diagram: LinkDiagram, q: Quiver, lat: StateLattice, top: QuiverRep
-) -> list[set[int]]:
+def _crossing_tables(diagram: LinkDiagram, lat: StateLattice, top: QuiverRep) -> list[set[int]]:
     """Per crossing, the totals t <= T_c (its total in the maximal state)
     for which the leading restriction of T(i)'s four maps there is
     invariant and is ``_crossing_maps(t)``.  The arrow at corner k0+k runs
@@ -715,7 +712,7 @@ def _crossing_tables(
     two slots."""
     tables = []
     for c, k0 in enumerate(lat.states[lat.min_state]):
-        maps = [top.maps[q.by_corner[c, (k0 + k) % 4].id] for k in range(4)]
+        maps = [top.maps[4 * c + (k0 + k) % 4] for k in range(4)]
         t_max = sum(top.dims[j - 1] for j in diagram.crossings[c].segments)
         tables.append({
             t
@@ -757,7 +754,7 @@ def relation_violation(
     """
     if (bad := _violated(top, q, w)) is not None:
         return lat.max_state, bad
-    tables = _crossing_tables(diagram, q, lat, top)
+    tables = _crossing_tables(diagram, lat, top)
     for k in range(lat.size):
         totals = _crossing_totals(diagram, lat, k)
         if any(t not in table for t, table in zip(totals, tables)):

@@ -14,6 +14,7 @@ T(i) -> submodule lattice -> F-polynomial -> specialization, through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .cache import RunCache
@@ -104,8 +105,11 @@ def run_segment(diagram: LinkDiagram, q: Quiver, i: int) -> SegmentRun:
     return SegmentRun(lat, rep, ml, f, f.specialize(diagram.specialization_exponents()))
 
 
-def _decode_entry(value: dict) -> tuple[MultiPoly, LaurentPoly]:
-    return MultiPoly.from_json(value["f"]), LaurentPoly.from_json(value["spec"])
+def _decode_entry(diagram: LinkDiagram, value: dict) -> tuple[MultiPoly, LaurentPoly]:
+    f = MultiPoly.from_json(value["f"])
+    if f.nvars != 2 * diagram.n:
+        raise ValueError(f"F over {f.nvars} variables, expected {2 * diagram.n}")
+    return f, LaurentPoly.from_json(value["spec"])
 
 
 def segment_pipeline(
@@ -117,7 +121,7 @@ def segment_pipeline(
     entry that does not decode is a miss and is overwritten.
     """
     if cache is not None:
-        hit = cache.get(diagram, i, _decode_entry)
+        hit = cache.get(diagram, i, partial(_decode_entry, diagram))
         if hit is not None:
             return hit
     run = run_segment(diagram, q, i)
@@ -146,14 +150,8 @@ def check_structure(diagram: LinkDiagram, q: Quiver, w: Potential) -> list[str]:
     boundary_total = sum(r.size for r in diagram.regions)
     if boundary_total != 4 * n:
         problems.append(f"total region boundary {boundary_total} != {4 * n}")
-    seen: dict[int, list[tuple]] = {}
-    for cyc in w.plus:
-        for aid in cyc:
-            seen.setdefault(aid, []).append(("plus",))
-    for cyc in w.minus:
-        for aid in cyc:
-            seen.setdefault(aid, []).append(("minus",))
-    if any(sorted(v) != [("minus",), ("plus",)] for v in seen.values()):
+    every_arrow = list(range(4 * n))
+    if any(sorted(a for cyc in terms for a in cyc) != every_arrow for terms in (w.plus, w.minus)):
         problems.append("some arrow is not in exactly one crossing and one region cycle")
     return problems
 

@@ -116,7 +116,7 @@ def _forge(body: bytes, old: bytes, new: bytes) -> bytes:
     ids=["exp-true", "exp-float", "exp-negative", "exp-str", "exp-null",
          "coef-true", "coef-float", "coef-str", "nvars-float", "spec-float", "spec-true"],
 )
-def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, old, new):
+def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, old, new):
     """A row that is not made of ints is a miss even under its own checksum;
     the recomputed entry replaces it and the output is the cold one."""
     cold = _fpoly(capsys, "--all")
@@ -124,4 +124,23 @@ def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, old, new
     assert _fpoly(capsys, "--all", "--cache-dir", str(tmp_path)) == cold
     assert (tmp_path / FIG8_SEG1_NAME).read_bytes() == FIG8_SEG1_ENTRY
     with pytest.raises(ValueError):
-        _decode_entry(json.loads(_forge(FIG8_SEG1_BODY, old, new).split(b"\n", 1)[1]))
+        _decode_entry(fig8, json.loads(_forge(FIG8_SEG1_BODY, old, new).split(b"\n", 1)[1]))
+
+
+def test_entry_over_the_wrong_number_of_variables_is_a_miss(tmp_path, capsys, corpus_diagrams):
+    """An F over 2 variables for the 4-crossing figure-eight (8 variables),
+    under its own checksum, is a miss; the recomputed entry replaces it."""
+    d = corpus_diagrams["figure-eight"]
+    f8 = FIG8_SEG1_BODY[len(b'{"f":'):FIG8_SEG1_BODY.index(b',"spec":')]
+    f2 = b'{"nvars":2,"terms":[{"coef":1,"exp":[0,0]},{"coef":1,"exp":[1,1]}]}'
+    forged = _forge(FIG8_SEG1_BODY, f8, f2)
+    (tmp_path / FIG8_SEG1_NAME).write_bytes(forged)
+    cache = RunCache(tmp_path)
+    f, _spec = segment_pipeline(d, build_quiver(d), 1, cache)
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert f.nvars == 8 and f.num_terms == 5
+    assert (tmp_path / FIG8_SEG1_NAME).read_bytes() == FIG8_SEG1_ENTRY
+    cold = _fpoly(capsys, "--segment", "1")
+    (tmp_path / FIG8_SEG1_NAME).write_bytes(forged)
+    assert _fpoly(capsys, "--segment", "1", "--cache-dir", str(tmp_path)) == cold
+    assert (tmp_path / FIG8_SEG1_NAME).read_bytes() == FIG8_SEG1_ENTRY

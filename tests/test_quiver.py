@@ -3,13 +3,15 @@ from collections import Counter
 
 import pytest
 
-from knotquiver.diagram import parse_pd
+from knotquiver.diagram import parse_pd, two_bridge
 from knotquiver.quiver import (
+    Potential,
     build_potential,
     build_quiver,
     export,
     reduce_two_cycles,
 )
+from knotquiver.verify import check_structure
 
 FIG8_ARROWS = sorted(
     [
@@ -19,6 +21,15 @@ FIG8_ARROWS = sorted(
         (6, 1), (1, 7), (7, 2), (2, 6),  # fourth
     ]
 )
+
+
+def _compositions(n):
+    """Every sequence of positive integers with sum n."""
+    if n == 0:
+        yield []
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield [first, *rest]
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +61,20 @@ class TestQuiver:
                 assert outdeg[v] == 2
                 assert indeg[v] == 2
 
-    def test_arrow_at_corner(self, fig8_qp):
-        q, _ = fig8_qp
-        for a in q.arrows:
-            assert q.arrow_at_corner(a.crossing, a.corner) is a
-            assert q.arrow_at_corner(a.crossing, a.corner + 4) is a
-        with pytest.raises(KeyError):
-            q.arrow_at_corner(len(q.arrows), 0)
+    def test_arrow_at_corner(self, corpus_diagrams):
+        # arrow 4c+k is corner k of crossing c
+        for d in corpus_diagrams.values():
+            q = build_quiver(d)
+            assert len(q.arrows) == 4 * d.n
+            for c in range(d.n):
+                for k in range(4):
+                    a = q.arrows[4 * c + k]
+                    assert (a.id, a.crossing, a.region) == (4 * c + k, c, d.corner_region[c][k])
+                    assert (a.src, a.tgt) == (d.segment_at(c, k + 1), d.segment_at(c, k))
 
-    def test_corner_index_not_compared(self, fig8):
+    def test_quivers_compare_by_value(self, fig8):
         q1, q2 = build_quiver(fig8), build_quiver(fig8)
-        q1.arrow_at_corner(0, 0)
         assert q1 == q2 and hash(q1) == hash(q2)
-        assert "by_corner" not in repr(q1)
 
 
 class TestPotential:
@@ -94,6 +106,23 @@ class TestPotential:
             assert sum(len(c) for c in w.plus) == 4 * d.n
             assert sum(len(c) for c in w.minus) == 4 * d.n
 
+    @pytest.mark.parametrize(
+        "drop", ["plus", "minus", "both"], ids=["crossing", "region", "crossing-and-region"]
+    )
+    def test_structure_check_sees_a_missing_arrow(self, fig8_qp, fig8, drop):
+        q, w = fig8_qp
+        assert check_structure(fig8, q, w) == []
+
+        def without_0(terms, side):
+            if drop not in (side, "both"):
+                return terms
+            return tuple(tuple(a for a in cyc if a != 0) for cyc in terms)
+
+        broken = Potential(without_0(w.plus, "plus"), without_0(w.minus, "minus"))
+        assert check_structure(fig8, q, broken) == [
+            "some arrow is not in exactly one crossing and one region cycle"
+        ]
+
     def test_cycles_composable_and_rotation_invariant(self, fig8_qp):
         q, w = fig8_qp
         arrows = {a.id: a for a in q.arrows}
@@ -108,7 +137,8 @@ class TestReduction:
         q, w = fig8_qp
         red = reduce_two_cycles(q, w)
         assert len(red.quiver.arrows) == 16 - 4
-        assert len(red.removed_arrows) == 4
+        kept = {a.id for a in red.quiver.arrows}
+        assert sorted(red.substitutions) == sorted(set(range(16)) - kept)
         assert sorted(len(c) for c in red.plus) == [6, 6]
         assert sorted(len(c) for c in red.minus) == [3, 3, 3, 3]
         arrows = {a.id: a for a in q.arrows}
@@ -153,6 +183,26 @@ class TestReduction:
             assert len(red.quiver.arrows) == len(q.arrows) - 2 * bigons
             pairs = {(a.src, a.tgt) for a in red.quiver.arrows}
             assert not any((t, s) in pairs for s, t in pairs if s != t)
+
+    def test_two_bridge_reductions(self):
+        # every composition with 2 to 7 crossings; the [k] ones are (2, k)
+        # torus links, whose single twist region splits a term in two
+        count = 0
+        for n in range(2, 8):
+            for cf in _compositions(n):
+                d = two_bridge(cf)
+                q = build_quiver(d)
+                w = build_potential(d, q)
+                bigons = sum(1 for c in w.minus if len(c) == 2)
+                red = reduce_two_cycles(q, w)
+                arrows = {a.id: a for a in red.quiver.arrows}
+                assert sorted(aid for term in red.plus for aid in term) == sorted(arrows), cf
+                for term in red.plus:
+                    for a, b in zip(term, term[1:] + term[:1]):
+                        assert arrows[a].tgt == arrows[b].src, cf
+                assert sum(map(len, red.plus)) == 4 * n - 2 * bigons, cf
+                count += 1
+        assert count == 126
 
 
 class TestSubstitutionIdentities:

@@ -216,10 +216,7 @@ def _module_from_sequence(diagram, q, seq):
             k0 = 0
         order = [segs[(k0 + 1 + m) % 4] for m in range(4)]
         assert local == (order * (ell + 1))[: len(local)], "not a cyclic run"
-        delta = q.arrow_at_corner(c, k0)
-        alpha = q.arrow_at_corner(c, k0 + 1)
-        beta = q.arrow_at_corner(c, k0 + 2)
-        gamma = q.arrow_at_corner(c, k0 + 3)
+        delta, alpha, beta, gamma = (q.arrows[4 * c + (k0 + k) % 4] for k in range(4))
         i, j = PartialShift.identity, PartialShift.jordan
         v, h = PartialShift.drop_first, PartialShift.pad_last
         if rem == 0:
@@ -277,7 +274,7 @@ def _run_list_module(diagram, q, lat, state_index):
     for c in range(diagram.n):
         k0, run = _crossing_history(diagram, lat, state_index, c)
         for k, m in enumerate(reps._crossing_maps(len(run))):
-            maps[q.arrow_at_corner(c, k0 + k).id] = m
+            maps[q.arrows[4 * c + (k0 + k) % 4].id] = m
     for a in q.arrows:
         m = maps[a.id]
         if (m.rows, m.cols) != (dims[a.tgt - 1], dims[a.src - 1]):
@@ -621,7 +618,7 @@ def _reference_submodules(q, rep):
 
 
 def _arrow(k, src, tgt):
-    return Arrow(id=k, src=src, tgt=tgt, crossing=0, region=0, corner=0)
+    return Arrow(id=k, src=src, tgt=tgt, crossing=0, region=0)
 
 
 @st.composite
@@ -811,7 +808,7 @@ def _corrupt_state(monkeypatch, lat, target, arrow, new_map=None):
 
     monkeypatch.setattr(reps, "state_module", corrupted)
     monkeypatch.setattr(
-        reps, "_crossing_tables", lambda diagram, q, lat2, top: [set() for _ in diagram.crossings]
+        reps, "_crossing_tables", lambda diagram, lat2, top: [set() for _ in diagram.crossings]
     )
 
 
