@@ -3,12 +3,57 @@
 ``json.dumps`` with ``indent`` set falls back to the pure-Python encoder,
 which walks the value through one generator per container.  ``json_text``
 writes the same text straight into a list of parts, and joins a list of
-plain ints in one step: the F-polynomial's exponent rows are such lists.
+plain ints in one step.
+
+A list of records -- dicts with one set of str keys, each column all plain
+ints or all int lists of one nonzero length -- is written through one
+``%``-template, built once per list from the sorted keys and the indent:
+the F-polynomial's ``{"coef", "exp"}`` term rows are such a list.  Its
+shape is checked column by column, not row by row.  Any other list,
+including one whose records break the shape anywhere, takes the generic
+walk, so the text is the same either way.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
+
+
+def _records_text(rows: list | tuple, nl: str) -> str | None:
+    """The text of a non-empty list of dicts if its records share one shape,
+    else None."""
+    keys = sorted(rows[0])
+    if not keys or set(map(type, keys)) != {str} or set(map(len, rows)) != {len(keys)}:
+        return None
+    try:
+        columns = [list(map(itemgetter(k), rows)) for k in keys]
+    except KeyError:
+        return None
+    item, field = nl + "  ", nl + "    "
+    entry = field + "  "
+    fields = []
+    slots = []  # the values of one "%d" of the row template, one per row
+    for key, column in zip(keys, columns):
+        name = _quote(key).replace("%", "%%")
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            fields.append(f"{name}: %d")
+            slots.append(column)
+            continue
+        if kinds - {list, tuple}:
+            return None
+        lengths = set(map(len, column))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        if set(map(type, chain.from_iterable(column))) != {int}:
+            return None
+        fields.append(f"{name}: [{entry}" + f",{entry}".join(["%d"] * lengths.pop()) + f"{field}]")
+        slots.extend(zip(*column))
+    row = "{" + field + f",{field}".join(fields) + item + "}"
+    values = tuple(chain.from_iterable(zip(*slots)))
+    return "[" + item + f",{item}".join([row] * len(rows)) % values + nl + "]"
 
 
 def json_text(obj: object) -> str:
@@ -46,8 +91,12 @@ def json_text(obj: object) -> str:
         elif isinstance(o, (list, tuple)):
             if not o:
                 return put("[]")
-            if set(map(type, o)) == {int}:
+            kinds = set(map(type, o))
+            if kinds == {int}:
                 return put("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            text = _records_text(o, nl) if kinds == {dict} else None
+            if text is not None:
+                return put(text)
             opening = "[" + inner
             for v in o:
                 put(opening)

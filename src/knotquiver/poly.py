@@ -8,10 +8,11 @@ Two types are used throughout the package:
   exponent tuple, whose entry k - 1 is the exponent of ``y_k``: the form
   in which state heights and submodule dimension vectors are stored (over
   the sorted segment ids 1..2n), and the rows of ``to_json``.  So the
-  lattice's tuples are the keys of ``terms`` as they are.  The sparse
-  ``((variable, exponent), ...)`` view is derived only to sort and to
-  print.  F is built, compared, queried, specialized and serialized, but
-  it has no ring operations.
+  lattice's tuples are the keys of ``terms`` as they are, and terms are
+  sorted by a key read off the dense tuple.  The sparse
+  ``((variable, exponent), ...)`` view is derived only to print.  F is
+  built, compared, queried, specialized and serialized, but it has no
+  ring operations.
 
 * ``LaurentPoly`` -- sparse integer Laurent polynomials in a single
   variable ``s`` with the convention ``s**2 == t``.  Working in ``s``
@@ -41,6 +42,24 @@ def _sparse(exps: Exponents) -> Monomial:
     return tuple(compress(enumerate(exps, 1), exps))
 
 
+def _order_key(term: tuple[Exponents, int]) -> tuple[int, list[int]]:
+    """Sort key of a term: its (degree, sparse monomial) order, read densely.
+
+    Among vectors of one degree d, the order of their sparse monomials is
+    the lexicographic order of the dense vectors once every 0 is read as
+    d + 1.  Let k be the first index where a and b differ.  If a_k and
+    b_k are both nonzero, the next sparse pairs are (k + 1, a_k) and
+    (k + 1, b_k), so the smaller entry sorts first in both orders.  If
+    only a_k is nonzero, b has the same degree left from k on as a, which
+    is at least a_k > 0, so b's next sparse pair has a variable beyond
+    k + 1 and a sorts first; densely a_k <= d < d + 1.  Since no entry
+    exceeds d, distinct vectors get distinct keys.
+    """
+    e = term[0]
+    d = sum(e)
+    return d, [x or d + 1 for x in e]
+
+
 def _check_lengths(nvars: int, vectors: Iterable[Exponents]) -> None:
     wrong = set(map(len, vectors)) - {nvars}
     if wrong:
@@ -51,11 +70,12 @@ class MultiPoly:
     """Polynomial in y_1..y_nvars with integer coefficients, keyed by dense
     exponent tuples (no ring operations)."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_json")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
         self.nvars = nvars
         self.terms: dict[Exponents, int] = {e: c for e, c in terms.items() if c} if terms else {}
+        self._json: dict | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -133,17 +153,17 @@ class MultiPoly:
 
     # -- rendering / serialization ------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[int, Monomial, Exponents, int]]:
-        """(degree, sparse monomial, exponents, coefficient), sorted."""
-        return sorted((sum(e), _sparse(e), e, c) for e, c in self.terms.items())
+    def _sorted_terms(self) -> list[tuple[Exponents, int]]:
+        """(exponents, coefficient) pairs by degree, then sparse monomial."""
+        return sorted(self.terms.items(), key=_order_key)
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for _deg, mono, _e, coef in self._sorted_terms():
+        for exps, coef in self._sorted_terms():
             factors = [
-                f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in mono
+                f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in _sparse(exps)
             ]
             body = "*".join(factors)
             if not factors:
@@ -157,8 +177,17 @@ class MultiPoly:
         return " ".join(parts)
 
     def to_json(self) -> dict:
-        rows = [{"exp": e, "coef": c} for _deg, _mono, e, c in self._sorted_terms()]
-        return {"nvars": self.nvars, "terms": rows}
+        """``{"nvars", "terms": [{"coef", "exp"}, ...]}``, terms in printed order.
+
+        F does not change once built, so the rows are sorted and built on
+        the first call, and later calls return the same dict: a cold
+        ``fpoly --format json`` hands it to the cache and to the output.
+        Callers must not modify it.
+        """
+        if self._json is None:
+            rows = [{"exp": e, "coef": c} for e, c in self._sorted_terms()]
+            self._json = {"nvars": self.nvars, "terms": rows}
+        return self._json
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
@@ -359,10 +388,14 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        """Inverse of ``to_json``; ValueError unless every entry is an int."""
-        terms = {e: c for e, c in data["s_terms"]}
+        """Inverse of ``to_json``; ValueError unless every entry is an int
+        and no exponent is repeated."""
+        rows = data["s_terms"]
+        terms = {e: c for e, c in rows}
         if {*map(type, terms), *map(type, terms.values())} - {int}:
             raise ValueError("exponents and coefficients must be ints")
+        if len(terms) != len(rows):
+            raise ValueError("repeated exponent")
         return cls(terms)
 
     def __repr__(self) -> str:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import knotquiver.cache as cache_mod
+import knotquiver.poly as poly_mod
 from knotquiver.cache import RunCache
 from knotquiver.cli import main
 from knotquiver.quiver import build_quiver
@@ -112,19 +113,32 @@ def _forge(body: bytes, old: bytes, new: bytes) -> bytes:
         (b'"nvars":8', b'"nvars":8.0'),
         (b"[2,-1]", b"[2,-1.0]"),
         (b"[2,-1]", b"[true,-1]"),
+        (b"[2,-1]", b"[0,3]"),
     ],
     ids=["exp-true", "exp-float", "exp-negative", "exp-str", "exp-null",
-         "coef-true", "coef-float", "coef-str", "nvars-float", "spec-float", "spec-true"],
+         "coef-true", "coef-float", "coef-str", "nvars-float", "spec-float", "spec-true",
+         "spec-repeated-exp"],
 )
 def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, old, new):
-    """A row that is not made of ints is a miss even under its own checksum;
-    the recomputed entry replaces it and the output is the cold one."""
+    """A row that is not made of ints, or that repeats an exponent, is a
+    miss even under its own checksum; the recomputed entry replaces it and
+    the output is the cold one."""
     cold = _fpoly(capsys, "--all")
     (tmp_path / FIG8_SEG1_NAME).write_bytes(_forge(FIG8_SEG1_BODY, old, new))
     assert _fpoly(capsys, "--all", "--cache-dir", str(tmp_path)) == cold
     assert (tmp_path / FIG8_SEG1_NAME).read_bytes() == FIG8_SEG1_ENTRY
     with pytest.raises(ValueError):
         _decode_entry(fig8, json.loads(_forge(FIG8_SEG1_BODY, old, new).split(b"\n", 1)[1]))
+
+
+def test_cold_fpoly_sorts_each_f_once(tmp_path, capsys, monkeypatch):
+    """The cache entry and the output of a cold run share one sorted list
+    of term rows per F."""
+    keyed = []
+    order_key = poly_mod._order_key
+    monkeypatch.setattr(poly_mod, "_order_key", lambda term: keyed.append(term) or order_key(term))
+    out = json.loads(_fpoly(capsys, "--all", "--cache-dir", str(tmp_path)))
+    assert len(keyed) == sum(seg["terms"] for seg in out) == 40
 
 
 def test_entry_over_the_wrong_number_of_variables_is_a_miss(tmp_path, capsys, corpus_diagrams):

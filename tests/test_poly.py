@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotquiver.poly import LaurentPoly, MultiPoly, exact_div
@@ -67,6 +67,12 @@ class TestLaurent:
         p = LaurentPoly({-3: 4, 1: -2})
         assert LaurentPoly.from_json(p.to_json()) == p
 
+    def test_from_json_rejects_a_repeated_exponent(self):
+        """``to_json`` never repeats an exponent, so a repeated one is not
+        read as either of its rows."""
+        with pytest.raises(ValueError, match="repeated"):
+            LaurentPoly.from_json({"s_terms": [[0, 1], [0, 1], [2, -1]]})
+
 
 # the five-element lattice of the figure-eight module T(1): dense exponent
 # vectors over y_1..y_8
@@ -77,6 +83,27 @@ FIG8_T1 = [
     (0, 0, 0, 0, 1, 0, 0, 1),
     (0, 1, 0, 0, 1, 0, 0, 1),
 ]
+
+
+def _reference_sparse(exps):
+    return tuple((v, x) for v, x in enumerate(exps, 1) if x)
+
+
+def _reference_order(vectors):
+    """Terms by degree, then by sparse monomial: the order F is printed in."""
+    return sorted(vectors, key=lambda e: (sum(e), _reference_sparse(e)))
+
+
+# distinct dense vectors of one length, mostly of small degree so that
+# degrees tie, with many zeros and some exponents of 10 or more
+_term_sets = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, 3, 10, 11])] * n),
+        min_size=1,
+        max_size=40,
+        unique=True,
+    )
+)
 
 
 class TestMultiPoly:
@@ -152,6 +179,18 @@ class TestMultiPoly:
     def test_json_roundtrip(self):
         f = MultiPoly.from_vectors(5, [(2, 0, 0, 1, 0), (0, 0, 0, 0, 0)])
         assert MultiPoly.from_json(f.to_json()) == f
+
+    @given(_term_sets)
+    @example([(0, 2, 0), (1, 0, 1)])  # one degree, first difference at a zero
+    @example([(0, 10, 0), (10, 0, 0), (0, 0, 10), (1, 0, 9), (0, 1, 9), (9, 0, 1)])
+    def test_terms_in_degree_then_sparse_monomial_order(self, vectors):
+        """``to_json`` and ``render`` list the terms by degree, then by the
+        sparse ``((variable, exponent), ...)`` monomial."""
+        f = MultiPoly(len(vectors[0]), {e: k for k, e in enumerate(vectors, 1)})
+        expected = _reference_order(vectors)
+        assert [tuple(row["exp"]) for row in f.to_json()["terms"]] == expected
+        assert f.render() == " + ".join(MultiPoly(f.nvars, {e: f.terms[e]}).render()
+                                        for e in expected)
 
     def test_lattice_dispatch(self):
         """State heights and submodule dimension vectors give the same F."""
