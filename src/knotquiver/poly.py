@@ -17,9 +17,9 @@ Two types are used throughout the package:
 * ``LaurentPoly`` -- sparse integer Laurent polynomials in a single
   variable ``s`` with the convention ``s**2 == t``.  Working in ``s``
   keeps the half-integer powers of ``t`` that appear in state sums inside
-  one ring; a value is printed in ``t`` only when every ``s``-exponent is
-  even.  This is the only ring: the region-matrix determinant adds,
-  multiplies and divides its entries.
+  one type; a value is printed in ``t`` only when every ``s``-exponent is
+  even.  A value is normalized, compared up to units, rendered and
+  serialized, but it has no ring operations either.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 """
@@ -191,11 +191,12 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
-        """Inverse of ``to_json``; repeated rows add up.
+        """Inverse of ``to_json``.
 
-        Raises ValueError unless ``nvars`` and every coefficient are ints
-        and every exponent is a non-negative int of the right count (a
-        bool is not an int here).
+        Raises ValueError unless ``nvars`` and every coefficient are ints,
+        every exponent is a non-negative int of the right count (a bool is
+        not an int here), and no exponent vector is repeated: ``to_json``
+        writes each once, so a repeated one is read as neither row.
         """
         nvars = data["nvars"]
         exps = [tuple(row["exp"]) for row in data["terms"]]
@@ -206,9 +207,9 @@ class MultiPoly:
         if entries and min(entries) < 0:
             raise ValueError("exponents must be non-negative")
         _check_lengths(nvars, exps)
-        terms: dict[Exponents, int] = {}
-        for e, c in zip(exps, coefs):
-            terms[e] = terms.get(e, 0) + c
+        terms = dict(zip(exps, coefs))
+        if len(terms) != len(exps):
+            raise ValueError("repeated exponent")
         return cls(nvars, terms)
 
     def __repr__(self) -> str:
@@ -230,57 +231,12 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def s_power(cls, exp: int, coef: int = 1) -> "LaurentPoly":
-        return cls({exp: coef})
-
-    @classmethod
     def from_t_coefficients(cls, coeffs: Sequence[int], min_t_degree: int = 0) -> "LaurentPoly":
         """Polynomial sum(coeffs[k] * t**(min_t_degree + k))."""
         return cls({2 * (min_t_degree + k): c for k, c in enumerate(coeffs)})
 
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e, 0) + c
-            if v:
-                terms[e] = v
-            else:
-                terms.pop(e, None)
-        return LaurentPoly(terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                v = terms.get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
-        return LaurentPoly(terms)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # -- queries -------------------------------------------------------
 
@@ -293,9 +249,6 @@ class LaurentPoly:
 
     def max_exp(self) -> int:
         return max(self.terms)
-
-    def breadth(self) -> int:
-        return self.max_exp() - self.min_exp() if self.terms else 0
 
     def is_t_polynomial(self) -> bool:
         """True when all exponents of s are even (pure powers of t)."""
@@ -400,34 +353,3 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
-
-
-def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in Z[s, 1/s]; raises if the division is not exact.
-
-    Used by the fraction-free determinant, where divisibility is
-    guaranteed by the Bareiss identity.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero:
-        return LaurentPoly.zero()
-    nshift = num.min_exp()
-    dshift = den.min_exp()
-    ncoeffs = [num.coefficient(nshift + k) for k in range(num.breadth() + 1)]
-    dcoeffs = [den.coefficient(dshift + k) for k in range(den.breadth() + 1)]
-    out: dict[int, int] = {}
-    lead = dcoeffs[-1]
-    rem = list(ncoeffs)
-    for pos in range(len(ncoeffs) - len(dcoeffs), -1, -1):
-        top = rem[pos + len(dcoeffs) - 1]
-        if top % lead != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = top // lead
-        if q:
-            out[pos + nshift - dshift] = q
-            for k, dc in enumerate(dcoeffs):
-                rem[pos + k] -= q * dc
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return LaurentPoly(out)

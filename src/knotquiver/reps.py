@@ -402,10 +402,9 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
                     lobe = walk[k1:k2]  # departures between the two visits
                     lobe_segs = {diagram.segment_at(c, s) for c, s in lobe}
                     # corner pinched between the last arrival and the first
-                    # departure of the lobe at x
-                    d1 = lobe[0][1] if lobe[0][0] == x else None
-                    if d1 is None:
-                        continue
+                    # departure of the lobe at x; a walk departs from the
+                    # crossing it arrived at, so the lobe departs from x
+                    d1 = lobe[0][1]
                     # the arrival slot at x closing the lobe
                     a2 = diagram._other_end(diagram.segment_at(*lobe[-1]), lobe[-1])[1]
                     if (a2 + 1) % 4 == d1:

@@ -114,10 +114,12 @@ def _forge(body: bytes, old: bytes, new: bytes) -> bytes:
         (b"[2,-1]", b"[2,-1.0]"),
         (b"[2,-1]", b"[true,-1]"),
         (b"[2,-1]", b"[0,3]"),
+        # F's last row repeats the exponent of the row before it
+        (b"[0,1,0,0,1,0,0,1]", b"[0,1,0,0,1,0,0,0]"),
     ],
     ids=["exp-true", "exp-float", "exp-negative", "exp-str", "exp-null",
          "coef-true", "coef-float", "coef-str", "nvars-float", "spec-float", "spec-true",
-         "spec-repeated-exp"],
+         "spec-repeated-exp", "f-repeated-exp"],
 )
 def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, old, new):
     """A row that is not made of ints, or that repeats an exponent, is a

@@ -1,10 +1,17 @@
-import pytest
+from itertools import permutations
 
-from knotquiver.diagram import DiagramError, continued_fraction_value, two_bridge
-from knotquiver.oracle import alexander_det, build_matrix
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from knotquiver.diagram import DiagramError, continued_fraction_value, parse_pd, two_bridge
+from knotquiver.oracle import _balanced_digits, _bareiss_det, alexander_det, build_matrix
 from knotquiver.poly import LaurentPoly
 from knotquiver.states import enumerate_states, state_sum_alexander
 from knotquiver.verify import verify_diagram
+
+
+BORROMEAN_PD = "X(2,1,4,5) X(5,6,7,3) X(6,4,8,9) X(9,10,11,7) X(10,8,1,13) X(13,2,3,11)"
 
 
 def t(coeffs, m=0):
@@ -24,7 +31,7 @@ class TestDeterminant:
         )
 
     def test_conway_trivial(self, corpus_diagrams):
-        assert alexander_det(corpus_diagrams["conway"]).dot_eq(LaurentPoly.one())
+        assert alexander_det(corpus_diagrams["conway"]).dot_eq(LaurentPoly({0: 1}))
 
     def test_deletion_pair_invariance(self, corpus_diagrams):
         for name, d in corpus_diagrams.items():
@@ -51,9 +58,19 @@ class TestDeterminant:
 
     def test_matrix_shape(self, fig8):
         # 4 crossings by the 6 - 2 regions that keep their column
-        m = build_matrix(fig8, fig8.regions_at_segment(1))
+        deleted = fig8.regions_at_segment(1)
+        m = build_matrix(fig8, deleted)
         assert len(m) == 4
         assert all(len(row) == 4 for row in m)
+        # entry (a, b) is a + b*t; the four corners of a crossing of this
+        # reduced diagram lie in four regions, so each kept corner is one
+        # unit entry t, -t, 1 or -1
+        units = {(0, 1), (0, -1), (1, 0), (-1, 0)}
+        for c, row in enumerate(m):
+            kept = sum(fig8.region_of_corner(c, k) not in deleted for k in range(4))
+            nonzero = [e for e in row if e != (0, 0)]
+            assert len(nonzero) == kept and set(nonzero) <= units
+            assert all(type(x) is int for e in row for x in e)
 
     def test_agrees_with_statesum_on_links(self):
         for cf in ([2], [4], [2, 2, 2], [3, 1]):
@@ -63,13 +80,83 @@ class TestDeterminant:
             assert det.dot_eq(ssum), cf
 
     def test_borromean_rings(self):
-        from knotquiver.diagram import parse_pd
-
-        d = parse_pd("X(2,1,4,5) X(5,6,7,3) X(6,4,8,9) X(9,10,11,7) X(10,8,1,13) X(13,2,3,11)")
+        d = parse_pd(BORROMEAN_PD)
         det = alexander_det(d)
         # Conway polynomial z^4, so Delta = (t - 1)^4 / t^2 up to units
         assert det.dot_eq(t([1, -4, 6, -4, 1]))
         assert det.dot_eq(state_sum_alexander(d, enumerate_states(d, 1)))
+
+    def test_exact_terms(self, corpus_diagrams):
+        """The determinant itself, not only its class up to units: the
+        s-exponent and coefficient of every term, default deleted pair."""
+        expected = {
+            "trefoil": {2: 1, 4: -1, 6: 1},
+            "figure-eight": {2: -1, 4: 3, 6: -1},
+            "two-bridge-27-10": {2: -2, 4: 7, 6: -9, 8: 7, 10: -2},
+            "10_66": {6: -3, 8: 9, 10: -16, 12: 19, 14: -16, 16: 9, 18: -3},
+            "conway": {10: -1},
+        }
+        assert {name: alexander_det(d).terms for name, d in corpus_diagrams.items()} == expected
+        assert alexander_det(parse_pd(BORROMEAN_PD)).terms == {0: -1, 2: 4, 4: -6, 6: 4, 8: -1}
+
+
+# -- the integer determinant against the Leibniz expansion ---------------------
+
+
+def _leibniz(rows):
+    """Coefficients of det(A + tB), lowest first with no trailing zeros,
+    summed over permutations; entry (a, b) is a + b*t."""
+    n = len(rows)
+    total = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = [-1 if inversions % 2 else 1]
+        for i, j in enumerate(perm):
+            a, b = rows[i][j]
+            prod = [a * x + b * y for x, y in zip(prod + [0], [0] + prod)]
+        total = [x + y for x, y in zip(total, prod + [0] * (n + 1 - len(prod)))]
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+def _det_coefficients(rows):
+    """``alexander_det``'s read-off: Bareiss at t = 2*4**n + 1, balanced digits."""
+    base = 2 * 4 ** len(rows) + 1
+    return _balanced_digits(_bareiss_det([[a + b * base for a, b in row] for row in rows]), base)
+
+
+def _row(n):
+    """At most four unit entries 1, -1, t or -t added into n columns, so
+    the row's L1 norm |a| + |b| over its entries is at most 4."""
+    unit = st.tuples(st.integers(0, n - 1), st.integers(0, 1), st.sampled_from([1, -1]))
+
+    def build(units):
+        row = [[0, 0] for _ in range(n)]
+        for col, power, sign in units:
+            row[col][power] += sign
+        return [tuple(e) for e in row]
+
+    return st.lists(unit, max_size=4).map(build)
+
+
+# the 0x0 matrix, whose determinant is 1, is an explicit example below
+_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(_row(n), min_size=n, max_size=n))
+# a repeated row makes the matrix singular
+_singular = _matrices.filter(lambda m: len(m) >= 2).map(lambda m: m[:-1] + m[:1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices | _singular)
+@example([])
+@example([[(-4, 0)]])
+@example([[(0, 4) if i == j else (0, 0) for j in range(5)] for i in range(5)])
+@example([[(-4, 0) if i == j else (0, 0) for j in range(5)] for i in range(5)])
+@example([[(2, 2) if i == j else (0, 0) for j in range(5)] for i in range(5)])
+@example([[(1, 1), (1, 1)], [(1, -1), (-1, 1)]])
+@example([[(1, 0), (0, 1)], [(0, 0), (0, 0)]])
+def test_bareiss_digits_match_leibniz(rows):
+    assert _det_coefficients(rows) == _leibniz(rows)
 
 
 def _compositions(n):
@@ -114,7 +201,7 @@ class TestTheorem1Report:
     def test_conway_all_trivial(self, corpus_reports):
         report = corpus_reports["conway"]
         assert self.passed(report)
-        one = LaurentPoly.one()
+        one = LaurentPoly({0: 1})
         for seg in report.segments:
             assert seg.spec.dot_eq(one)
 
