@@ -122,8 +122,7 @@ def cmd_alexander(args: argparse.Namespace) -> int:
     polys = list(values.values())
     agree = all(polys[0].dot_eq(p) for p in polys[1:])
     for method, poly in values.items():
-        shown = "0" if poly.is_zero else poly.normalize().render()
-        print(f"{method}: {shown}")
+        print(f"{method}: {poly.normalize().render()}")
     if not agree:
         print("methods disagree", file=sys.stderr)
         return 1
@@ -150,8 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if report.ok else "FAIL"
         if not report.ok:
             failures += 1
-        shown = "0" if report.det.is_zero else report.det.normalize().render()
-        print(f"{entry.name}: {status}  (n={report.n}, Delta = {shown})")
+        print(f"{entry.name}: {status}  (n={report.n}, Delta = {report.det.normalize().render()})")
         if args.verbose or not report.ok:
             print(f"  oracles agree: {report.oracles_agree}")
             print(f"  Delta(1): {report.delta_one_ok}  palindrome: {report.palindrome_ok}"

@@ -68,7 +68,7 @@ class Region:
     """A face of the planar complement."""
 
     id: int
-    boundary: tuple[tuple[int, str], ...]  # (segment, "left"/"right") in cyclic order
+    boundary: tuple[int, ...]  # segment ids in cyclic order
     corners: tuple[tuple[int, int], ...]  # (crossing, corner slot) occurrences
 
     @property
@@ -76,7 +76,7 @@ class Region:
         return len(self.boundary)
 
     def segment_ids(self) -> tuple[int, ...]:
-        return tuple(seg for seg, _ in self.boundary)
+        return self.boundary
 
 
 @dataclass
@@ -139,7 +139,7 @@ class LinkDiagram:
             for s0 in range(4):
                 if (c0, s0) in seen:
                     continue
-                boundary: list[tuple[int, str]] = []
+                boundary: list[int] = []
                 corners: list[tuple[int, int]] = []
                 pos = (c0, s0)  # arrival position of the walk
                 rid = len(regions)
@@ -151,8 +151,7 @@ class LinkDiagram:
                     corners.append((c, corner))
                     depart = (c, corner)
                     seg = self.segment_at(*depart)
-                    side = "left" if self.segments[seg].tail == depart else "right"
-                    boundary.append((seg, side))
+                    boundary.append(seg)
                     pos = self._other_end(seg, depart)
                 regions.append(Region(rid, tuple(boundary), tuple(corners)))
         frozen = tuple(tuple(row) for row in corner_region)

@@ -18,8 +18,9 @@ Two types are used throughout the package:
   variable ``s`` with the convention ``s**2 == t``.  Working in ``s``
   keeps the half-integer powers of ``t`` that appear in state sums inside
   one type; a value is printed in ``t`` only when every ``s``-exponent is
-  even.  A value is normalized, compared up to units, rendered and
-  serialized, but it has no ring operations either.
+  even.  A value is normalized (shifted and signed to the representative
+  of its class up to units +-s**k), compared by its normal form, rendered
+  and serialized, but it has no ring operations either.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 """
@@ -244,18 +245,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exp(self) -> int:
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        return max(self.terms)
-
     def is_t_polynomial(self) -> bool:
         """True when all exponents of s are even (pure powers of t)."""
         return all(e % 2 == 0 for e in self.terms)
-
-    def coefficient(self, s_exp: int) -> int:
-        return self.terms.get(s_exp, 0)
 
     def value_at_one(self) -> int:
         """Evaluation at s = 1 (equivalently t = 1)."""
@@ -265,36 +257,30 @@ class LaurentPoly:
         """Substitution s -> s**-1 (t -> t**-1)."""
         return LaurentPoly({-e: c for e, c in self.terms.items()})
 
-    # -- normal form and comparison up to units ------------------------
+    # -- normal form --------------------------------------------------
 
     def normalize(self) -> "LaurentPoly":
-        """Representative with minimal exponent 0 and positive lowest coefficient.
-
-        Raises ValueError on the zero polynomial, which has no normal form
-        (it can legitimately occur for split links and is reported as is).
-        """
+        """The representative of the class up to units +-s**k: minimal
+        exponent 0 and positive lowest coefficient.  Zero is its own."""
         if not self.terms:
-            raise ValueError("zero polynomial has no normal form")
-        shift = -self.min_exp()
-        terms = {e + shift: c for e, c in self.terms.items()}
-        if terms[0] < 0:
-            terms = {e: -c for e, c in terms.items()}
-        return LaurentPoly(terms)
+            return self
+        shift = min(self.terms)
+        sign = -1 if self.terms[shift] < 0 else 1
+        return LaurentPoly({e - shift: sign * c for e, c in self.terms.items()})
 
     def dot_eq(self, other: "LaurentPoly") -> bool:
-        """Equality up to a signed power of t and the t <-> 1/t symmetry."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        a = self.normalize()
-        return a == other.normalize() or a == other.reverse().normalize()
+        """Equality up to a unit +-s**k: equal normal forms.  It does not
+        identify t with 1/t; the symmetry of Alexander polynomials is
+        checked by ``verify``, not granted here."""
+        return self.normalize() == other.normalize()
 
     def t_coefficients(self) -> list[int]:
-        """Coefficient list of the normal form in t (requires even exponents)."""
+        """Coefficient list of the normal form in t (requires even
+        exponents); ``[]`` for zero."""
         norm = self.normalize()
         if not norm.is_t_polynomial():
             raise ValueError("polynomial has odd powers of s; not a polynomial in t")
-        top = norm.max_exp() // 2
-        return [norm.coefficient(2 * k) for k in range(top + 1)]
+        return [norm.terms.get(e, 0) for e in range(0, max(norm.terms, default=-1) + 1, 2)]
 
     def centered_form(self) -> tuple[int, list[int]] | None:
         """Symmetric representative ``a0 + a1(t + 1/t) + ...`` when one exists.
@@ -302,8 +288,6 @@ class LaurentPoly:
         Returns (a0, [a1, a2, ...]) if the normal form is a palindrome of
         even t-breadth, and None otherwise (then no centering is possible).
         """
-        if self.is_zero:
-            return None
         norm = self.normalize()
         if not norm.is_t_polynomial():
             return None

@@ -8,7 +8,8 @@ the arrows of a corner list are read off by position.  Each arrow
 therefore lies in exactly one crossing cycle (length 4, positive sign in
 the potential) and exactly one region cycle (length = number of boundary
 segments, negative sign).  The 2-cycle reduction removes the bigon
-arrows by splicing the crossing cycles' successor map around them.
+arrows by splicing the crossing cycles' successor map around them, and
+drops a term that would hold both arrows of a bigon (DWZ's reduced part).
 """
 
 from __future__ import annotations
@@ -103,11 +104,19 @@ def reduce_two_cycles(q: Quiver, w: Potential) -> ReducedQP:
     Every bigon contributes a 2-cycle {a, b} to the potential, and in the
     quotient each removed arrow equals the complementary length-3 path of
     the other's crossing cycle.  The plus terms are read as a successor
-    map on arrows; removing {a, b} sends prev(a) to next(b) and prev(b)
-    to next(a), skipping a side where a and b were adjacent.  This joins
-    two terms into one, or splits one term in two, and chains of bigons
-    (twist regions) collapse one splice at a time.  The reduced plus
-    terms are the orbits of the final map.
+    map on arrows, and the bigons are removed one at a time by the rules
+    of Derksen-Weyman-Zelevinsky's splitting theorem:
+
+    * a and b in distinct terms: sending prev(a) to next(b) and prev(b)
+      to next(a) joins the two terms into one;
+    * a and b in one term a.X.b.Y: the substitution b -> b + XbY raises
+      that term's degree without bound, so it vanishes;
+    * one of them in no term (its term vanished earlier): the other's
+      term vanishes by the same kind of substitution.
+
+    Chains of bigons (twist regions) collapse one at a time.  The reduced
+    plus terms are the orbits of the final map; an arrow of a vanished
+    term stays in the quiver and lies in no plus term.
     """
     two_cycles = [cyc for cyc in w.minus if len(cyc) == 2]
     minus_rest = [cyc for cyc in w.minus if len(cyc) != 2]
@@ -127,22 +136,21 @@ def reduce_two_cycles(q: Quiver, w: Potential) -> ReducedQP:
 
     nxt = {x: cyc[(k + 1) % len(cyc)] for cyc in w.plus for k, x in enumerate(cyc)}
     prev = {y: x for x, y in nxt.items()}
+
+    def term(x: int) -> list[int]:
+        orbit = [x]
+        while nxt[orbit[-1]] != x:
+            orbit.append(nxt[orbit[-1]])
+        return orbit
+
     for a, b in two_cycles:
-        na, nb, pa, pb = nxt.pop(a), nxt.pop(b), prev.pop(a), prev.pop(b)
-        if pa != b:
+        if a in nxt and b in nxt and b not in term(a):
+            na, nb, pa, pb = nxt.pop(a), nxt.pop(b), prev.pop(a), prev.pop(b)
             nxt[pa], prev[nb] = nb, pa
-        if pb != a:
             nxt[pb], prev[na] = na, pb
-    terms: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for start in nxt:
-        orbit, x = [], start
-        while x not in seen:
-            seen.add(x)
-            orbit.append(x)
-            x = nxt[x]
-        if orbit:
-            terms.append(tuple(orbit))
+        else:
+            for x in {x for y in (a, b) if y in nxt for x in term(y)}:
+                del nxt[x], prev[x]
 
     removed = {x for cyc in two_cycles for x in cyc}
     kept = tuple(a for a in q.arrows if a.id not in removed)
@@ -153,7 +161,7 @@ def reduce_two_cycles(q: Quiver, w: Potential) -> ReducedQP:
             raise DiagramError(
                 f"2-cycle between {a.src} and {a.tgt} does not come from a bigon"
             )
-    plus = tuple(sorted(_rotate_min(t) for t in terms))
+    plus = tuple(sorted({_rotate_min(tuple(term(x))) for x in nxt}))
     minus = tuple(sorted(_rotate_min(t) for t in minus_rest))
     if any(aid in removed for cyc in plus + minus for aid in cyc):
         raise DiagramError("reduction left a removed arrow in the potential")

@@ -243,7 +243,6 @@ class LevelData:
 
 @dataclass
 class Partition:
-    base_segment: int
     level_of: dict[int, int]
     levels: list[LevelData]
 
@@ -442,7 +441,7 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
             level_of[j] = d
         assigned.update(data.segments | data.added)
         levels.append(data)
-    return Partition(i, level_of, levels)
+    return Partition(level_of, levels)
 
 
 def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:

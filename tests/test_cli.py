@@ -37,6 +37,12 @@ class TestQuiverCmd:
         assert len(data["arrows"]) == 12
         assert len(data["substitutions"]) == 4
 
+    def test_reduced_trefoil(self, capsys):
+        # the trefoil's crossing term vanishes: W reduces to minus its triangles
+        code, out, _ = run(capsys, "quiver", "trefoil", "--reduced")
+        assert code == 0
+        assert json.loads(out)["potential"] == {"plus": [], "minus": [[1, 5, 9], [3, 11, 7]]}
+
     def test_reduced_text_prints_json(self, capsys):
         _, as_json, _ = run(capsys, "quiver", FIG8_PD, "--reduced")
         code, out, _ = run(capsys, "quiver", FIG8_PD, "--reduced", "--format", "text")

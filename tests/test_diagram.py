@@ -173,8 +173,14 @@ class TestRegionsAndValidate:
         assert len(corpus_diagrams["10_66"].regions) == 12
 
     def test_each_side_once(self, fig8):
-        sides = [entry for r in fig8.regions for entry in r.boundary]
-        assert len(sides) == len(set(sides)) == 2 * len(fig8.segments)
+        # every segment bounds two regions, its left and its right, once each
+        sides = sorted(j for r in fig8.regions for j in r.segment_ids())
+        assert sides == sorted(list(fig8.segments) * 2)
+        for j in fig8.segments:
+            left, right = fig8.regions_at_segment(j)
+            assert left != right
+            assert j in fig8.regions[left].segment_ids()
+            assert j in fig8.regions[right].segment_ids()
 
     def test_fig8_valid(self, fig8):
         report = fig8.validate()

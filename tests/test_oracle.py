@@ -185,6 +185,33 @@ class TestClosedForms:
                 count += 1
         assert count == 510
 
+    def test_two_bridge_symmetry(self):
+        # Delta(1/t) = (-1)**(components - 1) * t**-k * Delta(t): the normal
+        # form is a palindrome for a knot and an antipalindrome for a
+        # two-component link, and normalizing the sign makes both strict
+        # palindromes of normal forms
+        links = 0
+        for n in range(2, 10):
+            for cf in _compositions(n):
+                d = two_bridge(cf)
+                det = alexander_det(d)
+                coeffs = det.t_coefficients()
+                sign = (-1) ** (d.components - 1)
+                assert coeffs[::-1] == [sign * c for c in coeffs], cf
+                assert det.normalize() == det.reverse().normalize(), cf
+                links += d.components == 2
+        assert links == 170
+
+
+class TestPalindromeGate:
+    def test_a_non_palindromic_determinant_fails_verify(self, fig8, monkeypatch):
+        import knotquiver.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "alexander_det", lambda d: t([1, 2, 3]))
+        report = verify_diagram(fig8, "figure-eight", check_all_states=False)
+        assert report.palindrome_ok is False
+        assert not report.ok
+
 
 class TestTheorem1Report:
     @staticmethod

@@ -18,9 +18,10 @@ class TestLaurent:
         assert LaurentPoly({2: 1}).normalize() == LaurentPoly({0: 1})
         assert LaurentPoly({-5: -7}).normalize() == LaurentPoly({0: 7})
 
-    def test_normalize_zero_raises(self):
-        with pytest.raises(ValueError):
-            LaurentPoly().normalize()
+    def test_normalize_zero_is_zero(self):
+        assert LaurentPoly().normalize() == LaurentPoly()
+        assert LaurentPoly().normalize().render() == "0"
+        assert LaurentPoly().t_coefficients() == []
 
     def test_normalize_fixed_point(self):
         p = lp([3, -9, 16, -19, 16, -9, 3])
@@ -36,7 +37,8 @@ class TestLaurent:
         p = lp([1, -5, 1])
         assert p.dot_eq(p.reverse())
         q = lp([1, -2, 3])  # not palindromic
-        assert q.dot_eq(q.reverse())  # reversal is part of the relation
+        assert not q.dot_eq(q.reverse())  # equality up to units only
+        assert lp([1, -1]).dot_eq(lp([1, -1]).reverse())  # -(1 - t) up to t
 
     def test_odd_powers_of_s(self):
         p = LaurentPoly({1: 1, -1: -1})  # s - 1/s
