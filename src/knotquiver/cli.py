@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all cross-checks over a corpus")
     p.add_argument("corpus", nargs="?", help="JSON-lines corpus file (default: bundled)")
-    p.add_argument("--fast", action="store_true", help="skip per-state relation checks")
+    p.add_argument("--fast", action="store_true", help="skip every relation check, T(i)'s too")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -75,9 +75,6 @@ class Region:
     def size(self) -> int:
         return len(self.boundary)
 
-    def segment_ids(self) -> tuple[int, ...]:
-        return self.boundary
-
 
 @dataclass
 class ValidationReport:
@@ -361,7 +358,8 @@ def parse_pd(text: str) -> LinkDiagram:
 
     Accepts whitespace-separated ``X(a,b,c,d)`` terms (arcs listed
     counterclockwise starting at the incoming under-strand) or the JSON
-    mirror ``{"crossings": [[a,b,c,d], ...]}``.  Segments are relabeled
+    mirror ``{"crossings": [[a,b,c,d], ...]}``, whose labels are
+    non-negative JSON integers as in the ``X`` form.  Segments are relabeled
     1..2n along the orientation, starting each component at its lowest
     input arc label; the input labels are not kept.
     """
@@ -370,13 +368,15 @@ def parse_pd(text: str) -> LinkDiagram:
         raise ParseError("empty PD input")
     if text.startswith("{"):
         try:
-            data = json.loads(text)
-            rows = data["crossings"]
-            terms = [tuple(int(x) for x in row) for row in rows]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            rows = json.loads(text)["crossings"]
+        except (json.JSONDecodeError, KeyError) as exc:
             raise ParseError(f"malformed PD JSON: {exc}") from None
-        if any(len(row) != 4 for row in terms):
-            raise ParseError("malformed PD JSON: every crossing needs 4 arcs")
+        if type(rows) is not list or not all(
+            type(row) is list and len(row) == 4 and all(type(x) is int and x >= 0 for x in row)
+            for row in rows
+        ):
+            raise ParseError("malformed PD JSON: every crossing needs 4 non-negative integer arcs")
+        terms = [tuple(row) for row in rows]
     else:
         matched = _PD_TERM.findall(text)
         leftover = _PD_TERM.sub("", text).strip()

@@ -33,6 +33,7 @@ and consume the tuples as they are.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -238,12 +239,12 @@ class LevelData:
     level: int
     segments: set[int]  # K'(d)
     added: set[int] = field(default_factory=set)  # segments with eps = 1
-    internal_points: list[dict] = field(default_factory=list)  # {"crossing", "region"}
+    internal_points: list[tuple[int, int]] = field(default_factory=list)  # (crossing, region)
 
 
 @dataclass
 class Partition:
-    level_of: dict[int, int]
+    level_of: tuple[int, ...]  # entry j - 1: the level of segment j
     levels: list[LevelData]
 
 
@@ -266,65 +267,56 @@ def _component_split(diagram: LinkDiagram, segs: set[int]) -> list[set[int]]:
     return comps
 
 
-def _degree(diagram: LinkDiagram, segs: set[int], crossing: int) -> int:
-    return sum(1 for s in diagram.crossings[crossing].segments if s in segs)
-
-
 def _walk(
-    diagram: LinkDiagram, segs: set[int], start: int, prefer_left: bool
-) -> list[tuple[int, int]]:
+    diagram: LinkDiagram, segs: set[int], internal: set[int], start: int, prefer_left: bool
+) -> list[tuple[int, int, int, int]]:
     """Greedy turning walk through ``segs`` from a degree-1 crossing.
 
-    Returns the list of (crossing, departure slot).  Arriving at slot s,
-    a left-preferring walk departs through the first unused slot of
-    ``segs`` in clockwise order s-1, s-2, s-3 (so it follows the face on
-    its left); the right-preferring walk uses the mirror order.  At
-    crossings of degree 4 going straight is not allowed.  The walk ends
-    when no departure is available.
+    Returns the steps (crossing, departure slot, arrival crossing, arrival
+    slot).  Arriving at slot s, a left-preferring walk departs through the
+    first unused slot of ``segs`` in clockwise order s-1, s-2, s-3 (so it
+    follows the face on its left); the right-preferring walk uses the
+    mirror order.  At the ``internal`` crossings, of degree 4, going
+    straight is not allowed.  The walk ends when no departure is available.
     """
-    first = next(s for s in range(4) if diagram.segment_at(start, s) in segs)
-    trail: list[tuple[int, int]] = []
+    c, s = start, next(s for s in range(4) if diagram.segment_at(start, s) in segs)
+    steps: list[tuple[int, int, int, int]] = []
     used: set[int] = set()
-    pos = (start, first)
     while True:
-        seg = diagram.segment_at(*pos)
-        trail.append(pos)
+        seg = diagram.segment_at(c, s)
         used.add(seg)
-        end_c, end_s = diagram._other_end(seg, pos)
+        end_c, end_s = diagram._other_end(seg, (c, s))
+        steps.append((c, s, end_c, end_s))
         offsets = (3, 2, 1) if prefer_left else (1, 2, 3)
-        if _degree(diagram, segs, end_c) == 4:
+        if end_c in internal:
             offsets = (3, 1) if prefer_left else (1, 3)
         for off in offsets:
             s_out = (end_s + off) % 4
             nxt = diagram.segment_at(end_c, s_out)
             if nxt in segs and nxt not in used:
-                pos = (end_c, s_out)
+                c, s = end_c, s_out
                 break
         else:
-            return trail
+            return steps
 
 
-def _walk_segments(diagram: LinkDiagram, walk: list[tuple[int, int]]) -> list[int]:
-    return [diagram.segment_at(c, s) for c, s in walk]
-
-
-def _walk_crossings(diagram: LinkDiagram, walk: list[tuple[int, int]]) -> list[int]:
-    """Crossing sequence visited by a walk (start crossing first)."""
-    if not walk:
-        return []
-    out = [walk[0][0]]
-    for pos in walk:
-        out.append(diagram._other_end(diagram.segment_at(*pos), pos)[0])
-    return out
+def _lobes(walk: list[tuple[int, int, int, int]]) -> dict[int, list[tuple[int, int, int, int]]]:
+    """The steps from the first to the second visit of each crossing a walk revisits."""
+    first = {walk[0][0]: 0}
+    lobes: dict[int, list[tuple[int, int, int, int]]] = {}
+    for k, (_, _, c, _) in enumerate(walk, 1):
+        if c not in first:
+            first[c] = k
+        elif c not in lobes:
+            lobes[c] = walk[first[c]:k]
+    return lobes
 
 
 def _enclosed_faces(diagram: LinkDiagram, boundary_segs: set[int], outside_hint: int) -> set[int]:
     """Faces separated from ``outside_hint``'s face side by the boundary segments."""
     adj: dict[int, set[int]] = {r.id: set() for r in diagram.regions}
-    for j, seg in diagram.segments.items():
-        if j in boundary_segs:
-            continue
-        a, b = diagram.left_region(j), diagram.right_region(j)
+    for j in diagram.segments.keys() - boundary_segs:
+        a, b = diagram.regions_at_segment(j)
         adj[a].add(b)
         adj[b].add(a)
     seen = {outside_hint}
@@ -341,19 +333,19 @@ def _enclosed_faces(diagram: LinkDiagram, boundary_segs: set[int], outside_hint:
 def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
     """Partition the segments into levels around the base segment i.
 
-    Level 0 holds the segments bounding the two regions at i (and i).
-    Each next level takes the segments that share a region with the
-    previous level, plus, for every crossing whose four segments all sit
-    in the new level, the segments of the pinched region at that crossing
-    that lie strictly inside the enclosed lobe.
+    Level 0 holds the segments bounding the two regions at i (i among
+    them).  Each next level takes the segments that share a region with
+    the previous level, plus, for every crossing whose four segments all
+    sit in the new level, the segments of the pinched region at that
+    crossing that lie strictly inside the enclosed lobe.  Those are the
+    region's segments off the lobe: each joins the pinched region to its
+    other face without crossing the lobe, so both faces are inside.
     """
     all_segs = set(diagram.segment_ids())
     r1, r2 = diagram.regions_at_segment(i)
-    level0 = {i}
-    for r in (r1, r2):
-        level0.update(diagram.regions[r].segment_ids())
-    level_of = {j: 0 for j in level0}
-    levels = [LevelData(0, set(level0))]
+    level0 = set(diagram.regions[r1].boundary) | set(diagram.regions[r2].boundary)
+    level_of = [0] * len(all_segs)
+    levels = [LevelData(0, level0)]
     assigned = set(level0)
 
     d = 0
@@ -362,7 +354,7 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
         prev = levels[-1].segments | levels[-1].added
         frontier: set[int] = set()
         for r in diagram.regions:
-            segs = set(r.segment_ids())
+            segs = set(r.boundary)
             if segs & prev:
                 frontier.update(segs - assigned)
         if not frontier:
@@ -373,75 +365,50 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
         data = LevelData(d, frontier)
         # walks along each connected component of the new level
         for comp in _component_split(diagram, frontier):
-            crossings = {
-                c
-                for j in comp
-                for c, _ in (diagram.segments[j].tail, diagram.segments[j].head)
-            }
-            externals = sorted(c for c in crossings if _degree(diagram, comp, c) == 1)
+            degree = Counter(
+                c for j in comp for c, _ in (diagram.segments[j].tail, diagram.segments[j].head)
+            )
+            externals = sorted(c for c, k in degree.items() if k == 1)
             if len(externals) != 2:
                 raise PartitionUndefinedError(
                     f"level {d} component {sorted(comp)} has {len(externals)} "
                     "external points instead of 2"
                 )
-            left = _walk(diagram, comp, externals[0], prefer_left=True)
-            right = _walk(diagram, comp, externals[0], prefer_left=False)
-            covered = set(_walk_segments(diagram, left)) | set(_walk_segments(diagram, right))
+            internal = {c for c, k in degree.items() if k == 4}
+            walks = [_walk(diagram, comp, internal, externals[0], left) for left in (True, False)]
+            covered = {diagram.segment_at(c, s) for walk in walks for c, s, _, _ in walk}
             if covered != comp:
                 raise DiagramError(f"level {d} walks missed segments {sorted(comp - covered)}")
-            internals = [c for c in crossings if _degree(diagram, comp, c) == 4]
-            for x in internals:
-                for walk in (left, right):
-                    seq = _walk_crossings(diagram, walk)
-                    if seq.count(x) < 2:
-                        continue
-                    # positions where the walk sits at x
-                    arrivals = [k for k, c in enumerate(seq) if c == x]
-                    k1, k2 = arrivals[0], arrivals[1]
-                    lobe = walk[k1:k2]  # departures between the two visits
-                    lobe_segs = {diagram.segment_at(c, s) for c, s in lobe}
-                    # corner pinched between the last arrival and the first
-                    # departure of the lobe at x; a walk departs from the
-                    # crossing it arrived at, so the lobe departs from x
-                    d1 = lobe[0][1]
-                    # the arrival slot at x closing the lobe
-                    a2 = diagram._other_end(diagram.segment_at(*lobe[-1]), lobe[-1])[1]
-                    if (a2 + 1) % 4 == d1:
-                        corner = a2
-                    elif (d1 + 1) % 4 == a2:
-                        corner = d1
-                    else:
-                        raise DiagramError("lobe does not pinch at a corner")
-                    region = diagram.region_of_corner(x, corner)
-                    outside = next(
-                        diagram.left_region(s)
-                        for c2, s2 in walk[:k1] + walk[k2:]
-                        for s in [diagram.segment_at(c2, s2)]
-                        if s not in lobe_segs
-                    )
-                    inside = _enclosed_faces(diagram, lobe_segs, outside)
-                    if region not in inside:
-                        raise DiagramError("pinched region is not inside its lobe")
-                    interior = {
-                        j
-                        for j in all_segs
-                        if j not in lobe_segs
-                        and diagram.left_region(j) in inside
-                        and diagram.right_region(j) in inside
-                    }
-                    added = {
-                        j
-                        for j in set(diagram.regions[region].segment_ids())
-                        if j in interior and j not in assigned
-                    }
-                    data.internal_points.append({"crossing": x, "region": region})
-                    data.added.update(added)
-                    break
+            # lobes start at internal points, so the first segment of both
+            # walks, the external point's one segment in comp, is on none
+            c0, s0, _, _ = walks[0][0]
+            outside = diagram.left_region(diagram.segment_at(c0, s0))
+            left, right = (_lobes(walk) for walk in walks)
+            for x in sorted(internal):
+                lobe = left.get(x) or right.get(x)
+                if lobe is None:
+                    continue
+                lobe_segs = {diagram.segment_at(c, s) for c, s, _, _ in lobe}
+                # a walk departs from the crossing it arrived at, so the lobe
+                # leaves x in its first step and comes back in its last: the
+                # pinched corner lies between that arrival and departure
+                d1, a2 = lobe[0][1], lobe[-1][3]
+                if (a2 + 1) % 4 == d1:
+                    corner = a2
+                elif (d1 + 1) % 4 == a2:
+                    corner = d1
+                else:
+                    raise DiagramError("lobe does not pinch at a corner")
+                region = diagram.region_of_corner(x, corner)
+                if region not in _enclosed_faces(diagram, lobe_segs, outside):
+                    raise DiagramError("pinched region is not inside its lobe")
+                data.internal_points.append((x, region))
+                data.added.update(set(diagram.regions[region].boundary) - lobe_segs - assigned)
         for j in data.segments | data.added:
-            level_of[j] = d
+            level_of[j - 1] = d
         assigned.update(data.segments | data.added)
         levels.append(data)
-    return Partition(level_of, levels)
+    return Partition(tuple(level_of), levels)
 
 
 def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
@@ -452,11 +419,8 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
     equal levels, except at the pinched corner of an internal point,
     where the full shift block J acts.
     """
-    dims = tuple(part.level_of[j] for j in diagram.segment_ids())
-    pinched: set[tuple[int, int]] = set()
-    for ld in part.levels:
-        for rec in ld.internal_points:
-            pinched.add((rec["crossing"], rec["region"]))
+    dims = part.level_of
+    pinched = {p for ld in part.levels for p in ld.internal_points}
     maps: list[PartialShift] = []
     for a in q.arrows:
         ds, dt = dims[a.src - 1], dims[a.tgt - 1]

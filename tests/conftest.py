@@ -7,6 +7,15 @@ TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8_PD = "X(3,1,4,8) X(7,5,8,4) X(5,2,6,3) X(1,6,2,7)"
 
 
+def compositions(n):
+    """Every sequence of positive integers with sum n: a 2-bridge link's twists."""
+    if n == 0:
+        yield []
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield [first, *rest]
+
+
 @pytest.fixture(scope="session")
 def trefoil():
     return parse_pd(TREFOIL_PD)

@@ -53,7 +53,7 @@ def level_graph_report(
             c for c in range(diagram.n) if all(s in segs for s in diagram.crossings[c].segments)
         ]
         region_vertices = [
-            r.id for r in diagram.regions if set(r.segment_ids()) <= segs
+            r.id for r in diagram.regions if set(r.boundary) <= segs
         ]
         edges = []
         for a in q.arrows:
@@ -88,10 +88,7 @@ def level_graph_report(
                 unique_leaf = False
         edge_count = len({(e[1], e[3]) for e in edges})
         is_forest = edge_count == len(nodes) - components
-        pinched = {
-            rec["crossing"]: rec["region"]
-            for rec in part.levels[d].internal_points
-        }
+        pinched = dict(part.levels[d].internal_points)
         root_ok = (
             sorted(pinched.keys()) == sorted(crossing_vertices)
             and sorted(set(pinched.values())) == sorted(region_vertices)

@@ -212,6 +212,12 @@ class TestAlexanderCmd:
         assert (code, out) == (2, "")
         assert err == "error: invalid diagram: crossings [2, 3, 4] are unreachable from crossing 0\n"
 
+    def test_json_mirror_with_a_float_label_exit_2(self, capsys):
+        pd = json.dumps({"crossings": [[1.9, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]})
+        code, out, err = run(capsys, "alexander", pd, "--method", "det")
+        assert (code, out) == (2, "")
+        assert err == "error: malformed PD JSON: every crossing needs 4 non-negative integer arcs\n"
+
     @pytest.mark.parametrize("method", ["det", "statesum", "spec", "all"])
     def test_unknown_segment_exit_2(self, capsys, method):
         code, out, err = run(capsys, "alexander", "figure-eight", "--method", method,

@@ -32,7 +32,7 @@ class TestParse:
         assert len(fig8.regions) == 6
 
     def test_fig8_region_structure(self, fig8):
-        faces = sorted(sorted(set(r.segment_ids())) for r in fig8.regions)
+        faces = sorted(sorted(set(r.boundary)) for r in fig8.regions)
         assert faces == [[1, 3, 6], [1, 4, 7], [2, 5, 7], [2, 6], [3, 5, 8], [4, 8]]
 
     def test_malformed_arity(self):
@@ -51,6 +51,22 @@ class TestParse:
         data = json.dumps({"crossings": [[3, 1, 4, 8], [7, 5, 8, 4], [5, 2, 6, 3], [1, 6, 2, 7]]})
         d = parse_pd(data)
         assert d.to_pd() == fig8.to_pd()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.9, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]],  # a float
+            [[1, 4, 2, 5], [3, 6, 4, "1"], [5, 2, 6, 3]],  # a numeric string
+            [[True, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]],  # a bool
+            [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3.0]],  # an integral float
+            ["1425", "3641", "5263"],  # string rows
+            [[-1, 4, 2, 5], [3, 6, 4, -1], [5, 2, 6, 3]],  # a negative label
+        ],
+    )
+    def test_json_mirror_labels_are_non_negative_ints(self, rows):
+        # each reads as the trefoil if labels are coerced with int() or may be negative
+        with pytest.raises(ParseError, match="4 non-negative integer arcs"):
+            parse_pd(json.dumps({"crossings": rows}))
 
     def test_roundtrip_through_pd(self, fig8, trefoil):
         for d in (fig8, trefoil):
@@ -174,13 +190,13 @@ class TestRegionsAndValidate:
 
     def test_each_side_once(self, fig8):
         # every segment bounds two regions, its left and its right, once each
-        sides = sorted(j for r in fig8.regions for j in r.segment_ids())
+        sides = sorted(j for r in fig8.regions for j in r.boundary)
         assert sides == sorted(list(fig8.segments) * 2)
         for j in fig8.segments:
             left, right = fig8.regions_at_segment(j)
             assert left != right
-            assert j in fig8.regions[left].segment_ids()
-            assert j in fig8.regions[right].segment_ids()
+            assert j in fig8.regions[left].boundary
+            assert j in fig8.regions[right].boundary
 
     def test_fig8_valid(self, fig8):
         report = fig8.validate()

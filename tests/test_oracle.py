@@ -10,6 +10,7 @@ from knotquiver.poly import LaurentPoly
 from knotquiver.states import enumerate_states, state_sum_alexander
 from knotquiver.verify import verify_diagram
 
+from .conftest import compositions
 
 BORROMEAN_PD = "X(2,1,4,5) X(5,6,7,3) X(6,4,8,9) X(9,10,11,7) X(10,8,1,13) X(13,2,3,11)"
 
@@ -159,15 +160,6 @@ def test_bareiss_digits_match_leibniz(rows):
     assert _det_coefficients(rows) == _leibniz(rows)
 
 
-def _compositions(n):
-    """Every sequence of positive integers with sum n."""
-    if n == 0:
-        yield []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield [first, *rest]
-
-
 class TestClosedForms:
     def test_two_bridge_determinant(self):
         # b(p, q) has |Delta(-1)| = p, the order of H_1 of its double
@@ -175,7 +167,7 @@ class TestClosedForms:
         units = ((1, 0), (0, 1), (-1, 0), (0, -1))
         count = 0
         for n in range(2, 10):
-            for cf in _compositions(n):
+            for cf in compositions(n):
                 p, _q = continued_fraction_value(cf)
                 re = im = 0
                 for e, c in alexander_det(two_bridge(cf)).terms.items():
@@ -192,7 +184,7 @@ class TestClosedForms:
         # palindromes of normal forms
         links = 0
         for n in range(2, 10):
-            for cf in _compositions(n):
+            for cf in compositions(n):
                 d = two_bridge(cf)
                 det = alexander_det(d)
                 coeffs = det.t_coefficients()

@@ -13,6 +13,8 @@ from knotquiver.quiver import (
 )
 from knotquiver.verify import check_structure
 
+from .conftest import compositions
+
 FIG8_ARROWS = sorted(
     [
         (4, 1), (1, 3), (3, 8), (8, 4),  # first crossing cycle
@@ -21,15 +23,6 @@ FIG8_ARROWS = sorted(
         (6, 1), (1, 7), (7, 2), (2, 6),  # fourth
     ]
 )
-
-
-def _compositions(n):
-    """Every sequence of positive integers with sum n."""
-    if n == 0:
-        yield []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield [first, *rest]
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +185,7 @@ class TestReduction:
         # link is one such cycle)
         count = dropped = 0
         for n in range(2, 8):
-            for cf in _compositions(n):
+            for cf in compositions(n):
                 d = two_bridge(cf)
                 q = build_quiver(d)
                 w = build_potential(d, q)

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotquiver import reps, verify
-from knotquiver.diagram import DiagramError, two_bridge
+from knotquiver.diagram import DiagramError, parse_pd, two_bridge
 from knotquiver.quiver import Arrow, Quiver, build_potential, build_quiver
 from knotquiver.reps import (
     PartialShift,
@@ -27,6 +28,7 @@ from knotquiver.reps import (
 from knotquiver.states import build_lattice
 from knotquiver.verify import verify_diagram
 
+from .conftest import compositions
 from .level_graph import level_graph_report, level_sets
 
 
@@ -313,7 +315,7 @@ class TestStateModules:
             rep = link_module(trefoil, q, lat)
             excluded = set()
             for r in trefoil.regions_at_segment(i):
-                excluded.update(trefoil.regions[r].segment_ids())
+                excluded.update(trefoil.regions[r].boundary)
             support = set(trefoil.segment_ids()) - excluded - {i}
             assert rep.dim_vector() == {j: 1 for j in support}
 
@@ -487,7 +489,7 @@ class TestPartition:
         for i in fig8.segment_ids():
             part = compute_partition(fig8, i)
             rep = link_module(fig8, q, lats[i])
-            assert part.level_of == dict(enumerate(rep.dims, 1))
+            assert part.level_of == rep.dims
 
     def test_t_direct_equals_max_state_module(self, corpus_diagrams):
         for name, d in corpus_diagrams.items():
@@ -503,6 +505,40 @@ class TestPartition:
                 direct = t_direct(d, q, part)
                 assert direct.dims == rep.dims, (name, i)
                 assert direct.maps == rep.maps, (name, i)
+
+    def test_t_direct_equals_max_state_module_on_two_bridge(self):
+        # all 126 compositions with 2-7 crossings; the partition is defined on each
+        for n in range(2, 8):
+            for cf in compositions(n):
+                d = two_bridge(cf)
+                q = build_quiver(d)
+                for i in d.segment_ids():
+                    direct = t_direct(d, q, compute_partition(d, i))
+                    assert direct == link_module(d, q, build_lattice(d, i)), (cf, i)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crossing_order_does_not_move_the_levels(self, corpus, corpus_diagrams, seed):
+        # the walks start at the lower-indexed external crossing, and the
+        # order of the PD terms numbers the crossings; segment ids do not move
+        rng = random.Random(seed)
+        for entry in corpus:
+            d = corpus_diagrams[entry.name]
+            terms = re.findall(r"X\([^)]*\)", entry.pd)
+            rng.shuffle(terms)
+            shuffled = parse_pd(" ".join(terms))
+            q = build_quiver(shuffled)
+            for i in d.segment_ids():
+                try:
+                    part = compute_partition(d, i)
+                except PartitionUndefinedError as exc:
+                    with pytest.raises(PartitionUndefinedError, match=re.escape(str(exc))):
+                        compute_partition(shuffled, i)
+                    continue
+                moved = compute_partition(shuffled, i)
+                assert moved.level_of == part.level_of, (entry.name, i)
+                assert [ld.added for ld in moved.levels] == [ld.added for ld in part.levels]
+                rep = link_module(shuffled, q, build_lattice(shuffled, i))
+                assert t_direct(shuffled, q, moved) == rep, (entry.name, i)
 
     def test_conway_undefined_segments_are_known(self, corpus_diagrams):
         d = corpus_diagrams["conway"]
