@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .diagram import DiagramError, LinkDiagram
@@ -671,21 +672,38 @@ def _crossing_tables(diagram: LinkDiagram, lat: StateLattice, top: QuiverRep) ->
     for which the leading restriction of T(i)'s four maps there is
     invariant and is ``_crossing_maps(t)``.  The arrow at corner k0+k runs
     from slot k0+k+1 to slot k0+k, so it restricts to the heights at those
-    two slots."""
+    two slots.  Crossings with the same four maps and T_c share one set."""
+    memo: dict[tuple[tuple[PartialShift, ...], int], set[int]] = {}
     tables = []
     for c, k0 in enumerate(lat.states[lat.min_state]):
-        maps = [top.maps[4 * c + (k0 + k) % 4] for k in range(4)]
+        maps = tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
         t_max = sum(top.dims[j - 1] for j in diagram.crossings[c].segments)
-        tables.append({
-            t
-            for t in range(t_max + 1)
-            for h in [_pattern(t)]
-            if all(
-                _leading(m, h[k - 1], h[k]) == want
-                for k, (m, want) in enumerate(zip(maps, _crossing_maps(t)))
-            )
-        })
+        if (maps, t_max) not in memo:
+            memo[maps, t_max] = {
+                t
+                for t in range(t_max + 1)
+                for h in [_pattern(t)]
+                if all(
+                    _leading(m, h[k - 1], h[k]) == want
+                    for k, (m, want) in enumerate(zip(maps, _crossing_maps(t)))
+                )
+            }
+        tables.append(memo[maps, t_max])
     return tables
+
+
+def _suspects(diagram: LinkDiagram, lat: StateLattice, tables: list[set[int]]) -> list[int]:
+    """The states, ascending, that fail ``_crossing_totals`` or miss a table: one set
+    test per crossing over its column of rows (heights at slots k0+1 .. k0+4, marker),
+    allowed as (``_pattern(t)``, k0 + t mod 4) for t in the table, any marker if t = 0."""
+    suspects: set[int] = set()
+    for c, (k0, table) in enumerate(zip(lat.states[lat.min_state], tables)):
+        slots = itemgetter(*(diagram.crossings[c].segments[(k0 + p) % 4] - 1 for p in range(1, 5)))
+        allowed = {(_pattern(t), (k0 + t) % 4 if t else m) for t in table for m in range(4)}
+        if not allowed.issuperset(zip(map(slots, lat.heights), map(itemgetter(c), lat.states))):
+            rows = zip(map(slots, lat.heights), map(itemgetter(c), lat.states))
+            suspects.update(k for k, row in enumerate(rows) if row not in allowed)
+    return sorted(suspects)
 
 
 def relation_violation(
@@ -709,19 +727,16 @@ def relation_violation(
 
     The restriction at a crossing depends only on its total, so
     ``_crossing_tables`` checks the second fact once per crossing and
-    total, and a state whose totals are all in their tables passes: O(n)
-    integer work per state.  A state that misses a table is built with
-    ``state_module`` and checked in full, so the verdict is that of
-    checking every state module in full.
+    total, and ``_suspects`` makes one set test per crossing over the
+    lattice's columns.  Each state it returns is built, in index order,
+    with ``state_module`` (which raises on inconsistent heights or markers)
+    and checked in full: the verdict of checking every module in full.
     """
     if (bad := _violated(top, q, w)) is not None:
         return lat.max_state, bad
-    tables = _crossing_tables(diagram, lat, top)
-    for k in range(lat.size):
-        totals = _crossing_totals(diagram, lat, k)
-        if any(t not in table for t, table in zip(totals, tables)):
-            if (bad := _violated(state_module(diagram, q, lat, k), q, w)) is not None:
-                return k, bad
+    for k in _suspects(diagram, lat, _crossing_tables(diagram, lat, top)):
+        if (bad := _violated(state_module(diagram, q, lat, k), q, w)) is not None:
+            return k, bad
     return None
 
 

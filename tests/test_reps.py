@@ -911,6 +911,88 @@ class TestRelationWalk:
                     assert not reps._holds(mutant.maps, mutant.dims, rel)
         assert failed
 
+    def test_bad_height_below_top_raises_through_the_gate(self, fig8_ctx):
+        # one height of a non-maximal state raised by 2 fits no transposition
+        # history at either crossing of its segment
+        fig8, q, w, lats = fig8_ctx
+        message = "^marker history is inconsistent with heights$"
+        for lat in lats.values():
+            top = link_module(fig8, q, lat)
+            for k in set(range(lat.size)) - {lat.max_state}:
+                for j in range(len(lat.heights[k])):
+                    heights = list(lat.heights)
+                    heights[k] = heights[k][:j] + (heights[k][j] + 2,) + heights[k][j + 1:]
+                    mutant = replace(lat, heights=tuple(heights))
+                    with pytest.raises(DiagramError, match=message):
+                        relation_violation(fig8, q, w, mutant, top)
+
+    def test_bad_marker_below_top_raises_through_the_gate(self, fig8_ctx):
+        # the marker of a non-maximal state moved on by one corner at the
+        # first crossing where it has been transposed
+        fig8, q, w, lats = fig8_ctx
+        message = "^marker position disagrees with transposition count$"
+        moved = 0
+        for lat in lats.values():
+            top = link_module(fig8, q, lat)
+            for k in set(range(lat.size)) - {lat.max_state}:
+                totals = reps._crossing_totals(fig8, lat, k)
+                c = next((c for c, t in enumerate(totals) if t), None)
+                if c is None:
+                    continue
+                states = list(lat.states)
+                states[k] = states[k][:c] + ((states[k][c] + 1) % 4,) + states[k][c + 1:]
+                mutant = replace(lat, states=tuple(states))
+                with pytest.raises(DiagramError, match=message):
+                    relation_violation(fig8, q, w, mutant, top)
+                moved += 1
+        assert moved
+
+    def test_suspects_are_the_states_that_miss_a_table(self, corpus_diagrams, monkeypatch):
+        # the column scan returns exactly the states that the per-state
+        # totals put outside a table: none on clean lattices, some once the
+        # maps after 3 transpositions are changed at corner 1
+        diagrams = [*corpus_diagrams.values()]
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        found = set()
+        for corrupt in (False, True):
+            with monkeypatch.context() as m:
+                if corrupt:
+                    _corrupt_crossing_maps(m, 3, 1)
+                for d in diagrams:
+                    q = build_quiver(d)
+                    for i in d.segment_ids():
+                        lat = build_lattice(d, i)
+                        tables = reps._crossing_tables(d, lat, link_module(d, q, lat))
+                        expected = [
+                            k
+                            for k in range(lat.size)
+                            if any(
+                                t not in table
+                                for t, table in zip(reps._crossing_totals(d, lat, k), tables)
+                            )
+                        ]
+                        suspects = reps._suspects(d, lat, tables)
+                        assert suspects == expected, (d.n, i, corrupt)
+                        if not corrupt:
+                            assert suspects == []
+                        found.add(bool(suspects))
+        assert found == {False, True}
+
+    def test_tables_are_built_per_call(self, corpus_diagrams, monkeypatch):
+        # clean, corrupted, clean again on one lattice: each run gives its
+        # own verdict, so no crossing table outlives the call that built it
+        # (a table kept from the clean run would let the corrupted states by)
+        d = corpus_diagrams["10_66"]
+        q = build_quiver(d)
+        w = build_potential(d, q)
+        lat = build_lattice(d, 1)
+        assert _gate(d, q, w, lat) is None
+        with monkeypatch.context() as m:
+            _corrupt_crossing_maps(m, 3, 1)
+            k, _rel = _gate(d, q, w, lat)
+            assert k == _first_failing(d, q, w, lat) != lat.max_state
+        assert _gate(d, q, w, lat) is None
+
     @pytest.mark.parametrize(
         "where", ["minimal", "mid-depth", "leaf", "crossing-maps", "maximal"]
     )
