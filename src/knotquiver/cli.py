@@ -21,7 +21,7 @@ from .diagram import (
 )
 from .jsontext import json_text
 from .oracle import alexander_det
-from .poly import LaurentPoly
+from .poly import LaurentPoly, render_monomial
 from .quiver import build_potential, build_quiver, export, reduce_two_cycles
 from .states import build_lattice, enumerate_states, lattice_to_json, state_sum_alexander
 from .verify import run_segment, segment_pipeline, verify_diagram
@@ -98,8 +98,7 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
         sys.stdout.write(json_text(data) + "\n")
         return 0
     for i, f, spec in rows:
-        top = "*".join(f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in f.top_term())
-        print(f"segment {i}: {f.num_terms} terms, top {top}")
+        print(f"segment {i}: {f.num_terms} terms, top {render_monomial(f.top_term())}")
         print(f"  F = {f.render()}")
         print(f"  F|t = {spec.render()}")
     return 0
@@ -136,12 +135,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
     failures = 0
     for entry in entries:
-        diagram = entry.diagram()
         if not entry.prime:
             print(f"{entry.name}: skipped (not asserted prime)")
             continue
         report = verify_diagram(
-            diagram,
+            entry.diagram(),
             name=entry.name,
             expected_alexander=entry.alexander,
             check_all_states=not args.fast,

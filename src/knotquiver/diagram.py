@@ -171,17 +171,17 @@ class LinkDiagram:
 
     # -- specialization ----------------------------------------------------
 
-    def specialization_exponents(self) -> dict[int, int]:
-        """Exponent of s substituted for each y_j (y_j -> -s**exp).
+    def specialization_exponents(self) -> tuple[int, ...]:
+        """The weight tuple that specializes F: entry j - 1 is the exponent
+        of s substituted for y_j (y_j -> -s**exp), over segments 1..2n.
 
         Odd slots are over: a segment from under to over gets 2 (y_j -> -t),
         from over to under -2 (y_j -> -1/t), and one that passes the same
         way at both ends 0 (y_j -> -1).
         """
-        return {
-            j: 2 * (seg.head[1] % 2 - seg.tail[1] % 2)
-            for j, seg in sorted(self.segments.items())
-        }
+        return tuple(
+            2 * (seg.head[1] % 2 - seg.tail[1] % 2) for _j, seg in sorted(self.segments.items())
+        )
 
     # -- validation ---------------------------------------------------------
 

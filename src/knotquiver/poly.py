@@ -2,15 +2,17 @@
 
 Two types are used throughout the package:
 
-* ``MultiPoly`` -- the F-polynomial: a generating function over a lattice
-  in variables ``y_1, ..., y_m`` (one variable per segment of a diagram),
-  with one monomial per lattice element.  A monomial is its dense
-  exponent tuple, whose entry k - 1 is the exponent of ``y_k``: the form
-  in which state heights and submodule dimension vectors are stored (over
-  the sorted segment ids 1..2n), and the rows of ``to_json``.  So the
-  lattice's tuples are the keys of ``terms`` as they are, and terms are
-  sorted by a key read off the dense tuple.  The sparse
-  ``((variable, exponent), ...)`` view is derived only to print.  F is
+* ``MultiPoly`` -- the F-polynomial of a module T(i) in variables
+  ``y_1, ..., y_m``, one per segment of a diagram.  A submodule of T(i) is
+  fixed by its dimension vector, so each quiver Grassmannian is a point or
+  empty and every coefficient of F is 1: F is the set of T(i)'s dimension
+  vectors.  A monomial is its dense exponent tuple, whose entry k - 1 is
+  the exponent of ``y_k``: the form in which state heights and submodule
+  dimension vectors are stored (over the sorted segment ids 1..2n), and
+  the rows of ``to_json``.  Terms are sorted by a key read off the dense
+  tuple; the sparse ``((variable, exponent), ...)`` view is derived only
+  to print.  F is specialized by a weight tuple over the segments, a dot
+  product per term, with the term's sign read from its degree.  F is
   built, compared, queried, specialized and serialized, but it has no
   ring operations.
 
@@ -27,12 +29,11 @@ All coefficients are Python ints, so arithmetic is exact at any size.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, compress
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-# A dense exponent vector over y_1..y_nvars: the key of a MultiPoly term.
+# A dense exponent vector over y_1..y_nvars: a term of a MultiPoly.
 Exponents = tuple[int, ...]
 # The sparse view of a monomial, sorted ((variable, exponent), ...) pairs
 # with 1-based variables; the order in which terms are printed and written.
@@ -43,7 +44,12 @@ def _sparse(exps: Exponents) -> Monomial:
     return tuple(compress(enumerate(exps, 1), exps))
 
 
-def _order_key(term: tuple[Exponents, int]) -> tuple[int, list[int]]:
+def render_monomial(mono: Monomial) -> str:
+    """``y2*y5^3`` for ``((2, 1), (5, 3))``; the empty string for 1."""
+    return "*".join(f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in mono)
+
+
+def _order_key(e: Exponents) -> tuple[int, list[int]]:
     """Sort key of a term: its (degree, sparse monomial) order, read densely.
 
     Among vectors of one degree d, the order of their sparse monomials is
@@ -56,39 +62,34 @@ def _order_key(term: tuple[Exponents, int]) -> tuple[int, list[int]]:
     k + 1 and a sorts first; densely a_k <= d < d + 1.  Since no entry
     exceeds d, distinct vectors get distinct keys.
     """
-    e = term[0]
     d = sum(e)
     return d, [x or d + 1 for x in e]
 
 
-def _check_lengths(nvars: int, vectors: Iterable[Exponents]) -> None:
+def _check_lengths(nvars: int, vectors: Iterable[Sequence[int]]) -> None:
     wrong = set(map(len, vectors)) - {nvars}
     if wrong:
         raise ValueError(f"exponent vector of length {min(wrong)}, expected {nvars}")
 
 
 class MultiPoly:
-    """Polynomial in y_1..y_nvars with integer coefficients, keyed by dense
-    exponent tuples (no ring operations)."""
+    """F-polynomial in y_1..y_nvars: the set of its terms' dense exponent
+    tuples, each with coefficient 1 (no ring operations)."""
 
     __slots__ = ("nvars", "terms", "_json")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
+    def __init__(self, nvars: int, terms: Iterable[Exponents] = ()):
         self.nvars = nvars
-        self.terms: dict[Exponents, int] = {e: c for e, c in terms.items() if c} if terms else {}
+        self.terms: frozenset[Exponents] = frozenset(terms)
         self._json: dict | None = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_vectors(cls, nvars: int, vectors: Iterable[Sequence[int]]) -> "MultiPoly":
-        """Sum of ``y**vec`` over dense exponent vectors of length ``nvars``.
-
-        Each vector contributes coefficient 1; repeated vectors add up.  A
-        tuple is stored as it is.
-        """
-        f = cls(nvars)
-        f.terms = dict(Counter(map(tuple, vectors)))
+        """Sum of ``y**vec`` over the distinct dense exponent vectors of
+        length ``nvars``.  A tuple is stored as it is."""
+        f = cls(nvars, map(tuple, vectors))
         _check_lengths(nvars, f.terms)
         return f
 
@@ -105,13 +106,6 @@ class MultiPoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
-    def coefficients(self) -> list[int]:
-        """The coefficients, in no particular order."""
-        return list(self.terms.values())
-
     def top_term(self) -> Monomial:
         """Sparse monomial of maximal total degree (must be unique)."""
         if not self.terms:
@@ -123,62 +117,39 @@ class MultiPoly:
         return _sparse(list(self.terms)[degrees.index(deg)])
 
     def evaluate_at_minus_one(self) -> int:
-        """Value at y_j = -1 for all j."""
-        return sum(-c if sum(e) % 2 else c for e, c in self.terms.items())
+        """Value at y_j = -1 for all j: each term is -1 to its degree."""
+        return sum(-1 if sum(e) % 2 else 1 for e in self.terms)
 
     # -- specialization -----------------------------------------------
 
-    def specialize(self, s_exponents: Mapping[int, int]) -> "LaurentPoly":
-        """Substitute ``y_j -> -s**s_exponents[j]`` for every variable.
+    def specialize(self, weights: Sequence[int]) -> "LaurentPoly":
+        """Substitute ``y_j -> -s**weights[j - 1]`` for every variable.
 
         The substitution used for link diagrams sends a segment variable
         to ``-t``, ``-t**-1`` or ``-1`` depending on its over/under class,
-        i.e. to ``-s**2``, ``-s**-2`` or ``-s**0``.  A monomial's exponent
-        of s is the dot product of its vector with these exponents, and
-        its sign is the parity of its degree.  A variable without an
-        exponent raises KeyError if some term uses it.
+        i.e. to ``-s**2``, ``-s**-2`` or ``-s**0``.  A term's exponent of
+        s is the dot product of its vector with the weights, and its sign
+        is the parity of its degree.  Weights of the wrong length raise
+        ValueError.
         """
-        weights = []
-        for var in range(1, self.nvars + 1):
-            w = s_exponents.get(var)
-            if w is None:
-                if any(e[var - 1] for e in self.terms):
-                    raise KeyError(f"no specialization for variable y_{var}")
-                w = 0
-            weights.append(w)
+        _check_lengths(self.nvars, [weights])
         out: dict[int, int] = {}
-        for e, coef in self.terms.items():
+        for e in self.terms:
             exp = sum(map(mul, e, weights))
-            out[exp] = out.get(exp, 0) + (-coef if sum(e) % 2 else coef)
+            out[exp] = out.get(exp, 0) + (-1 if sum(e) % 2 else 1)
         return LaurentPoly(out)
 
     # -- rendering / serialization ------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Exponents, int]]:
-        """(exponents, coefficient) pairs by degree, then sparse monomial."""
-        return sorted(self.terms.items(), key=_order_key)
+    def _sorted_terms(self) -> list[Exponents]:
+        """The terms by degree, then sparse monomial."""
+        return sorted(self.terms, key=_order_key)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for exps, coef in self._sorted_terms():
-            factors = [
-                f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in _sparse(exps)
-            ]
-            body = "*".join(factors)
-            if not factors:
-                text = str(abs(coef))
-            elif abs(coef) == 1:
-                text = body
-            else:
-                text = f"{abs(coef)}*{body}"
-            sign = "-" if coef < 0 else "+"
-            parts.append(f"{sign} {text}" if parts else (f"-{text}" if coef < 0 else text))
-        return " ".join(parts)
+        return " + ".join(render_monomial(_sparse(e)) or "1" for e in self._sorted_terms()) or "0"
 
     def to_json(self) -> dict:
-        """``{"nvars", "terms": [{"coef", "exp"}, ...]}``, terms in printed order.
+        """``{"nvars", "terms": [{"coef": 1, "exp"}, ...]}``, terms in printed order.
 
         F does not change once built, so the rows are sorted and built on
         the first call, and later calls return the same dict: a cold
@@ -186,7 +157,7 @@ class MultiPoly:
         Callers must not modify it.
         """
         if self._json is None:
-            rows = [{"exp": e, "coef": c} for e, c in self._sorted_terms()]
+            rows = [{"exp": e, "coef": 1} for e in self._sorted_terms()]
             self._json = {"nvars": self.nvars, "terms": rows}
         return self._json
 
@@ -194,10 +165,11 @@ class MultiPoly:
     def from_json(cls, data: dict) -> "MultiPoly":
         """Inverse of ``to_json``.
 
-        Raises ValueError unless ``nvars`` and every coefficient are ints,
-        every exponent is a non-negative int of the right count (a bool is
-        not an int here), and no exponent vector is repeated: ``to_json``
-        writes each once, so a repeated one is read as neither row.
+        Raises ValueError unless ``nvars`` and every exponent are ints,
+        every exponent is non-negative and of the right count (a bool is
+        not an int here), every coefficient is the int 1, and no exponent
+        vector is repeated: ``to_json`` writes each term once with
+        coefficient 1, so any other row is not read as a term.
         """
         nvars = data["nvars"]
         exps = [tuple(row["exp"]) for row in data["terms"]]
@@ -205,10 +177,12 @@ class MultiPoly:
         entries = list(chain.from_iterable(exps))
         if {type(nvars), *map(type, entries), *map(type, coefs)} - {int}:
             raise ValueError("exponents and coefficients must be ints")
+        if set(coefs) - {1}:
+            raise ValueError("coefficients must be 1")
         if entries and min(entries) < 0:
             raise ValueError("exponents must be non-negative")
         _check_lengths(nvars, exps)
-        terms = dict(zip(exps, coefs))
+        terms = frozenset(exps)
         if len(terms) != len(exps):
             raise ValueError("repeated exponent")
         return cls(nvars, terms)

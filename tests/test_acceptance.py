@@ -256,6 +256,8 @@ def test_criterion_9_structure(corpus_reports, corpus_diagrams):
             assert outdeg[v] == 2 and indeg[v] == 2
         ml = enumerate_submodules(q, link_module(d, q, build_lattice(d, 1)))
         f = MultiPoly.from_vectors(2 * d.n, ml.elements)
-        assert f.constant_term() == 1, name
-        assert all(c == 1 for c in f.coefficients()), name
+        # F's coefficients are 1 and its constant term is 1: one term per
+        # submodule (no two share a dimension vector), the zero one among them
+        assert f.num_terms == ml.size, name
+        assert (0,) * f.nvars in f.terms, name
         assert len(ml.elements) == len(set(ml.elements)), name

@@ -110,6 +110,8 @@ def _forge(body: bytes, old: bytes, new: bytes) -> bytes:
         (b'{"coef":1,"exp":[0,1,0,0,1,0,0,1]}', b'{"coef":true,"exp":[0,1,0,0,1,0,0,1]}'),
         (b'{"coef":1,"exp":[0,1,0,0,1,0,0,1]}', b'{"coef":1.0,"exp":[0,1,0,0,1,0,0,1]}'),
         (b'{"coef":1,"exp":[0,1,0,0,1,0,0,1]}', b'{"coef":"1","exp":[0,1,0,0,1,0,0,1]}'),
+        # an int, but every coefficient of F is 1
+        (b'{"coef":1,"exp":[0,1,0,0,1,0,0,1]}', b'{"coef":2,"exp":[0,1,0,0,1,0,0,1]}'),
         (b'"nvars":8', b'"nvars":8.0'),
         (b"[2,-1]", b"[2,-1.0]"),
         (b"[2,-1]", b"[true,-1]"),
@@ -118,12 +120,12 @@ def _forge(body: bytes, old: bytes, new: bytes) -> bytes:
         (b"[0,1,0,0,1,0,0,1]", b"[0,1,0,0,1,0,0,0]"),
     ],
     ids=["exp-true", "exp-float", "exp-negative", "exp-str", "exp-null",
-         "coef-true", "coef-float", "coef-str", "nvars-float", "spec-float", "spec-true",
+         "coef-true", "coef-float", "coef-str", "coef-two", "nvars-float", "spec-float", "spec-true",
          "spec-repeated-exp", "f-repeated-exp"],
 )
 def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, old, new):
-    """A row that is not made of ints, or that repeats an exponent, is a
-    miss even under its own checksum; the recomputed entry replaces it and
+    """A row that is not made of ints, that has a coefficient other than
+    1, or that repeats an exponent, is a miss even under its own checksum; the recomputed entry replaces it and
     the output is the cold one."""
     cold = _fpoly(capsys, "--all")
     (tmp_path / FIG8_SEG1_NAME).write_bytes(_forge(FIG8_SEG1_BODY, old, new))

@@ -254,6 +254,22 @@ class TestVerifyCmd:
         code, _, quiver_err = run(capsys, "quiver", "X(1,2,2,1)")
         assert code == 2 and quiver_err == err.replace("error: k: ", "error: ")
 
+    def test_row_not_asserted_prime_is_skipped_unvalidated(self, capsys, tmp_path):
+        """A split diagram (two trefoils, not connected) without ``prime``
+        is skipped before it is built, so it does not abort the run."""
+        split = TREFOIL_PD + " X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
+        corpus = tmp_path / "split.jsonl"
+        corpus.write_text(
+            json.dumps({"name": "split", "pd": split}) + "\n"
+            + json.dumps({"name": "trefoil", "pd": TREFOIL_PD, "prime": True}) + "\n"
+        )
+        code, out, err = run(capsys, "verify", str(corpus))
+        assert (code, err) == (0, "")
+        assert out == (
+            "split: skipped (not asserted prime)\n"
+            "trefoil: PASS  (n=3, Delta = 1 - t + t^2)\n"
+        )
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -106,11 +106,11 @@ class TestMultiPoly:
     def test_from_vectors(self):
         f = MultiPoly.from_vectors(4, [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)])
         assert f.num_terms == 3
-        assert f.constant_term() == 1
-        # terms are keyed by the dense exponent vectors themselves
-        assert f.terms[(0, 1, 1, 0)] == 1
-        # repeated vectors add up
-        assert MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)]).terms[(1, 0)] == 2
+        # the terms are the dense exponent vectors themselves
+        assert f.terms == {(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)}
+        # a repeated vector is one term: F's coefficients are all 1
+        g = MultiPoly.from_vectors(2, [(1, 0), (0, 0), (1, 0)])
+        assert g.terms == {(1, 0), (0, 0)} and g.render() == "1 + y1"
 
     @pytest.mark.parametrize("vec", [(), (1,), (0, 1, 0)])
     def test_from_vectors_rejects_wrong_length(self, vec):
@@ -138,6 +138,13 @@ class TestMultiPoly:
             MultiPoly.from_json({"nvars": 2, "terms": [{"exp": [0, 0], "coef": 1},
                                                        {"exp": exp, "coef": coef}]})
 
+    @pytest.mark.parametrize("coef", [2, 0, -1])
+    def test_from_json_rejects_a_coefficient_other_than_1(self, coef):
+        """``to_json`` writes every term with coefficient 1."""
+        with pytest.raises(ValueError, match="must be 1"):
+            MultiPoly.from_json({"nvars": 2, "terms": [{"exp": [0, 0], "coef": 1},
+                                                       {"exp": [1, 0], "coef": coef}]})
+
     def test_render_sorted(self):
         f = MultiPoly.from_vectors(8, FIG8_T1)
         assert f.render() == "1 + y5 + y2*y5 + y5*y8 + y2*y5*y8"
@@ -161,18 +168,38 @@ class TestMultiPoly:
                 (1, 0, 1, 1, 0, 0, 0, 1),
             ],
         )
-        spec = f.specialize({1: -2, 3: -2, 4: 2, 8: 2})
+        spec = f.specialize((-2, 0, -2, 2, 0, 0, 0, 2))
         assert spec == LaurentPoly({-2: -1, 0: 3, 2: -1})
 
     def test_specialize_constant(self):
-        assert MultiPoly.from_vectors(4, [(0, 0, 0, 0)]).specialize({}) == LaurentPoly({0: 1})
+        f = MultiPoly.from_vectors(4, [(0, 0, 0, 0)])
+        assert f.specialize((2, -2, 0, 2)) == LaurentPoly({0: 1})
 
-    def test_specialize_missing_class(self):
-        f = MultiPoly.from_vectors(2, [(1, 0)])
-        with pytest.raises(KeyError, match="y_1"):
-            f.specialize({2: 0})
-        # a variable that no term uses needs no exponent
-        assert MultiPoly.from_vectors(2, [(0, 1)]).specialize({2: 2}) == LaurentPoly({2: -1})
+    def test_specialize_rejects_wrong_length(self):
+        f = MultiPoly.from_vectors(2, [(0, 1)])
+        for weights in [(), (2,), (2, -2, 0)]:
+            with pytest.raises(ValueError, match="expected 2"):
+                f.specialize(weights)
+        # no term uses y_1, so its weight does not show
+        assert f.specialize((7, 2)) == LaurentPoly({2: -1})
+
+    @given(
+        _term_sets.flatmap(
+            lambda vectors: st.tuples(
+                st.just(vectors),
+                st.tuples(*[st.integers(min_value=-4, max_value=4)] * len(vectors[0])),
+            )
+        )
+    )
+    def test_specialize_is_the_signed_sum_over_terms(self, case):
+        """F(y_j -> -s**w_j) = sum over terms e of (-1)**|e| * s**(w . e)."""
+        vectors, weights = case
+        expected: dict[int, int] = {}
+        for e in vectors:
+            exp = sum(x * w for x, w in zip(e, weights))
+            expected[exp] = expected.get(exp, 0) + (-1) ** sum(e)
+        f = MultiPoly(len(weights), vectors)
+        assert f.specialize(weights) == LaurentPoly(expected)
 
     def test_alternating_sum(self):
         f = MultiPoly.from_vectors(8, FIG8_T1)
@@ -189,11 +216,10 @@ class TestMultiPoly:
     def test_terms_in_degree_then_sparse_monomial_order(self, vectors):
         """``to_json`` and ``render`` list the terms by degree, then by the
         sparse ``((variable, exponent), ...)`` monomial."""
-        f = MultiPoly(len(vectors[0]), {e: k for k, e in enumerate(vectors, 1)})
+        f = MultiPoly(len(vectors[0]), vectors)
         expected = _reference_order(vectors)
         assert [tuple(row["exp"]) for row in f.to_json()["terms"]] == expected
-        assert f.render() == " + ".join(MultiPoly(f.nvars, {e: f.terms[e]}).render()
-                                        for e in expected)
+        assert f.render() == " + ".join(MultiPoly(f.nvars, [e]).render() for e in expected)
 
     def test_lattice_dispatch(self):
         """State heights and submodule dimension vectors give the same F."""

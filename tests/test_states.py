@@ -248,7 +248,7 @@ class TestWeightsAndSum:
                     ratio = state_weight_exponent(d, lat.states[b]) - state_weight_exponent(
                         d, lat.states[a]
                     )
-                    assert ratio == exps[j]
+                    assert ratio == exps[j - 1]
 
     def test_sign_flips_across_covers(self, fig8):
         lat = build_lattice(fig8, 1)
@@ -265,7 +265,7 @@ class TestWeightsAndSum:
         for k, state in enumerate(lat.states):
             h = lat.height_vector(k)
             total = sum(h.values())
-            exp = w_min + sum(exps[j] * m for j, m in h.items())
+            exp = w_min + sum(exps[j - 1] * m for j, m in h.items())
             assert state_weight_exponent(fig8, state) == exp
             assert state_sign(fig8, state) == sign_min * (-1) ** total
 
