@@ -178,7 +178,7 @@ def cmd_two_bridge(args: argparse.Namespace) -> int:
     if args.report_theorem3:
         i = diagram.marked_segment
         assert i is not None
-        _lat, rep, ml, f, _spec = run_segment(diagram, build_quiver(diagram), i)
+        rep, ml, f, _spec = run_segment(diagram, build_quiver(diagram), i)
         total = sum(cf)
         ells = [sum(cf[: k + 1]) for k in range(len(cf))]
         alt = f.evaluate_at_minus_one()

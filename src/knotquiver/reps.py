@@ -18,9 +18,10 @@ dense matrix.  This is exact, not an approximation: composing two partial
 shifts gives the partial shift with offsets added and ranges intersected,
 and the normalized form is unique, so equality of the tuples is equality
 of the matrices.  ``PartialShift.to_dense`` gives the explicit integer
-matrix.  The link module T(i) is the module of the maximal state; an
-independent geometric construction from the level partition of the
-segments is kept as a cross-check.
+matrix.  The link module T(i) is the module of the maximal state, which
+``clock_walk`` finds without the state lattice; an independent geometric
+construction from the level partition of the segments is kept as a
+cross-check.
 
 Ids are positions: entry j - 1 of a dimension tuple is segment j, and
 entry a of a module's ``maps`` is the map on arrow a.  A module's
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 from .diagram import DiagramError, LinkDiagram
 from .quiver import Potential, Quiver
-from .states import StateLattice
+from .states import State, StateLattice, clock_walk
 
 
 class PartitionUndefinedError(DiagramError):
@@ -177,8 +178,11 @@ def _pattern(total: int) -> tuple[int, int, int, int]:
     return (ell + (0 < rem), ell + (1 < rem), ell + (2 < rem), ell)
 
 
-def _crossing_totals(diagram: LinkDiagram, lat: StateLattice, state_index: int) -> list[int]:
-    """The number of transpositions at each crossing on the way to a state.
+def _crossing_totals(
+    diagram: LinkDiagram, base: State, state: State, dims: tuple[int, ...]
+) -> list[int]:
+    """The number of transpositions at each crossing on the way from the
+    minimal state ``base`` to ``state``, whose height is ``dims``.
 
     The marker of a crossing starts at its minimal-state corner k0 and is
     pushed one corner counterclockwise by every transposition at one of
@@ -188,10 +192,8 @@ def _crossing_totals(diagram: LinkDiagram, lat: StateLattice, state_index: int) 
     transposed ell + (p < rem) times: the heights must say so, and the
     marker must sit at corner k0 + total.
     """
-    dims = lat.heights[state_index]
-    state = lat.states[state_index]
     totals = []
-    for c, k0 in enumerate(lat.states[lat.min_state]):
+    for c, k0 in enumerate(base):
         segs = diagram.crossings[c].segments
         run = segs[k0 + 1:] + segs[:k0 + 1]  # the slots k0+1 .. k0+4
         counts = (dims[run[0] - 1], dims[run[1] - 1], dims[run[2] - 1], dims[run[3] - 1])
@@ -204,32 +206,46 @@ def _crossing_totals(diagram: LinkDiagram, lat: StateLattice, state_index: int) 
     return totals
 
 
-def state_module(
-    diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
+def _module(
+    diagram: LinkDiagram, q: Quiver, base: State, state: State, dims: tuple[int, ...]
 ) -> QuiverRep:
-    """The representation M(S) of a Kauffman state S; its dims are S's height.
+    """The representation M(S) of the state S = ``state`` of height ``dims``
+    over the minimal state ``base``; its dims are the height itself.
 
     ``_crossing_totals`` checks the heights and markers against the
     transposition history and counts the transpositions at each crossing,
     which fix the crossing's four maps.
     """
-    totals = _crossing_totals(diagram, lat, state_index)
+    totals = _crossing_totals(diagram, base, state, dims)
     # arrow 4c+k is corner k of crossing c: all are set below
     maps: list[PartialShift] = [PartialShift.identity(0)] * len(q.arrows)
-    for c, (k0, total) in enumerate(zip(lat.states[lat.min_state], totals)):
+    for c, (k0, total) in enumerate(zip(base, totals)):
         # the first transposed segment "a" sits at slot k0+1, and the cycle
         # a->d->c->b->a corresponds to corners k0, k0+1, k0+2, k0+3 in the
         # order delta, alpha, beta, gamma
         for k, m in enumerate(_crossing_maps(total)):
             maps[4 * c + (k0 + k) % 4] = m
-    rep = QuiverRep(lat.heights[state_index], tuple(maps))
+    rep = QuiverRep(dims, tuple(maps))
     _check_shapes(q, rep)
     return rep
+
+
+def state_module(
+    diagram: LinkDiagram, q: Quiver, lat: StateLattice, state_index: int
+) -> QuiverRep:
+    """The representation M(S) of a Kauffman state S; its dims are S's height."""
+    base = lat.states[lat.min_state]
+    return _module(diagram, q, base, lat.states[state_index], lat.heights[state_index])
 
 
 def link_module(diagram: LinkDiagram, q: Quiver, lat: StateLattice) -> QuiverRep:
     """T(i): the module of the maximal Kauffman state."""
     return state_module(diagram, q, lat, lat.max_state)
+
+
+def walk_module(diagram: LinkDiagram, q: Quiver, i: int) -> QuiverRep:
+    """T(i) from ``clock_walk``'s extreme states, with no state lattice."""
+    return _module(diagram, q, *clock_walk(diagram, i))
 
 
 # -- the level partition of the segments ---------------------------------------
@@ -446,12 +462,38 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
 
 @dataclass(frozen=True)
 class SubmoduleLattice:
-    elements: tuple[tuple[int, ...], ...]  # dim vectors; entry j - 1 is segment j
-    covers: tuple[tuple[int, int, int], ...]  # (from index, segment, to index)
+    """The submodules of a module, as dimension vectors (entry j - 1 is
+    segment j), and the covers between them, found on first read.
+
+    ``rows[p]`` is vertex p's bound and its constraints out, (target,
+    slack): el + e_p keeps every constraint into p, so it is a submodule
+    exactly when it stays within the bound and keeps the constraints out.
+    """
+
+    elements: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def covers(self) -> tuple[tuple[int, int, int], ...]:
+        """(from index, segment, to index), by element and then by segment."""
+        index = {el: k for k, el in enumerate(self.elements)}
+        covers = []
+        tests = [(p, bound, out) for p, (bound, out) in enumerate(self.rows)]
+        for k, el in enumerate(self.elements):
+            for p, bound, out in tests:
+                up = el[p] + 1
+                if up > bound:
+                    continue
+                for t, slack in out:
+                    if el[t] < up - slack:
+                        break
+                else:
+                    covers.append((k, p + 1, index[el[:p] + (up,) + el[p + 1:]]))
+        return tuple(covers)
 
 
 def _raise_lo(lo: list[int], succ: list[list[tuple[int, int]]], work: list[int]) -> None:
@@ -498,6 +540,10 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     lo(j) <= lo(k) + P(j -> k), and no slack is negative, so neither
     happens.  The work therefore grows with the number of submodules, and
     every integer point is found without assuming any lattice theorem.
+
+    The lattice keeps each vertex's upper bound and constraints out, and
+    finds its covers from them when ``covers`` is first read: F reads
+    only the elements.
     """
     n = len(rep.dims)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # src -> (tgt, slack)
@@ -535,22 +581,7 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
                 child_hi[k] = m
                 _lower_hi(child_hi, pred, [k])
             stack.append((k + 1, child_lo, child_hi))
-
-    index = {el: k for k, el in enumerate(elements)}
-    covers = []
-    # el + e_p keeps every constraint into p; test the bound and those out of p
-    tests = [(p, top[p], succ[p]) for p in range(n)]
-    for k, el in enumerate(elements):
-        for p, bound, out in tests:
-            up = el[p] + 1
-            if up > bound:
-                continue
-            for t, slack in out:
-                if el[t] < up - slack:
-                    break
-            else:
-                covers.append((k, p + 1, index[el[:p] + (up,) + el[p + 1:]]))
-    return SubmoduleLattice(tuple(elements), tuple(covers))
+    return SubmoduleLattice(tuple(elements), tuple(zip(top, map(tuple, succ))))
 
 
 # -- relations and lattice isomorphism -------------------------------------------

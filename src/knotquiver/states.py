@@ -10,13 +10,15 @@ with unique minimal and maximal elements.
 States are stored as tuples ``corners[c] = k`` meaning the marker of
 crossing ``c`` sits in the corner between slots ``k`` and ``k+1``.  A
 state's height is a tuple whose entry j - 1 counts the transpositions at
-segment j on the way up from the minimal state.
+segment j on the way up from the minimal state.  ``build_lattice`` lists
+every state and cover; ``clock_walk`` finds only the two extremes and the
+maximal height, by one walk of transpositions.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .diagram import DiagramError, LinkDiagram
@@ -61,7 +63,12 @@ def base_regions(diagram: LinkDiagram, i: int) -> tuple[int, int]:
 
 
 def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
-    """All Kauffman states relative to segment i.
+    """All Kauffman states relative to segment i, sorted."""
+    return sorted(_matchings(diagram, base_regions(diagram, i)))
+
+
+def _matchings(diagram: LinkDiagram, excluded: tuple[int, int]) -> Iterator[State]:
+    """The states that avoid the two ``excluded`` regions, in search order.
 
     This is a perfect-matching enumeration between crossings and usable
     regions along corner incidences, crossing by crossing in
@@ -72,7 +79,6 @@ def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
     regions prunes exactly the branches that a rescan of all regions would
     prune: the search tree does not depend on how the rule is tested.
     """
-    excluded = set(base_regions(diagram, i))
     n = diagram.n
     corner_region = diagram.corner_region
     choices: list[list[int]] = []
@@ -100,7 +106,6 @@ def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
             fillers[r] += 1
     used = [False] * len(diagram.regions)
     assignment = [0] * n
-    results: list[State] = []
 
     # per depth on the current path: the region taken, the next option to
     # try, and the regions allowed (-1: any unused one, r: only r, -2: none)
@@ -131,7 +136,7 @@ def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
                 continue
             assignment[order[depth]] = corners[depth][p - 1]
             if depth == n - 1:
-                results.append(tuple(assignment))
+                yield tuple(assignment)
                 continue
             used[r] = True
             placed[depth], resume[depth] = r, p
@@ -141,8 +146,6 @@ def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
             for r in regs:
                 fillers[r] += 1
             depth, entering = depth - 1, False
-    results.sort()
-    return results
 
 
 def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
@@ -231,6 +234,63 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
         min_state=minima[0],
         max_state=maxima[0],
     )
+
+
+def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, ...]]:
+    """The minimal state, the maximal state and the maximal state's height.
+
+    Kauffman's clock theorem: the states relative to a segment form a
+    lattice under transpositions, so from any state clockwise
+    transpositions lead down to the minimal state, and counterclockwise
+    ones from there up to the maximal state, whichever moves are taken.
+    The walk starts from the first state of the matching search, applies
+    clockwise moves until none applies and then counterclockwise ones
+    until none applies, and counts the counterclockwise moves per segment.
+
+    The moves are ``build_lattice``'s: the counterclockwise move at j
+    takes the markers from the corners just before j's tail and head
+    slots to those slots' corners, and the clockwise move takes them back.
+    A marker at corner k of a crossing can only take part in the
+    counterclockwise move at the segment at slot k+1 and the clockwise
+    move at the segment at slot k, so after a move only those moves at
+    its two crossings are tried again.  A walk that comes back to a state
+    raises, so it always ends.
+    """
+    excluded = base_regions(diagram, i)
+    start = next(_matchings(diagram, excluded), None)
+    if start is None:
+        raise DiagramError(f"no Kauffman states relative to segment {i}")
+    # per segment: (tail crossing, head crossing, their corners below and
+    # above the move); None for a curl, which has no move
+    moves: list[tuple[int, int, tuple[int, int, int, int]] | None] = []
+    for j in diagram.segment_ids():
+        (tc, ts), (hc, hs) = diagram.segments[j].tail, diagram.segments[j].head
+        moves.append(None if tc == hc else (tc, hc, ((ts - 1) % 4, (hs - 1) % 4, ts, hs)))
+    state = list(start)
+    heights = [0] * len(moves)
+    extremes = []
+    for up in (False, True):
+        seen = {tuple(state)}
+        work = list(range(len(moves)))
+        while work:
+            j = work.pop()
+            move = moves[j]
+            if move is None:
+                continue
+            tc, hc, corners = move
+            t_from, h_from, t_to, h_to = corners if up else corners[2:] + corners[:2]
+            if state[tc] != t_from or state[hc] != h_from:
+                continue
+            state[tc], state[hc] = t_to, h_to
+            key = tuple(state)
+            if key in seen:
+                raise DiagramError(f"transpositions relative to segment {i} run in a cycle")
+            seen.add(key)
+            heights[j] += up
+            work.append(diagram.segment_at(tc, t_to + up) - 1)
+            work.append(diagram.segment_at(hc, h_to + up) - 1)
+        extremes.append(tuple(state))
+    return extremes[0], extremes[1], tuple(heights)
 
 
 # -- state weights and the state-sum polynomial ------------------------------

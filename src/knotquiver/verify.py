@@ -6,9 +6,13 @@ powers of t, the Kauffman state lattice must be isomorphic to the
 submodule lattice of T(i), every state module must satisfy the Jacobian
 relations (T(i) is checked once, and each state module as the leading
 submodule of T(i) that its height cuts out), and the structural counts
-must hold.  Every caller runs the per-segment chain, state lattice ->
-T(i) -> submodule lattice -> F-polynomial -> specialization, through
-``run_segment``.  Verification neither reads nor writes the result cache.
+must hold.  Every caller runs the per-segment chain, clock walk -> T(i)
+-> submodule lattice -> F-polynomial -> specialization, through
+``run_segment``; F reads neither the state lattice nor the submodule
+covers.  Only verification builds the state lattice: the state sum, the
+lattice isomorphism, the relation gate and the partition cross-check
+read it and the maximal state's module, and that module must equal the
+walk's T(i).  Verification neither reads nor writes the result cache.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from .reps import (
     link_module,
     relation_violation,
     t_direct,
+    walk_module,
 )
-from .states import StateLattice, build_lattice, state_sum_alexander
+from .states import build_lattice, state_sum_alexander
 
 
 @dataclass
@@ -89,7 +94,6 @@ class DiagramReport:
 
 
 class SegmentRun(NamedTuple):
-    lattice: StateLattice
     module: QuiverRep
     submodules: SubmoduleLattice
     f: MultiPoly
@@ -97,12 +101,11 @@ class SegmentRun(NamedTuple):
 
 
 def run_segment(diagram: LinkDiagram, q: Quiver, i: int) -> SegmentRun:
-    """State lattice, T(i), its submodule lattice, F and its specialization."""
-    lat = build_lattice(diagram, i)
-    rep = link_module(diagram, q, lat)
+    """T(i) from the clock walk, its submodule lattice, F and its specialization."""
+    rep = walk_module(diagram, q, i)
     ml = enumerate_submodules(q, rep)
     f = MultiPoly.from_vectors(2 * diagram.n, ml.elements)
-    return SegmentRun(lat, rep, ml, f, f.specialize(diagram.specialization_exponents()))
+    return SegmentRun(rep, ml, f, f.specialize(diagram.specialization_exponents()))
 
 
 def _decode_entry(diagram: LinkDiagram, value: dict) -> tuple[MultiPoly, LaurentPoly]:
@@ -165,7 +168,9 @@ def _segment_report(
     check_all_states: bool,
 ) -> SegmentReport:
     notes: list[str] = []
-    lat, rep, ml, f, spec = run_segment(diagram, q, i)
+    walked, ml, f, spec = run_segment(diagram, q, i)
+    lat = build_lattice(diagram, i)
+    rep = link_module(diagram, q, lat)
     ssum = state_sum_alexander(diagram, lat.states)
     thm1 = spec.dot_eq(det) and spec.dot_eq(ssum)
     if not thm1:
@@ -174,6 +179,9 @@ def _segment_report(
             f" vs state sum {ssum.render()}"
         )
     thm2 = lattice_iso_check(lat, ml)
+    if walked != rep:
+        thm2 = False
+        notes.append("the clock walk's T(i) differs from the maximal state's module")
     if f.num_terms != ml.size or (0,) * f.nvars not in f.terms:
         thm2 = False
         notes.append("F-polynomial coefficients are not all 1")

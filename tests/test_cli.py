@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -10,6 +11,20 @@ from .conftest import FIG8_PD, TREFOIL_PD
 
 def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).hexdigest().encode()
+
+
+def _forbid(monkeypatch, *functions):
+    """Make every binding of ``functions`` in the knotquiver modules raise."""
+    for name, module in list(sys.modules.items()):
+        if name != "knotquiver" and not name.startswith("knotquiver."):
+            continue
+        for key, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+
+                def boom(*args, _key=key, **kwargs):
+                    raise AssertionError(f"{_key} called")
+
+                monkeypatch.setattr(module, key, boom)
 
 
 def run(capsys, *argv):
@@ -147,22 +162,41 @@ class TestFpolyCmd:
     def test_cache_hit_skips_computation(self, tmp_path, monkeypatch, corpus_diagrams):
         from knotquiver.cache import RunCache
         from knotquiver.quiver import build_quiver
+        from knotquiver.reps import enumerate_submodules
+        from knotquiver.states import build_lattice, clock_walk
         from knotquiver.verify import segment_pipeline
 
         d = corpus_diagrams["10_66"]
         q = build_quiver(d)
         cache = RunCache(tmp_path / "c")
         first = segment_pipeline(d, q, 1, cache)
-
-        import knotquiver.verify as verify_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("lattice rebuilt despite warm cache")
-
-        monkeypatch.setattr(verify_mod, "build_lattice", boom)
+        _forbid(monkeypatch, clock_walk, enumerate_submodules, build_lattice)
         second = segment_pipeline(d, q, 1, cache)
         assert first[0] == second[0] and first[1] == second[1]
         assert cache.hits == 1
+
+    def test_cold_run_builds_no_state_lattice(self, tmp_path, monkeypatch, corpus_diagrams):
+        # F reads T(i) alone, which the clock walk finds without listing the states
+        from knotquiver.cache import RunCache
+        from knotquiver.poly import MultiPoly
+        from knotquiver.quiver import build_quiver
+        from knotquiver.states import build_lattice, enumerate_states
+        from knotquiver.verify import segment_pipeline
+
+        d = corpus_diagrams["10_66"]
+        q = build_quiver(d)
+        expected = MultiPoly.from_vectors(2 * d.n, build_lattice(d, 1).heights)
+        _forbid(monkeypatch, build_lattice, enumerate_states)
+        cache = RunCache(tmp_path)
+        f, spec = segment_pipeline(d, q, 1, cache)
+        assert f == expected and spec == f.specialize(d.specialization_exponents())
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_unknown_segment_writes_no_entry(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fpoly", "figure-eight", "--segment", "99",
+                             "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: unknown segment id 99\n")
+        assert list(tmp_path.rglob("*")) == []
 
     def test_rejected_entry_counts_as_a_miss(self, tmp_path, corpus_diagrams):
         from knotquiver.cache import RunCache

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotquiver import reps, verify
+from knotquiver.cli import main
 from knotquiver.diagram import DiagramError, parse_pd, two_bridge
 from knotquiver.quiver import Arrow, Quiver, build_potential, build_quiver
 from knotquiver.reps import (
@@ -801,6 +802,11 @@ def _first_failing(d, q, w, lat):
     return next(k for k in order if not check_relations(state_module(d, q, lat, k), q, w))
 
 
+def _history(lat, k):
+    """The minimal state, state k and its height: what ``_crossing_totals`` reads."""
+    return lat.states[lat.min_state], lat.states[k], lat.heights[k]
+
+
 def _gate(d, q, w, lat):
     return relation_violation(d, q, w, lat, link_module(d, q, lat))
 
@@ -935,7 +941,7 @@ class TestRelationWalk:
         for lat in lats.values():
             top = link_module(fig8, q, lat)
             for k in set(range(lat.size)) - {lat.max_state}:
-                totals = reps._crossing_totals(fig8, lat, k)
+                totals = reps._crossing_totals(fig8, *_history(lat, k))
                 c = next((c for c, t in enumerate(totals) if t), None)
                 if c is None:
                     continue
@@ -966,10 +972,8 @@ class TestRelationWalk:
                         expected = [
                             k
                             for k in range(lat.size)
-                            if any(
-                                t not in table
-                                for t, table in zip(reps._crossing_totals(d, lat, k), tables)
-                            )
+                            for totals in [reps._crossing_totals(d, *_history(lat, k))]
+                            if any(t not in table for t, table in zip(totals, tables))
                         ]
                         suspects = reps._suspects(d, lat, tables)
                         assert suspects == expected, (d.n, i, corrupt)
@@ -1063,3 +1067,35 @@ class TestRelationWalk:
             " violates the Jacobian relation of arrow "
         )
         assert any(n.startswith(note) for n in first.notes), first.notes
+
+
+# -- the walk's T(i) against the maximal state's module -------------------------
+
+
+def _short_walk(monkeypatch, pd, segment):
+    """Make the clock walk stop one move short of the maximal state at one
+    segment of the diagram with PD code ``pd``."""
+    original = reps.clock_walk
+
+    def short(diagram, i):
+        if i != segment or diagram.to_pd() != pd:
+            return original(diagram, i)
+        lat = build_lattice(diagram, i)
+        below = next(a for a, _j, b in lat.covers if b == lat.max_state)
+        return lat.states[lat.min_state], lat.states[below], lat.heights[below]
+
+    monkeypatch.setattr(reps, "clock_walk", short)
+
+
+class TestWalkGate:
+    def test_walk_one_move_short_fails_verify(self, corpus_diagrams, monkeypatch, capsys):
+        d = corpus_diagrams["10_66"]
+        _short_walk(monkeypatch, d.to_pd(), 3)
+        report = verify_diagram(d)
+        (bad,) = [s for s in report.segments if not s.ok]
+        assert bad.segment == 3 and bad.lattice_iso_ok is False
+        assert "the clock walk's T(i) differs from the maximal state's module" in bad.notes
+        assert not report.ok
+        assert main(["verify"]) == 1
+        (failed,) = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert failed.startswith("10_66: FAIL")

@@ -1,19 +1,25 @@
 import gc
 import random
+import re
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from knotquiver.diagram import DiagramError, two_bridge
+from knotquiver import states as states_mod
+from knotquiver.diagram import DiagramError, parse_pd, two_bridge
 from knotquiver.poly import LaurentPoly
 from knotquiver.states import (
     base_regions,
     build_lattice,
+    clock_walk,
     corner_weights,
     enumerate_states,
     lattice_to_json,
     state_sum_alexander,
 )
+
+from .conftest import compositions
 
 # -- independent references: one segment, one state at a time ----------------
 
@@ -303,3 +309,54 @@ class TestAgainstReferences:
 
     def test_empty_state_sum(self, fig8):
         assert state_sum_alexander(fig8, []) == LaurentPoly({})
+
+
+class TestClockWalk:
+    """``clock_walk`` lands on the lattice's extremes without building the lattice."""
+
+    @staticmethod
+    def _lands(d, name):
+        for i in d.segment_ids():
+            lat = build_lattice(d, i)
+            expected = (
+                lat.states[lat.min_state],
+                lat.states[lat.max_state],
+                lat.heights[lat.max_state],
+            )
+            assert clock_walk(d, i) == expected, (name, i)
+
+    def test_corpus_and_two_bridge(self, corpus_diagrams):
+        for name, d in corpus_diagrams.items():
+            self._lands(d, name)
+        # the 126 compositions with 2-7 crossings
+        for n in range(2, 8):
+            for cf in compositions(n):
+                self._lands(two_bridge(cf), cf)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crossing_order(self, corpus, seed):
+        # the order of the PD terms numbers the crossings, so the walk's
+        # first state and the order of its moves change
+        rng = random.Random(seed)
+        for entry in corpus:
+            terms = re.findall(r"X\([^)]*\)", entry.pd)
+            rng.shuffle(terms)
+            self._lands(parse_pd(" ".join(terms)), (entry.name, seed))
+
+    def test_unknown_segment(self, fig8):
+        with pytest.raises(DiagramError, match="^unknown segment id 99$"):
+            clock_walk(fig8, 99)
+
+    def test_a_cycle_raises(self, monkeypatch):
+        # a corrupt diagram: segment k + 1 runs from slot k of crossing 0 to
+        # slot k of crossing 1, so four moves turn both markers full circle
+        segments = {k + 1: SimpleNamespace(tail=(0, k), head=(1, k)) for k in range(4)}
+        fake = SimpleNamespace(
+            segments=segments,
+            segment_ids=lambda: sorted(segments),
+            segment_at=lambda crossing, slot: slot % 4 + 1,
+        )
+        monkeypatch.setattr(states_mod, "base_regions", lambda diagram, i: (0, 1))
+        monkeypatch.setattr(states_mod, "_matchings", lambda diagram, excluded: iter([(0, 0)]))
+        with pytest.raises(DiagramError, match="run in a cycle"):
+            clock_walk(fake, 1)
