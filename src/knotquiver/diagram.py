@@ -81,11 +81,12 @@ class ValidationReport:
     curl_free: bool
     connected: bool
     euler_ok: bool
+    prime: bool  # curl-free, connected and planar, and neither composite nor nugatory
     notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.curl_free and self.connected and self.euler_ok
+        return self.curl_free and self.connected and self.euler_ok and self.prime
 
 
 _PD_TERM = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -220,10 +221,37 @@ class LinkDiagram:
                 f"expected {self.n + 2} regions and {2 * self.n} segments, "
                 f"found {len(self.regions)} and {len(self.segments)}"
             )
+        shared: dict[tuple[int, int], list[int]] = {}
         for seg in self.segments.values():
-            if self.left_region(seg.id) == self.right_region(seg.id):
+            # the corners on either side of a segment's tail are its two regions
+            c, s = seg.tail
+            a, b = self.corner_region[c][s - 1], self.corner_region[c][s]
+            if a == b:
                 notes.append(f"segment {seg.id} has the same region on both sides")
-        return ValidationReport(curl_free, connected, euler_ok, notes)
+            else:
+                shared.setdefault((a, b) if a < b else (b, a), []).append(seg.id)
+        # the state lattice, and the clock walk with it, needs a prime
+        # diagram: a curve through two regions that share two segments
+        # meets the diagram twice, with crossings on both sides, and a
+        # region that meets a crossing at two corners makes it nugatory.
+        # The faces say so on a connected planar diagram, and a curl is
+        # already reported as one.
+        prime = curl_free and connected and euler_ok
+        if prime:
+            for (r1, r2), segs in shared.items():
+                if len(segs) > 1:
+                    prime = False
+                    notes.append(
+                        f"regions {r1} and {r2} share segments {sorted(segs)} (composite diagram)"
+                    )
+            for c, regions in enumerate(self.corner_region):
+                if len(set(regions)) < 4:
+                    prime = False
+                    for r in sorted({r for r in regions if regions.count(r) > 1}):
+                        notes.append(
+                            f"region {r} meets crossing {c} in two corners (nugatory crossing)"
+                        )
+        return ValidationReport(curl_free, connected, euler_ok, prime, notes)
 
     def require_valid(self) -> "LinkDiagram":
         """This diagram, or DiagramError naming every failed check."""

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -463,11 +464,14 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
 @dataclass(frozen=True)
 class SubmoduleLattice:
     """The submodules of a module, as dimension vectors (entry j - 1 is
-    segment j), and the covers between them, found on first read.
+    segment j), and the rows that their covers are tested from.
 
     ``rows[p]`` is vertex p's bound and its constraints out, (target,
     slack): el + e_p keeps every constraint into p, so it is a submodule
     exactly when it stays within the bound and keeps the constraints out.
+    That one test, ``_raisable``, has two readers: ``cover_counts`` counts
+    the covers per segment, which the lattice-isomorphism gate reads, and
+    ``covers`` lists them on first read, which no library path does.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -477,23 +481,32 @@ class SubmoduleLattice:
     def size(self) -> int:
         return len(self.elements)
 
+    def _raisable(self, p: int) -> Iterator[tuple[int, ...]]:
+        """The elements el, in order, for which el + e_p is a submodule."""
+        bound, out = self.rows[p]
+        for el in self.elements:
+            x = el[p]
+            if x < bound:
+                for t, slack in out:
+                    if el[t] + slack <= x:
+                        break
+                else:
+                    yield el
+
+    def cover_counts(self) -> tuple[int, ...]:
+        """Entry j - 1: the number of covers at segment j."""
+        return tuple(sum(1 for _ in self._raisable(p)) for p in range(len(self.rows)))
+
     @functools.cached_property
     def covers(self) -> tuple[tuple[int, int, int], ...]:
         """(from index, segment, to index), by element and then by segment."""
         index = {el: k for k, el in enumerate(self.elements)}
-        covers = []
-        tests = [(p, bound, out) for p, (bound, out) in enumerate(self.rows)]
-        for k, el in enumerate(self.elements):
-            for p, bound, out in tests:
-                up = el[p] + 1
-                if up > bound:
-                    continue
-                for t, slack in out:
-                    if el[t] < up - slack:
-                        break
-                else:
-                    covers.append((k, p + 1, index[el[:p] + (up,) + el[p + 1:]]))
-        return tuple(covers)
+        covers = [
+            (index[el], p + 1, index[el[:p] + (el[p] + 1,) + el[p + 1:]])
+            for p in range(len(self.rows))
+            for el in self._raisable(p)
+        ]
+        return tuple(sorted(covers))
 
 
 def _raise_lo(lo: list[int], succ: list[list[tuple[int, int]]], work: list[int]) -> None:
@@ -542,8 +555,8 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     every integer point is found without assuming any lattice theorem.
 
     The lattice keeps each vertex's upper bound and constraints out, and
-    finds its covers from them when ``covers`` is first read: F reads
-    only the elements.
+    tests its covers from them only when they are counted or listed: F
+    reads only the elements.
     """
     n = len(rep.dims)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # src -> (tgt, slack)
@@ -776,14 +789,21 @@ def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
 
     Both lattices store an element as a tuple whose entry j - 1 is segment
     j, so each state maps to the submodule whose dimension vector is its
-    height.  That map must be a bijection, and it must carry the state
-    covers onto the submodule covers, compared as (index, segment, index)
-    triples.
+    height.  That map must be a bijection: the heights are distinct and
+    are the elements.  It then carries the state covers onto the
+    submodule covers exactly when, for every segment j, there are as many
+    state covers at j as submodules x with x + e_j a submodule.
+
+    Precondition: ``sl`` comes from ``build_lattice``, whose height loop
+    raises unless every state cover (a, j, b) has h(b) = h(a) + e_j.  So
+    (a, j, b) -> (h(a), j) sends the state covers at j into the submodule
+    covers at j, injectively, since the heights are distinct; a finite
+    injection between sets of equal size is onto, and the two sets of
+    (index, segment, index) triples are equal without being built.
     """
-    if len(ml.elements) != len(sl.heights):
+    heights = set(sl.heights)
+    if not len(heights) == len(sl.heights) == len(ml.elements) or heights != set(ml.elements):
         return False
-    index = {e: k for k, e in enumerate(ml.elements)}
-    m = [index.get(h, -1) for h in sl.heights]
-    if -1 in m or len(set(m)) != len(m):
-        return False
-    return {(m[a], j, m[b]) for a, j, b in sl.covers} == set(ml.covers)
+    per_segment = Counter(map(itemgetter(1), sl.covers))
+    # Counter equality counts a missing key as zero
+    return per_segment == Counter(dict(enumerate(ml.cover_counts(), 1)))

@@ -247,6 +247,11 @@ def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, .
     clockwise moves until none applies and then counterclockwise ones
     until none applies, and counts the counterclockwise moves per segment.
 
+    Precondition: the diagram is prime, as ``LinkDiagram.validate``
+    requires.  On a composite diagram the states can fall into classes
+    that no transposition joins, and the walk then stops at an extreme of
+    its own class: a wrong T(i), with no error.
+
     The moves are ``build_lattice``'s: the counterclockwise move at j
     takes the markers from the corners just before j's tail and head
     slots to those slots' corners, and the clockwise move takes them back.

@@ -12,7 +12,9 @@ must hold.  Every caller runs the per-segment chain, clock walk -> T(i)
 covers.  Only verification builds the state lattice: the state sum, the
 lattice isomorphism, the relation gate and the partition cross-check
 read it and the maximal state's module, and that module must equal the
-walk's T(i).  Verification neither reads nor writes the result cache.
+walk's T(i).  The isomorphism gate counts the submodule covers per
+segment, so no library path reads ``SubmoduleLattice.covers``.
+Verification neither reads nor writes the result cache.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ from knotquiver.diagram import parse_pd
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8_PD = "X(3,1,4,8) X(7,5,8,4) X(5,2,6,3) X(1,6,2,7)"
+# composite diagrams: the closures of the braids s1^3 s2^-3 (trefoil # mirror)
+# and s1^2 s2^-2 (Hopf # Hopf)
+SQUARE_KNOT_PD = "X(3,1,4,12) X(11,3,12,2) X(1,11,2,10) X(9,6,10,7) X(5,8,6,9) X(7,4,8,5)"
+HOPF_HOPF_PD = "X(1,2,5,4) X(4,5,7,1) X(3,9,8,7) X(9,3,2,8)"
 
 
 def compositions(n):

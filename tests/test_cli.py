@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from knotquiver.cli import main
+from knotquiver.diagram import ValidationReport
 
-from .conftest import FIG8_PD, TREFOIL_PD
+from .conftest import FIG8_PD, HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD
 
 
 def _sha256(data: bytes) -> bytes:
@@ -327,6 +328,37 @@ class TestVerifyCmd:
         empty.write_text("")
         code, out, _ = run(capsys, "verify", str(empty))
         assert code == 0 and "warning" in out
+
+
+class TestCompositeInput:
+    """A composite diagram has no one state lattice, so the clock walk
+    would give a wrong T(i): every command rejects it."""
+
+    @pytest.mark.parametrize("pd", [SQUARE_KNOT_PD, HOPF_HOPF_PD])
+    def test_exit_2(self, capsys, tmp_path, pd):
+        for argv in (("fpoly", pd, "--segment", "3"), ("alexander", pd, "--method", "spec")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: invalid diagram: ") and "composite diagram" in err
+        corpus = tmp_path / "composite.jsonl"
+        corpus.write_text(json.dumps({"name": "c", "pd": pd, "prime": True}) + "\n")
+        code, out, err = run(capsys, "verify", str(corpus))
+        assert (code, out) == (2, "") and err.startswith("error: c: invalid diagram: ")
+
+    def test_walk_is_wrong_without_the_rule(self, capsys, monkeypatch):
+        # mutant: validation without the primality rule lets the walk stop
+        # at a local maximum, and the specialized F is not Delta
+        monkeypatch.setattr(
+            ValidationReport, "ok", property(lambda r: r.curl_free and r.connected and r.euler_ok)
+        )
+        code, spec, _ = run(
+            capsys, "alexander", SQUARE_KNOT_PD, "--method", "spec", "--segment", "3"
+        )
+        assert code == 0
+        code, det, _ = run(capsys, "alexander", SQUARE_KNOT_PD, "--method", "det")
+        assert code == 0
+        assert spec.split(": ")[1] != det.split(": ")[1]
+        assert det == "det: 1 - 2*t + 3*t^2 - 2*t^3 + t^4\n"
 
 
 class TestTwoBridgeCmd:

@@ -16,7 +16,7 @@ from knotquiver.diagram import (
 from knotquiver.oracle import alexander_det
 from knotquiver.poly import LaurentPoly
 
-from .conftest import TREFOIL_PD
+from .conftest import HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD, compositions
 
 
 class TestParse:
@@ -212,6 +212,37 @@ class TestRegionsAndValidate:
         d = parse_pd(two_trefoils)
         report = d.validate()
         assert not report.connected and not report.ok
+
+    @pytest.mark.parametrize(
+        "pd, shared",
+        [(SQUARE_KNOT_PD, "regions 2 and 3 share segments [4, 10]"),
+         (HOPF_HOPF_PD, "regions 1 and 2 share segments [3, 5]")],
+    )
+    def test_composite_detected(self, pd, shared):
+        report = parse_pd(pd).validate()
+        assert report.curl_free and report.connected and report.euler_ok
+        assert not report.prime and not report.ok
+        assert report.notes == [f"{shared} (composite diagram)"]
+        with pytest.raises(DiagramError, match="composite diagram"):
+            parse_valid_pd(pd)
+
+    def test_nugatory_detected(self):
+        # the closure of s1^3 s2 s3^-3: a trefoil and its mirror joined at
+        # one nugatory crossing, with no curl
+        d = parse_pd(
+            "X(1,2,6,5) X(5,6,8,7) X(7,8,10,1) X(10,3,12,2) X(4,14,13,12) X(14,16,15,13) "
+            "X(16,4,3,15)"
+        )
+        report = d.validate()
+        assert report.curl_free and not report.prime and not report.ok
+        assert "region 2 meets crossing 3 in two corners (nugatory crossing)" in report.notes
+
+    def test_prime_diagrams_stay_valid(self, corpus_diagrams):
+        diagrams = list(corpus_diagrams.values())
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        for d in diagrams:
+            report = d.validate()
+            assert report.prime and report.ok and not report.notes, d.to_pd()
 
 
 class TestClassify:

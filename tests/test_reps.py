@@ -787,6 +787,99 @@ class TestRelationsAndIso:
                 check_relations(mutant, q, w)
 
 
+# -- the counting gate against the triple comparison -----------------------------
+
+
+def _triple_iso(sl, ml):
+    """Reference gate: height -> dimension vector is a bijection carrying
+    the state covers onto the listed submodule covers, compared as sets of
+    (index, segment, index) triples."""
+    if len(ml.elements) != len(sl.heights):
+        return False
+    index = {e: k for k, e in enumerate(ml.elements)}
+    m = [index.get(h, -1) for h in sl.heights]
+    if -1 in m or len(set(m)) != len(m):
+        return False
+    return {(m[a], j, m[b]) for a, j, b in sl.covers} == set(ml.covers)
+
+
+def _segment_lattices(d):
+    """(state lattice, T(i)'s submodule lattice, quiver, T(i)) per segment."""
+    q = build_quiver(d)
+    for i in d.segment_ids():
+        lat = build_lattice(d, i)
+        rep = link_module(d, q, lat)
+        yield lat, enumerate_submodules(q, rep), q, rep
+
+
+def _fewer_constraints(q, rep, ml):
+    """The submodule lattice of T(i) without the first arrow, in id order,
+    whose difference constraint cuts out submodules."""
+    for a in q.arrows:
+        rest = Quiver(q.vertices, tuple(b for b in q.arrows if b.id != a.id))
+        looser = enumerate_submodules(rest, rep)
+        if looser.size > ml.size:
+            return looser
+    raise AssertionError("every constraint of T(i) is implied by the others")
+
+
+def _covers_by_segment(covers, nseg):
+    counts = [0] * nseg
+    for _a, j, _b in covers:
+        counts[j - 1] += 1
+    return tuple(counts)
+
+
+class TestCountGate:
+    """``lattice_iso_check`` counts covers per segment; ``_triple_iso`` lists them."""
+
+    def test_same_verdict_as_triples(self, corpus_diagrams):
+        diagrams = list(corpus_diagrams.values())
+        # the 126 compositions with 2-7 crossings
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        checked = 0
+        for d in diagrams:
+            for lat, ml, _q, _rep in _segment_lattices(d):
+                assert lattice_iso_check(lat, ml) is _triple_iso(lat, ml) is True
+                checked += 1
+        assert checked == sum(2 * d.n for d in diagrams)
+
+    def test_mutants_fail_as_with_triples(self, corpus_diagrams):
+        for d in corpus_diagrams.values():
+            for lat, ml, q, rep in _segment_lattices(d):
+                (a, j, b), *rest = lat.covers
+                other = next(s for s in d.segment_ids() if s != j)
+                heights = list(lat.heights)
+                heights[b] = heights[a]
+                # a difference constraint of T(i) removed adds submodules
+                looser = _fewer_constraints(q, rep, ml)
+                assert set(ml.elements) < set(looser.elements)
+                pairs = [
+                    (replace(lat, covers=tuple(rest)), ml),  # a state cover dropped
+                    (replace(lat, covers=((a, other, b), *rest)), ml),  # relabeled
+                    (replace(lat, heights=tuple(heights)), ml),  # heights not injective
+                    (lat, looser),
+                ]
+                for mutant, sub in pairs:
+                    assert lattice_iso_check(mutant, sub) is _triple_iso(mutant, sub) is False
+
+    @given(_small_modules())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_against_brute_force(self, case):
+        q, rep = case
+        ml = enumerate_submodules(q, rep)
+        _elements, covers = _reference_submodules(q, rep)
+        assert ml.cover_counts() == _covers_by_segment(covers, len(rep.dims))
+
+    def test_gate_lists_no_covers(self, corpus_diagrams, monkeypatch):
+        # the gate reads the counts; the cover list is for other readers
+        monkeypatch.setattr(
+            SubmoduleLattice, "covers", property(lambda ml: pytest.fail("covers were listed"))
+        )
+        d = corpus_diagrams["10_66"]
+        assert all(lattice_iso_check(lat, ml) for lat, ml, _q, _rep in _segment_lattices(d))
+
+
 # -- the submodule-embedding gate against every module checked in full ----------
 
 
