@@ -330,22 +330,23 @@ def _lobes(walk: list[tuple[int, int, int, int]]) -> dict[int, list[tuple[int, i
     return lobes
 
 
-def _enclosed_faces(diagram: LinkDiagram, boundary_segs: set[int], outside_hint: int) -> set[int]:
-    """Faces separated from ``outside_hint``'s face side by the boundary segments."""
-    adj: dict[int, set[int]] = {r.id: set() for r in diagram.regions}
-    for j in diagram.segments.keys() - boundary_segs:
-        a, b = diagram.regions_at_segment(j)
-        adj[a].add(b)
-        adj[b].add(a)
+def _enclosed_faces(
+    neighbours: list[list[tuple[int, int]]], boundary_segs: set[int], outside_hint: int
+) -> set[int]:
+    """Faces separated from ``outside_hint``'s face by the boundary segments.
+
+    ``neighbours[r]`` lists (segment, region across it) for the segments of
+    region r: a face is enclosed unless a walk from ``outside_hint`` that
+    crosses only segments off the boundary reaches it.
+    """
     seen = {outside_hint}
     stack = [outside_hint]
     while stack:
-        r = stack.pop()
-        for r2 in adj[r]:
-            if r2 not in seen:
+        for j, r2 in neighbours[stack.pop()]:
+            if r2 not in seen and j not in boundary_segs:
                 seen.add(r2)
                 stack.append(r2)
-    return {r.id for r in diagram.regions} - seen
+    return set(range(len(neighbours))) - seen
 
 
 def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
@@ -358,10 +359,20 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
     crossing that lie strictly inside the enclosed lobe.  Those are the
     region's segments off the lobe: each joins the pinched region to its
     other face without crossing the lobe, so both faces are inside.
+
+    Each region's set of boundary segments, and its neighbours across
+    them, are built once per call: every level reads the sets, and every
+    lobe's ``_enclosed_faces`` reads the neighbours.
     """
     all_segs = set(diagram.segment_ids())
+    boundaries = [set(r.boundary) for r in diagram.regions]
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in diagram.regions]
+    for j in all_segs:
+        a, b = diagram.regions_at_segment(j)
+        neighbours[a].append((j, b))
+        neighbours[b].append((j, a))
     r1, r2 = diagram.regions_at_segment(i)
-    level0 = set(diagram.regions[r1].boundary) | set(diagram.regions[r2].boundary)
+    level0 = boundaries[r1] | boundaries[r2]
     level_of = [0] * len(all_segs)
     levels = [LevelData(0, level0)]
     assigned = set(level0)
@@ -371,9 +382,8 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
         d += 1
         prev = levels[-1].segments | levels[-1].added
         frontier: set[int] = set()
-        for r in diagram.regions:
-            segs = set(r.boundary)
-            if segs & prev:
+        for segs in boundaries:
+            if not segs.isdisjoint(prev):
                 frontier.update(segs - assigned)
         if not frontier:
             raise DiagramError(
@@ -418,10 +428,10 @@ def compute_partition(diagram: LinkDiagram, i: int) -> Partition:
                 else:
                     raise DiagramError("lobe does not pinch at a corner")
                 region = diagram.region_of_corner(x, corner)
-                if region not in _enclosed_faces(diagram, lobe_segs, outside):
+                if region not in _enclosed_faces(neighbours, lobe_segs, outside):
                     raise DiagramError("pinched region is not inside its lobe")
                 data.internal_points.append((x, region))
-                data.added.update(set(diagram.regions[region].boundary) - lobe_segs - assigned)
+                data.added.update(boundaries[region] - lobe_segs - assigned)
         for j in data.segments | data.added:
             level_of[j - 1] = d
         assigned.update(data.segments | data.added)
@@ -682,6 +692,16 @@ def _holds(maps: tuple[PartialShift, ...], dims: tuple[int, ...], rel: Relation)
     return compose_path(maps, d, lhs) == compose_path(maps, dims[v2 - 1], rhs)
 
 
+def _first_violated(
+    rep: QuiverRep, q: Quiver, relations: tuple[Relation, ...]
+) -> Relation | None:
+    """The first of ``relations`` that fails on a module checked in full, if
+    any; a module that does not fit the quiver raises a ``DiagramError``."""
+    _check_shapes(q, rep)
+    maps, dims = rep.maps, rep.dims
+    return next((rel for rel in relations if not _holds(maps, dims, rel)), None)
+
+
 def check_relations(rep: QuiverRep, q: Quiver, w: Potential) -> bool:
     """Jacobian relations of the potential on a representation.
 
@@ -689,17 +709,10 @@ def check_relations(rep: QuiverRep, q: Quiver, w: Potential) -> bool:
     its region cycle must act identically, and every full crossing cycle
     based at a vertex of dimension d must act as the full shift block of
     size d.  A module whose dimensions or maps do not fit the quiver, in
-    number or in shape, raises a ``DiagramError``.
+    number or in shape, raises a ``DiagramError``.  ``RelationGate`` runs
+    the same check from relation paths that it builds once per diagram.
     """
-    _check_shapes(q, rep)
-    return all(_holds(rep.maps, rep.dims, rel) for rel in relation_paths(q, w))
-
-
-def _violated(rep: QuiverRep, q: Quiver, w: Potential) -> Relation | None:
-    """The first relation that fails on a module checked in full, if any."""
-    if check_relations(rep, q, w):
-        return None
-    return next(rel for rel in relation_paths(q, w) if not _holds(rep.maps, rep.dims, rel))
+    return _first_violated(rep, q, relation_paths(q, w)) is None
 
 
 def _leading(m: PartialShift, rows: int, cols: int) -> PartialShift | None:
@@ -711,53 +724,30 @@ def _leading(m: PartialShift, rows: int, cols: int) -> PartialShift | None:
     return PartialShift(rows, cols, m.o, m.lo, hi)
 
 
-def _crossing_tables(diagram: LinkDiagram, lat: StateLattice, top: QuiverRep) -> list[set[int]]:
-    """Per crossing, the totals t <= T_c (its total in the maximal state)
-    for which the leading restriction of T(i)'s four maps there is
-    invariant and is ``_crossing_maps(t)``.  The arrow at corner k0+k runs
-    from slot k0+k+1 to slot k0+k, so it restricts to the heights at those
-    two slots.  Crossings with the same four maps and T_c share one set."""
-    memo: dict[tuple[tuple[PartialShift, ...], int], set[int]] = {}
-    tables = []
-    for c, k0 in enumerate(lat.states[lat.min_state]):
-        maps = tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
-        t_max = sum(top.dims[j - 1] for j in diagram.crossings[c].segments)
-        if (maps, t_max) not in memo:
-            memo[maps, t_max] = {
-                t
-                for t in range(t_max + 1)
-                for h in [_pattern(t)]
-                if all(
-                    _leading(m, h[k - 1], h[k]) == want
-                    for k, (m, want) in enumerate(zip(maps, _crossing_maps(t)))
-                )
-            }
-        tables.append(memo[maps, t_max])
-    return tables
+def _crossing_table(maps: tuple[PartialShift, ...], t_max: int) -> frozenset[int]:
+    """The totals t <= ``t_max`` for which the leading restriction of a
+    crossing's four maps, from corner k0 on, is invariant and is
+    ``_crossing_maps(t)``.  The arrow at corner k0+k runs from slot k0+k+1
+    to slot k0+k, so it restricts to the heights at those two slots."""
+    return frozenset(
+        t
+        for t in range(t_max + 1)
+        for h in [_pattern(t)]
+        if all(
+            _leading(m, h[k - 1], h[k]) == want
+            for k, (m, want) in enumerate(zip(maps, _crossing_maps(t)))
+        )
+    )
 
 
-def _suspects(diagram: LinkDiagram, lat: StateLattice, tables: list[set[int]]) -> list[int]:
-    """The states, ascending, that fail ``_crossing_totals`` or miss a table: one set
-    test per crossing over its column of rows (heights at slots k0+1 .. k0+4, marker),
-    allowed as (``_pattern(t)``, k0 + t mod 4) for t in the table, any marker if t = 0."""
-    suspects: set[int] = set()
-    for c, (k0, table) in enumerate(zip(lat.states[lat.min_state], tables)):
-        slots = itemgetter(*(diagram.crossings[c].segments[(k0 + p) % 4] - 1 for p in range(1, 5)))
-        allowed = {(_pattern(t), (k0 + t) % 4 if t else m) for t in table for m in range(4)}
-        if not allowed.issuperset(zip(map(slots, lat.heights), map(itemgetter(c), lat.states))):
-            rows = zip(map(slots, lat.heights), map(itemgetter(c), lat.states))
-            suspects.update(k for k, row in enumerate(rows) if row not in allowed)
-    return sorted(suspects)
+class RelationGate:
+    """The Jacobian relation check of every state module of one diagram.
 
-
-def relation_violation(
-    diagram: LinkDiagram, q: Quiver, w: Potential, lat: StateLattice, top: QuiverRep
-) -> tuple[int, Relation] | None:
-    """A state whose module violates a Jacobian relation, and the relation.
-
-    Returns None when every state module satisfies every relation.  ``top``
-    is T(i), the maximal state's module, checked in full.  Every other
-    module M(S) is checked as a submodule of T(i):
+    ``violation(lat, top)`` finds a state of one segment's lattice whose
+    module violates a Jacobian relation, and the relation; it returns None
+    when every state module satisfies every relation.  ``top`` is T(i),
+    the maximal state's module, checked in full.  Every other module M(S)
+    is checked as a submodule of T(i):
 
     - T(i) satisfies the relations;
     - the span of the first h_j basis vectors at each segment j, with h the
@@ -775,13 +765,61 @@ def relation_violation(
     lattice's columns.  Each state it returns is built, in index order,
     with ``state_module`` (which raises on inconsistent heights or markers)
     and checked in full: the verdict of checking every module in full.
+
+    What depends only on the diagram is built once per gate, and a gate
+    serves the segments of one diagram: the relation paths, the crossing
+    table of each (T(i)'s four maps at a crossing from corner k0 on, T_c)
+    and the rows that each (k0, table) allows.  Crossings and segments
+    with the same key share one table.  The tables live as long as the
+    gate, so none outlives the diagram it was built for.
     """
-    if (bad := _violated(top, q, w)) is not None:
-        return lat.max_state, bad
-    for k in _suspects(diagram, lat, _crossing_tables(diagram, lat, top)):
-        if (bad := _violated(state_module(diagram, q, lat, k), q, w)) is not None:
-            return k, bad
-    return None
+
+    def __init__(self, diagram: LinkDiagram, q: Quiver, w: Potential) -> None:
+        self.diagram = diagram
+        self.q = q
+        self.relations = relation_paths(q, w)
+        self._tables: dict[tuple[tuple[PartialShift, ...], int], frozenset[int]] = {}
+        self._allowed: dict[tuple[int, frozenset[int]], set[tuple[tuple[int, ...], int]]] = {}
+
+    def _crossing_tables(self, lat: StateLattice, top: QuiverRep) -> list[frozenset[int]]:
+        """Per crossing, the ``_crossing_table`` of T(i)'s four maps there
+        and of its total T_c in the maximal state."""
+        tables = []
+        for c, k0 in enumerate(lat.states[lat.min_state]):
+            maps = tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
+            t_max = sum(top.dims[j - 1] for j in self.diagram.crossings[c].segments)
+            if (table := self._tables.get((maps, t_max))) is None:
+                table = self._tables[maps, t_max] = _crossing_table(maps, t_max)
+            tables.append(table)
+        return tables
+
+    def _suspects(self, lat: StateLattice, tables: list[frozenset[int]]) -> list[int]:
+        """The states, ascending, that fail ``_crossing_totals`` or miss a table: one set
+        test per crossing over its column of rows (heights at slots k0+1 .. k0+4, marker),
+        allowed as (``_pattern(t)``, k0 + t mod 4) for t in the table, any marker if t = 0."""
+        suspects: set[int] = set()
+        for c, (k0, table) in enumerate(zip(lat.states[lat.min_state], tables)):
+            segs = self.diagram.crossings[c].segments
+            slots = itemgetter(*(segs[(k0 + p) % 4] - 1 for p in range(1, 5)))
+            if (allowed := self._allowed.get((k0, table))) is None:
+                allowed = self._allowed[k0, table] = {
+                    (_pattern(t), (k0 + t) % 4 if t else m) for t in table for m in range(4)
+                }
+            if not allowed.issuperset(zip(map(slots, lat.heights), map(itemgetter(c), lat.states))):
+                rows = zip(map(slots, lat.heights), map(itemgetter(c), lat.states))
+                suspects.update(k for k, row in enumerate(rows) if row not in allowed)
+        return sorted(suspects)
+
+    def violation(self, lat: StateLattice, top: QuiverRep) -> tuple[int, Relation] | None:
+        """A state of ``lat`` whose module violates a Jacobian relation, and the relation."""
+        q, relations = self.q, self.relations
+        if (bad := _first_violated(top, q, relations)) is not None:
+            return lat.max_state, bad
+        for k in self._suspects(lat, self._crossing_tables(lat, top)):
+            module = state_module(self.diagram, q, lat, k)
+            if (bad := _first_violated(module, q, relations)) is not None:
+                return k, bad
+        return None
 
 
 def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:

@@ -330,13 +330,19 @@ def state_sum_alexander(diagram: LinkDiagram, states: Iterable[State]) -> Lauren
     its sign times s to the sum of its ``corner_weights``.  The sign is
     that of the state as a bijection from crossings to regions, taken
     here as crossings -> ranks of the regions, numbered in the order of
-    their ids.  Transposing two markers composes the bijection with a
-    transposition, so the sign flips across every cover of the lattice.
-    Returns the unnormalized polynomial in Z[s, 1/s]; it equals the
-    Alexander polynomial of the diagram up to a signed power of t.
+    their ids: the parity of its inversions, the pairs of crossings
+    c < c' whose ranks come in the other order.  Transposing two markers
+    composes the bijection with a transposition, so the sign flips across
+    every cover of the lattice.  Returns the unnormalized polynomial in
+    Z[s, 1/s]; it equals the Alexander polynomial of the diagram up to a
+    signed power of t.
+
+    The ranks and weights are read from one table per call, so each state
+    is one pass over its crossings: a bit set of the ranks seen so far,
+    masked by the ranks above the current one, counts the inversions that
+    the current crossing closes.
     """
     n = diagram.n
-    weights = [corner_weights(diagram, c) for c in range(n)]
     terms: dict[int, int] = {}
     states = iter(states)
     first = next(states, None)
@@ -344,23 +350,24 @@ def state_sum_alexander(diagram: LinkDiagram, states: Iterable[State]) -> Lauren
         return LaurentPoly(terms)
     image = sorted(diagram.corner_region[c][k] for c, k in enumerate(first))
     rank = {r: p for p, r in enumerate(image)}
-    # rank_at[c][k]: rank of the region at corner k of crossing c (-1 for
-    # the two excluded regions, which no marker takes)
-    rank_at = [[rank.get(r, -1) for r in diagram.corner_region[c]] for c in range(n)]
+    # table[c][k]: for the region at corner k of crossing c, its rank's bit,
+    # the mask of the higher ranks and the corner's weight; the two excluded
+    # regions, which no marker takes, have no rank
+    table = []
+    for c in range(n):
+        row = []
+        for r, w in zip(diagram.corner_region[c], corner_weights(diagram, c)):
+            p = rank.get(r)
+            row.append((0, 0, w) if p is None else (1 << p, (1 << n) - (2 << p), w))
+        table.append(row)
     for state in itertools.chain((first,), states):
-        perm = [row[k] for row, k in zip(rank_at, state)]
-        # a permutation of n points with z cycles has sign (-1)**(n - z);
-        # each cycle is walked once, its points overwritten with -1
-        parity = n
-        for start in range(n):
-            k = perm[start]
-            if k < 0:
-                continue
-            parity -= 1
-            while k >= 0:
-                perm[k], k = -1, perm[k]
-        e = sum(w[k] for w, k in zip(weights, state))
-        terms[e] = terms.get(e, 0) + (-1 if parity % 2 else 1)
+        seen = inversions = e = 0
+        for row, k in zip(table, state):
+            bit, higher, w = row[k]
+            inversions += (seen & higher).bit_count()
+            seen |= bit
+            e += w
+        terms[e] = terms.get(e, 0) + (-1 if inversions & 1 else 1)
     return LaurentPoly(terms)
 
 

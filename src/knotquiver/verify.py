@@ -15,6 +15,19 @@ read it and the maximal state's module, and that module must equal the
 walk's T(i).  The isomorphism gate counts the submodule covers per
 segment, so no library path reads ``SubmoduleLattice.covers``.
 Verification neither reads nor writes the result cache.
+
+Each table is built at the scope it depends on:
+
+- per diagram, in ``verify_diagram``: the quiver, the potential, the
+  determinant and the ``RelationGate``, which holds the Jacobian
+  relation paths, the crossing tables and their allowed rows, shared by
+  every segment and dropped when the call returns;
+- per segment: the walk, the submodules, the state lattice, the state
+  sum's table of region ranks and corner weights, and the partition's
+  region boundary sets and neighbours;
+- per state: one pass of the state sum over the state's markers, and a
+  module built and checked in full only for a state that misses a
+  crossing table.
 """
 
 from __future__ import annotations
@@ -31,12 +44,12 @@ from .diagram import DiagramError, LinkDiagram
 from .reps import (
     PartitionUndefinedError,
     QuiverRep,
+    RelationGate,
     SubmoduleLattice,
     compute_partition,
     enumerate_submodules,
     lattice_iso_check,
     link_module,
-    relation_violation,
     t_direct,
     walk_module,
 )
@@ -164,10 +177,9 @@ def check_structure(diagram: LinkDiagram, q: Quiver, w: Potential) -> list[str]:
 def _segment_report(
     diagram: LinkDiagram,
     q: Quiver,
-    w: Potential,
     det: LaurentPoly,
     i: int,
-    check_all_states: bool,
+    gate: RelationGate | None,
 ) -> SegmentReport:
     notes: list[str] = []
     walked, ml, f, spec = run_segment(diagram, q, i)
@@ -201,8 +213,8 @@ def _segment_report(
         part_ok = False
         notes.append(f"partition failed: {exc}")
     relations: bool | None = None
-    if check_all_states:
-        violation = relation_violation(diagram, q, w, lat, rep)
+    if gate is not None:
+        violation = gate.violation(lat, rep)
         relations = violation is None
         if violation is not None:
             k, rel = violation
@@ -256,10 +268,10 @@ def verify_diagram(
         if not expected_ok:
             expected_note = f"expected {wanted.render()}, computed {det.normalize().render()}"
 
-    segments = [
-        _segment_report(diagram, q, w, det, i, check_all_states)
-        for i in diagram.segment_ids()
-    ]
+    # the relation gate's tables depend only on the diagram: one gate
+    # serves every segment, and is dropped with this call
+    gate = RelationGate(diagram, q, w) if check_all_states else None
+    segments = [_segment_report(diagram, q, det, i, gate) for i in diagram.segment_ids()]
     # the state sum of the first segment stands for the diagram
     statesum = segments[0].statesum
 

@@ -1,5 +1,11 @@
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
+import knotquiver
 from knotquiver.corpus import load_corpus
 from knotquiver.diagram import parse_pd
 
@@ -54,3 +60,23 @@ def corpus_reports(corpus):
             check_all_states=True,
         )
     return reports
+
+
+@pytest.fixture(scope="session")
+def crossing_change_diagrams(corpus):
+    """The benchmark's seeded crossing-change variants of the corpus, seeds
+    1-6, that validate: non-alternating diagrams, as CI verifies them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    diagrams = {}
+    for seed in range(1, 7):
+        rng = random.Random(f"crossing-change:{seed}")
+        for entry in corpus:
+            d = parse_pd(workloads.crossing_change_variant(knotquiver, rng, entry.pd))
+            if d.validate().ok:
+                diagrams[f"cc{seed}-{entry.name}"] = d
+    return diagrams

@@ -15,6 +15,7 @@ from knotquiver.reps import (
     PartialShift,
     PartitionUndefinedError,
     QuiverRep,
+    RelationGate,
     SubmoduleLattice,
     check_relations,
     compose_path,
@@ -22,7 +23,6 @@ from knotquiver.reps import (
     enumerate_submodules,
     lattice_iso_check,
     link_module,
-    relation_violation,
     state_module,
     t_direct,
 )
@@ -31,6 +31,7 @@ from knotquiver.verify import verify_diagram
 
 from .conftest import compositions
 from .level_graph import level_graph_report, level_sets
+from .partition_reference import reference_partition
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +542,32 @@ class TestPartition:
                 rep = link_module(shuffled, q, build_lattice(shuffled, i))
                 assert t_direct(shuffled, q, moved) == rep, (entry.name, i)
 
+    def test_same_levels_as_the_reference(self, corpus_diagrams, crossing_change_diagrams):
+        # the corpus, the 126 compositions with 2-7 crossings and the 30
+        # crossing-change variants: the same levels, or the same error
+        diagrams = [*corpus_diagrams.values(), *crossing_change_diagrams.values()]
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        assert len(crossing_change_diagrams) == 30
+        undefined = 0
+        for d in diagrams:
+            for i in d.segment_ids():
+                try:
+                    expected = reference_partition(d, i)
+                except DiagramError as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        compute_partition(d, i)
+                    undefined += isinstance(exc, PartitionUndefinedError)
+                    continue
+                part = compute_partition(d, i)
+                assert part.level_of == expected.level_of, (d.to_pd(), i)
+                assert [
+                    (ld.level, ld.segments, ld.added, ld.internal_points) for ld in part.levels
+                ] == [
+                    (ld.level, ld.segments, ld.added, ld.internal_points)
+                    for ld in expected.levels
+                ], (d.to_pd(), i)
+        assert undefined
+
     def test_conway_undefined_segments_are_known(self, corpus_diagrams):
         d = corpus_diagrams["conway"]
         undefined = set()
@@ -901,7 +928,7 @@ def _history(lat, k):
 
 
 def _gate(d, q, w, lat):
-    return relation_violation(d, q, w, lat, link_module(d, q, lat))
+    return RelationGate(d, q, w).violation(lat, link_module(d, q, lat))
 
 
 def _other_map(m):
@@ -943,12 +970,14 @@ def _corrupt_state(monkeypatch, lat, target, arrow, new_map=None):
 
     monkeypatch.setattr(reps, "state_module", corrupted)
     monkeypatch.setattr(
-        reps, "_crossing_tables", lambda diagram, lat2, top: [set() for _ in diagram.crossings]
+        RelationGate,
+        "_crossing_tables",
+        lambda gate, lat2, top: [frozenset() for _ in gate.diagram.crossings],
     )
 
 
 class TestRelationWalk:
-    """``relation_violation``: T(i) in full, then each state's embedding."""
+    """``RelationGate``: T(i) in full, then each state's embedding."""
 
     def test_same_verdict_as_every_module_in_full(self, corpus_diagrams):
         rng = random.Random(10)
@@ -1005,7 +1034,7 @@ class TestRelationWalk:
                 mutant = _with_map(top, a.id, _other_map(top.maps[a.id]))
                 if not check_relations(mutant, q, w):
                     failed += 1
-                    k, rel = relation_violation(fig8, q, w, lat, mutant)
+                    k, rel = RelationGate(fig8, q, w).violation(lat, mutant)
                     assert k == lat.max_state
                     assert not reps._holds(mutant.maps, mutant.dims, rel)
         assert failed
@@ -1023,7 +1052,7 @@ class TestRelationWalk:
                     heights[k] = heights[k][:j] + (heights[k][j] + 2,) + heights[k][j + 1:]
                     mutant = replace(lat, heights=tuple(heights))
                     with pytest.raises(DiagramError, match=message):
-                        relation_violation(fig8, q, w, mutant, top)
+                        RelationGate(fig8, q, w).violation(mutant, top)
 
     def test_bad_marker_below_top_raises_through_the_gate(self, fig8_ctx):
         # the marker of a non-maximal state moved on by one corner at the
@@ -1042,7 +1071,7 @@ class TestRelationWalk:
                 states[k] = states[k][:c] + ((states[k][c] + 1) % 4,) + states[k][c + 1:]
                 mutant = replace(lat, states=tuple(states))
                 with pytest.raises(DiagramError, match=message):
-                    relation_violation(fig8, q, w, mutant, top)
+                    RelationGate(fig8, q, w).violation(mutant, top)
                 moved += 1
         assert moved
 
@@ -1059,16 +1088,17 @@ class TestRelationWalk:
                     _corrupt_crossing_maps(m, 3, 1)
                 for d in diagrams:
                     q = build_quiver(d)
+                    gate = RelationGate(d, q, build_potential(d, q))
                     for i in d.segment_ids():
                         lat = build_lattice(d, i)
-                        tables = reps._crossing_tables(d, lat, link_module(d, q, lat))
+                        tables = gate._crossing_tables(lat, link_module(d, q, lat))
                         expected = [
                             k
                             for k in range(lat.size)
                             for totals in [reps._crossing_totals(d, *_history(lat, k))]
                             if any(t not in table for t, table in zip(totals, tables))
                         ]
-                        suspects = reps._suspects(d, lat, tables)
+                        suspects = gate._suspects(lat, tables)
                         assert suspects == expected, (d.n, i, corrupt)
                         if not corrupt:
                             assert suspects == []
@@ -1089,6 +1119,59 @@ class TestRelationWalk:
             k, _rel = _gate(d, q, w, lat)
             assert k == _first_failing(d, q, w, lat) != lat.max_state
         assert _gate(d, q, w, lat) is None
+
+    def test_tables_die_with_verify_diagram(self, corpus_diagrams, monkeypatch):
+        # the same order through verify_diagram, whose gate serves every
+        # segment: the corrupted run fails and names, at each failing
+        # segment, the state that the full check names first
+        d = corpus_diagrams["10_66"]
+        q = build_quiver(d)
+        w = build_potential(d, q)
+        assert verify_diagram(d).ok
+        with monkeypatch.context() as m:
+            _corrupt_crossing_maps(m, 3, 1)
+            report = verify_diagram(d)
+            failed = [s for s in report.segments if s.relations_ok is False]
+            assert failed and not report.ok
+            for s in failed:
+                lat = build_lattice(d, s.segment)
+                k = _first_failing(d, q, w, lat)
+                note = f"the module of state {k} (height {lat.height_vector(k)}) violates"
+                assert any(n.startswith(note) for n in s.notes), (s.segment, s.notes)
+        assert verify_diagram(d).ok
+
+    def test_tables_are_built_once_per_diagram(self, corpus_diagrams, monkeypatch):
+        # the relation paths once per diagram, and one crossing table per
+        # distinct (T(i)'s four maps from corner k0 on, T_c) of the diagram
+        paths, tables = [], []
+        build_paths, build_table = reps.relation_paths, reps._crossing_table
+
+        def counted_paths(q, w):
+            paths.append(q)
+            return build_paths(q, w)
+
+        def counted_table(maps, t_max):
+            tables.append((maps, t_max))
+            return build_table(maps, t_max)
+
+        monkeypatch.setattr(reps, "relation_paths", counted_paths)
+        monkeypatch.setattr(reps, "_crossing_table", counted_table)
+        keys = 0
+        for d in corpus_diagrams.values():
+            q = build_quiver(d)
+            distinct = set()
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                top = link_module(d, q, lat)
+                for c, k0 in enumerate(lat.states[lat.min_state]):
+                    maps = tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
+                    distinct.add((maps, sum(top.dims[j - 1] for j in d.crossings[c].segments)))
+            keys += len(distinct)
+            before = len(tables)
+            assert verify_diagram(d).ok
+            assert sorted(tables[before:]) == sorted(distinct)
+        assert len(paths) == len(corpus_diagrams) == 5
+        assert len(tables) == keys == 22
 
     @pytest.mark.parametrize(
         "where", ["minimal", "mid-depth", "leaf", "crossing-maps", "maximal"]

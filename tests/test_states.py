@@ -5,6 +5,8 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotquiver import states as states_mod
 from knotquiver.diagram import DiagramError, parse_pd, two_bridge
@@ -306,6 +308,28 @@ class TestAgainstReferences:
                 expected = LaurentPoly(terms)
                 assert state_sum_alexander(d, states) == expected, (name, i)
                 assert state_sum_alexander(d, iter(states)) == expected, (name, i)
+
+    def test_state_sum_of_each_state(self, corpus_diagrams):
+        # one state at a time, so that two sign errors cannot cancel in a sum
+        diagrams = list(corpus_diagrams.values())
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        checked = 0
+        for d in diagrams:
+            for i in d.segment_ids():
+                for s in enumerate_states(d, i):
+                    expected = LaurentPoly({state_weight_exponent(d, s): state_sign(d, s)})
+                    assert state_sum_alexander(d, [s]) == expected, (d.to_pd(), i, s)
+                    checked += 1
+        assert checked == 4872 + 18952
+
+    @given(st.sampled_from([cf for n in range(2, 8) for cf in compositions(n)]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_state_sum_ignores_the_order_of_the_states(self, cf, data):
+        d = two_bridge(cf)
+        i = data.draw(st.sampled_from(d.segment_ids()))
+        states = enumerate_states(d, i)
+        shuffled = data.draw(st.permutations(states))
+        assert state_sum_alexander(d, shuffled) == state_sum_alexander(d, states)
 
     def test_empty_state_sum(self, fig8):
         assert state_sum_alexander(fig8, []) == LaurentPoly({})
