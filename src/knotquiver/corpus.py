@@ -18,7 +18,6 @@ class CorpusEntry:
     # normalized coefficient list of the expected Alexander polynomial,
     # lowest degree 0 (optional)
     alexander: tuple[int, ...] | None = None
-    cf: tuple[int, ...] | None = None
 
     def diagram(self) -> LinkDiagram:
         try:
@@ -60,7 +59,6 @@ def _entry(row: object) -> CorpusEntry:
         prime=prime,
         components=components,
         alexander=_int_list(row, "alexander"),
-        cf=_int_list(row, "cf"),
     )
 
 

@@ -48,7 +48,6 @@ class Crossing:
     is the slot holding the incoming over-strand end.
     """
 
-    index: int
     segments: tuple[int, int, int, int]
     over_in: int
 
@@ -312,8 +311,8 @@ def _assemble(
         components += 1
 
     crossings = [
-        Crossing(c, tuple(new_id[a] for a in arcs), over_in)
-        for c, (arcs, over_in) in enumerate(raw)
+        Crossing(tuple(new_id[a] for a in arcs), over_in)
+        for arcs, over_in in raw
     ]
     # segments in order of first appearance in the crossings' slots
     segments = {

@@ -724,14 +724,16 @@ def _leading(m: PartialShift, rows: int, cols: int) -> PartialShift | None:
     return PartialShift(rows, cols, m.o, m.lo, hi)
 
 
-def _crossing_table(maps: tuple[PartialShift, ...], t_max: int) -> frozenset[int]:
-    """The totals t <= ``t_max`` for which the leading restriction of a
-    crossing's four maps, from corner k0 on, is invariant and is
-    ``_crossing_maps(t)``.  The arrow at corner k0+k runs from slot k0+k+1
-    to slot k0+k, so it restricts to the heights at those two slots."""
+def _crossing_table(maps: tuple[PartialShift, ...]) -> frozenset[int]:
+    """The totals t for which the leading restriction of a crossing's four
+    maps, from corner k0 on, is invariant and is ``_crossing_maps(t)``.
+    The arrow at corner k0+k runs from slot k0+k+1 to slot k0+k, so it
+    restricts to the heights at those two slots, and its columns are the
+    height at slot k0+k+1: on maps that fit the quiver, the four maps'
+    columns sum to the crossing's total T_c, the largest t."""
     return frozenset(
         t
-        for t in range(t_max + 1)
+        for t in range(sum(m.cols for m in maps) + 1)
         for h in [_pattern(t)]
         if all(
             _leading(m, h[k - 1], h[k]) == want
@@ -760,51 +762,45 @@ class RelationGate:
       in T(i) acts as the leading d x d block of J(D), which is J(d).
 
     The restriction at a crossing depends only on its total, so
-    ``_crossing_tables`` checks the second fact once per crossing and
-    total, and ``_suspects`` makes one set test per crossing over the
+    ``_suspects`` checks the second fact once per crossing and total with
+    ``_crossing_table``, and makes one set test per crossing over the
     lattice's columns.  Each state it returns is built, in index order,
     with ``state_module`` (which raises on inconsistent heights or markers)
     and checked in full: the verdict of checking every module in full.
 
     What depends only on the diagram is built once per gate, and a gate
     serves the segments of one diagram: the relation paths, the crossing
-    table of each (T(i)'s four maps at a crossing from corner k0 on, T_c)
-    and the rows that each (k0, table) allows.  Crossings and segments
-    with the same key share one table.  The tables live as long as the
-    gate, so none outlives the diagram it was built for.
+    table of T(i)'s four maps at a crossing from corner k0 on (their
+    columns sum to the crossing's total T_c) and the rows that each
+    (k0, table) allows.  Crossings and segments with the same maps share
+    one table.  The tables live as long as the gate, so none outlives the
+    diagram it was built for.
     """
 
     def __init__(self, diagram: LinkDiagram, q: Quiver, w: Potential) -> None:
         self.diagram = diagram
         self.q = q
         self.relations = relation_paths(q, w)
-        self._tables: dict[tuple[tuple[PartialShift, ...], int], frozenset[int]] = {}
+        self._tables: dict[tuple[PartialShift, ...], frozenset[int]] = {}
         self._allowed: dict[tuple[int, frozenset[int]], set[tuple[tuple[int, ...], int]]] = {}
 
-    def _crossing_tables(self, lat: StateLattice, top: QuiverRep) -> list[frozenset[int]]:
-        """Per crossing, the ``_crossing_table`` of T(i)'s four maps there
-        and of its total T_c in the maximal state."""
-        tables = []
+    def _suspects(self, lat: StateLattice, top: QuiverRep) -> list[int]:
+        """The states, ascending, that fail ``_crossing_totals`` or miss a table.  One pass
+        per crossing: the ``_crossing_table`` of T(i)'s four maps from corner k0 on (``top``
+        fits the quiver, as ``violation`` checks first), then one set test over the
+        crossing's column of rows (heights at slots k0+1 .. k0+4, marker), allowed as
+        (``_pattern(t)``, k0 + t mod 4) for t in the table, any marker if t = 0."""
+        suspects: set[int] = set()
         for c, k0 in enumerate(lat.states[lat.min_state]):
             maps = tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
-            t_max = sum(top.dims[j - 1] for j in self.diagram.crossings[c].segments)
-            if (table := self._tables.get((maps, t_max))) is None:
-                table = self._tables[maps, t_max] = _crossing_table(maps, t_max)
-            tables.append(table)
-        return tables
-
-    def _suspects(self, lat: StateLattice, tables: list[frozenset[int]]) -> list[int]:
-        """The states, ascending, that fail ``_crossing_totals`` or miss a table: one set
-        test per crossing over its column of rows (heights at slots k0+1 .. k0+4, marker),
-        allowed as (``_pattern(t)``, k0 + t mod 4) for t in the table, any marker if t = 0."""
-        suspects: set[int] = set()
-        for c, (k0, table) in enumerate(zip(lat.states[lat.min_state], tables)):
-            segs = self.diagram.crossings[c].segments
-            slots = itemgetter(*(segs[(k0 + p) % 4] - 1 for p in range(1, 5)))
+            if (table := self._tables.get(maps)) is None:
+                table = self._tables[maps] = _crossing_table(maps)
             if (allowed := self._allowed.get((k0, table))) is None:
                 allowed = self._allowed[k0, table] = {
                     (_pattern(t), (k0 + t) % 4 if t else m) for t in table for m in range(4)
                 }
+            segs = self.diagram.crossings[c].segments
+            slots = itemgetter(*(segs[(k0 + p) % 4] - 1 for p in range(1, 5)))
             if not allowed.issuperset(zip(map(slots, lat.heights), map(itemgetter(c), lat.states))):
                 rows = zip(map(slots, lat.heights), map(itemgetter(c), lat.states))
                 suspects.update(k for k, row in enumerate(rows) if row not in allowed)
@@ -815,7 +811,7 @@ class RelationGate:
         q, relations = self.q, self.relations
         if (bad := _first_violated(top, q, relations)) is not None:
             return lat.max_state, bad
-        for k in self._suspects(lat, self._crossing_tables(lat, top)):
+        for k in self._suspects(lat, top):
             module = state_module(self.diagram, q, lat, k)
             if (bad := _first_violated(module, q, relations)) is not None:
                 return k, bad

@@ -17,7 +17,6 @@ maximal height, by one walk of transpositions.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -328,39 +327,29 @@ def state_sum_alexander(diagram: LinkDiagram, states: Iterable[State]) -> Lauren
     ``enumerate_states`` or ``StateLattice.states`` give them, so they all
     place their markers in the same n regions.  Each state contributes
     its sign times s to the sum of its ``corner_weights``.  The sign is
-    that of the state as a bijection from crossings to regions, taken
-    here as crossings -> ranks of the regions, numbered in the order of
-    their ids: the parity of its inversions, the pairs of crossings
-    c < c' whose ranks come in the other order.  Transposing two markers
+    that of the state as a bijection from crossings to regions, ordered
+    by region id: the parity of its inversions, the pairs of crossings
+    c < c' whose regions come in the other order.  Transposing two markers
     composes the bijection with a transposition, so the sign flips across
     every cover of the lattice.  Returns the unnormalized polynomial in
     Z[s, 1/s]; it equals the Alexander polynomial of the diagram up to a
     signed power of t.
 
-    The ranks and weights are read from one table per call, so each state
-    is one pass over its crossings: a bit set of the ranks seen so far,
-    masked by the ranks above the current one, counts the inversions that
-    the current crossing closes.
+    The region bits and weights are read from one table per call, so each
+    state is one pass over its crossings: a bit set of the regions seen so
+    far, masked by the regions of higher id than the current one, counts
+    the inversions that the current crossing closes.
     """
-    n = diagram.n
+    top = 1 << len(diagram.regions)
+    # table[c][k]: for the region r at corner k of crossing c, its bit, the
+    # mask of the regions with ids above r and the corner's weight
+    table = [
+        [(1 << r, top - (2 << r), w)
+         for r, w in zip(diagram.corner_region[c], corner_weights(diagram, c))]
+        for c in range(diagram.n)
+    ]
     terms: dict[int, int] = {}
-    states = iter(states)
-    first = next(states, None)
-    if first is None:
-        return LaurentPoly(terms)
-    image = sorted(diagram.corner_region[c][k] for c, k in enumerate(first))
-    rank = {r: p for p, r in enumerate(image)}
-    # table[c][k]: for the region at corner k of crossing c, its rank's bit,
-    # the mask of the higher ranks and the corner's weight; the two excluded
-    # regions, which no marker takes, have no rank
-    table = []
-    for c in range(n):
-        row = []
-        for r, w in zip(diagram.corner_region[c], corner_weights(diagram, c)):
-            p = rank.get(r)
-            row.append((0, 0, w) if p is None else (1 << p, (1 << n) - (2 << p), w))
-        table.append(row)
-    for state in itertools.chain((first,), states):
+    for state in states:
         seen = inversions = e = 0
         for row, k in zip(table, state):
             bit, higher, w = row[k]

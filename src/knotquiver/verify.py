@@ -23,7 +23,7 @@ Each table is built at the scope it depends on:
   relation paths, the crossing tables and their allowed rows, shared by
   every segment and dropped when the call returns;
 - per segment: the walk, the submodules, the state lattice, the state
-  sum's table of region ranks and corner weights, and the partition's
+  sum's table of region bits and corner weights, and the partition's
   region boundary sets and neighbours;
 - per state: one pass of the state sum over the state's markers, and a
   module built and checked in full only for a state that misses a

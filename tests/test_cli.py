@@ -399,6 +399,8 @@ class TestByteOutput:
         [
             (("verify", "--fast", "--verbose"),
              "3404d0ba6d767e43545cefb933c2bd9f23195812624e8f1d49f66cc6a33718c6"),
+            (("verify", "--verbose"),
+             "693f8f26a00576ea745cc6a2371a11d084cdb44667f0e216426c123f25473584"),
             (("fpoly", "10_66", "--all", "--format", "json"),
              "9fbc0ea17e25547088564f6744c4e1b08d8807e9851195ab4f5db77619027883"),
             (("two-bridge", "2,1,2,3", "--report-theorem3"),
@@ -410,7 +412,7 @@ class TestByteOutput:
             (("alexander", "conway"),
              "8b614d447c523e98af7ff0832e5ec25aea976bdedcb3f3f37491ede22ed0e46c"),
         ],
-        ids=["verify-fast", "fpoly-10_66", "two-bridge-2123", "states-10_66-json",
+        ids=["verify-fast", "verify-full", "fpoly-10_66", "two-bridge-2123", "states-10_66-json",
              "quiver-10_66-reduced", "alexander-conway"],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -969,11 +969,7 @@ def _corrupt_state(monkeypatch, lat, target, arrow, new_map=None):
         return _with_map(rep, arrow, _other_map(rep.maps[arrow]) if new_map is None else new_map)
 
     monkeypatch.setattr(reps, "state_module", corrupted)
-    monkeypatch.setattr(
-        RelationGate,
-        "_crossing_tables",
-        lambda gate, lat2, top: [frozenset() for _ in gate.diagram.crossings],
-    )
+    monkeypatch.setattr(reps, "_crossing_table", lambda maps: frozenset())
 
 
 class TestRelationWalk:
@@ -1091,14 +1087,20 @@ class TestRelationWalk:
                     gate = RelationGate(d, q, build_potential(d, q))
                     for i in d.segment_ids():
                         lat = build_lattice(d, i)
-                        tables = gate._crossing_tables(lat, link_module(d, q, lat))
+                        top = link_module(d, q, lat)
+                        tables = [
+                            reps._crossing_table(
+                                tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
+                            )
+                            for c, k0 in enumerate(lat.states[lat.min_state])
+                        ]
                         expected = [
                             k
                             for k in range(lat.size)
                             for totals in [reps._crossing_totals(d, *_history(lat, k))]
                             if any(t not in table for t, table in zip(totals, tables))
                         ]
-                        suspects = gate._suspects(lat, tables)
+                        suspects = gate._suspects(lat, top)
                         assert suspects == expected, (d.n, i, corrupt)
                         if not corrupt:
                             assert suspects == []
@@ -1142,7 +1144,7 @@ class TestRelationWalk:
 
     def test_tables_are_built_once_per_diagram(self, corpus_diagrams, monkeypatch):
         # the relation paths once per diagram, and one crossing table per
-        # distinct (T(i)'s four maps from corner k0 on, T_c) of the diagram
+        # distinct four maps of T(i) from corner k0 on in the diagram
         paths, tables = [], []
         build_paths, build_table = reps.relation_paths, reps._crossing_table
 
@@ -1150,9 +1152,9 @@ class TestRelationWalk:
             paths.append(q)
             return build_paths(q, w)
 
-        def counted_table(maps, t_max):
-            tables.append((maps, t_max))
-            return build_table(maps, t_max)
+        def counted_table(maps):
+            tables.append(maps)
+            return build_table(maps)
 
         monkeypatch.setattr(reps, "relation_paths", counted_paths)
         monkeypatch.setattr(reps, "_crossing_table", counted_table)
@@ -1164,14 +1166,38 @@ class TestRelationWalk:
                 lat = build_lattice(d, i)
                 top = link_module(d, q, lat)
                 for c, k0 in enumerate(lat.states[lat.min_state]):
-                    maps = tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4))
-                    distinct.add((maps, sum(top.dims[j - 1] for j in d.crossings[c].segments)))
+                    distinct.add(tuple(top.maps[4 * c + (k0 + k) % 4] for k in range(4)))
             keys += len(distinct)
             before = len(tables)
             assert verify_diagram(d).ok
             assert sorted(tables[before:]) == sorted(distinct)
         assert len(paths) == len(corpus_diagrams) == 5
         assert len(tables) == keys == 22
+
+    def test_crossing_maps_take_their_columns_from_the_maximal_heights(
+        self, corpus_diagrams, crossing_change_diagrams
+    ):
+        # the gate reads each crossing's total T_c from T(i)'s maps: the
+        # arrow at corner k0+k takes its columns from the height at slot
+        # k0+k+1, so the four maps' columns sum to the heights of the
+        # crossing's four segments in the maximal state
+        diagrams = [*corpus_diagrams.values(), *crossing_change_diagrams.values()]
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        checked = 0
+        for d in diagrams:
+            q = build_quiver(d)
+            for i in d.segment_ids():
+                lat = build_lattice(d, i)
+                top = link_module(d, q, lat)
+                height = lat.heights[lat.max_state]
+                for c, k0 in enumerate(lat.states[lat.min_state]):
+                    segs = d.crossings[c].segments
+                    cols = [top.maps[4 * c + (k0 + k) % 4].cols for k in range(4)]
+                    want = [height[segs[(k0 + k + 1) % 4] - 1] for k in range(4)]
+                    assert cols == want, (d.to_pd(), i, c)
+                    assert sum(cols) == sum(height[j - 1] for j in segs)
+                    checked += 1
+        assert checked
 
     @pytest.mark.parametrize(
         "where", ["minimal", "mid-depth", "leaf", "crossing-maps", "maximal"]

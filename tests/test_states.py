@@ -309,10 +309,12 @@ class TestAgainstReferences:
                 assert state_sum_alexander(d, states) == expected, (name, i)
                 assert state_sum_alexander(d, iter(states)) == expected, (name, i)
 
-    def test_state_sum_of_each_state(self, corpus_diagrams):
-        # one state at a time, so that two sign errors cannot cancel in a sum
+    def test_state_sum_of_each_state(self, corpus_diagrams, crossing_change_diagrams):
+        # one state at a time, so that two sign errors cannot cancel in a sum,
+        # on alternating and on non-alternating (crossing-change) diagrams
         diagrams = list(corpus_diagrams.values())
         diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        diagrams += crossing_change_diagrams.values()
         checked = 0
         for d in diagrams:
             for i in d.segment_ids():
@@ -320,7 +322,7 @@ class TestAgainstReferences:
                     expected = LaurentPoly({state_weight_exponent(d, s): state_sign(d, s)})
                     assert state_sum_alexander(d, [s]) == expected, (d.to_pd(), i, s)
                     checked += 1
-        assert checked == 4872 + 18952
+        assert checked == 4872 + 18952 + 29232
 
     @given(st.sampled_from([cf for n in range(2, 8) for cf in compositions(n)]), st.data())
     @settings(max_examples=100, deadline=None)
