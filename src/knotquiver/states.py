@@ -10,14 +10,18 @@ with unique minimal and maximal elements.
 States are stored as tuples ``corners[c] = k`` meaning the marker of
 crossing ``c`` sits in the corner between slots ``k`` and ``k+1``.  A
 state's height is a tuple whose entry j - 1 counts the transpositions at
-segment j on the way up from the minimal state.  ``build_lattice`` lists
-every state and cover; ``clock_walk`` finds only the two extremes and the
-maximal height, by one walk of transpositions.
+segment j on the way up from the minimal state.  ``enumerate_states``
+lists the states by a sweep over the crossings in index order that keeps
+only the used regions on the frontier between placed and unplaced
+crossings, so it builds no search tree and sorts nothing.
+``build_lattice`` lists every state and cover; ``clock_walk`` finds only
+the two extremes and the maximal height, by one walk of transpositions
+from the lexicographically first state.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import DiagramError, LinkDiagram
@@ -62,89 +66,133 @@ def base_regions(diagram: LinkDiagram, i: int) -> tuple[int, int]:
 
 
 def enumerate_states(diagram: LinkDiagram, i: int) -> list[State]:
-    """All Kauffman states relative to segment i, sorted."""
-    return sorted(_matchings(diagram, base_regions(diagram, i)))
+    """All Kauffman states relative to segment i, sorted.
+
+    A sweep places the crossings 0..n-1 in index order.  Before crossing
+    d is placed, the key is the set of used regions (a bit mask) among
+    those that crossings d..n-1 can still reach; a region that none of
+    them reaches is forgotten, which loses nothing, since no later marker
+    can take it again.  Each region is therefore used at most once, and
+    n markers in n usable regions use each of them exactly once.  So the
+    test that a crossing leaves no unused region behind as it leaves the
+    frontier only prunes: such a branch would die later anyway.
+
+    A forward pass finds the keys reachable at each depth.  A backward
+    pass gives each of them its list of completions, the tails of states
+    that extend any path to it, over its options in increasing corner
+    order.  Each list is sorted by induction, because every tail list
+    below is and the options come in corner order, so the list of key 0
+    at depth 0 is every state, already sorted.
+    """
+    steps = _sweep_table(diagram, base_regions(diagram, i))
+    levels = _reachable_keys(steps)
+    # the completions of each live key, from the last depth up
+    below: dict[int, list[State]] = {0: [()]}
+    for d in range(len(steps) - 1, -1, -1):
+        options, keep = steps[d]
+        here: dict[int, list[State]] = {}
+        for m in levels[d]:
+            done: list[State] = []
+            for k, bit, need in options:
+                if not m & bit and m & need == need:
+                    tails = below.get((m | bit) & keep)
+                    if tails:
+                        done += [(k,) + t for t in tails]
+            if done:
+                here[m] = done
+        below = here
+    return below.get(0, [])
 
 
-def _matchings(diagram: LinkDiagram, excluded: tuple[int, int]) -> Iterator[State]:
-    """The states that avoid the two ``excluded`` regions, in search order.
+# per crossing: its options (corner, region bit, regions that must be used
+# once the marker is placed), and the mask of regions later crossings reach
+_Step = tuple[list[tuple[int, int, int]], int]
 
-    This is a perfect-matching enumeration between crossings and usable
-    regions along corner incidences, crossing by crossing in
-    most-constrained-first order, on an explicit stack.  A count per
-    region of the unplaced crossings that can still fill it prunes every
-    branch that leaves an unused region without such a crossing.  Placing
-    a crossing lowers only the counts of its own regions, so testing those
-    regions prunes exactly the branches that a rescan of all regions would
-    prune: the search tree does not depend on how the rule is tested.
+
+def _sweep_table(diagram: LinkDiagram, excluded: tuple[int, int]) -> list[_Step]:
+    """The sweep's transitions, crossing by crossing in index order.
+
+    A marker at crossing d may take a corner whose region is unused, and
+    the regions that leave the frontier with d (reached by d and by no
+    later crossing) must all be used once it is placed.
     """
     n = diagram.n
     corner_region = diagram.corner_region
-    choices: list[list[int]] = []
+    options: list[list[tuple[int, int]]] = []
+    reach: list[int] = []
     for c in range(n):
-        usable = [k for k in range(4) if corner_region[c][k] not in excluded]
-        regions_seen: set[int] = set()
-        for k in usable:
+        row = []
+        seen = 0
+        for k in range(4):
             r = corner_region[c][k]
-            if r in regions_seen:
+            if r in excluded:
+                continue
+            if seen >> r & 1:
                 raise DiagramError(
                     f"region {r} meets crossing {c} in two corners; "
                     "diagram violates the primality assumption"
                 )
-            regions_seen.add(r)
-        choices.append(usable)
+            seen |= 1 << r
+            row.append((k, 1 << r))
+        options.append(row)
+        reach.append(seen)
+    steps: list[_Step] = []
+    future = 0  # the regions that crossings d+1..n-1 reach
+    for d in range(n - 1, -1, -1):
+        leaving = reach[d] & ~future
+        steps.append(([(k, bit, leaving & ~bit) for k, bit in options[d]], future))
+        future |= reach[d]
+    steps.reverse()
+    return steps
 
-    order = sorted(range(n), key=lambda c: len(choices[c]))
-    # per depth: the corners and regions open to the crossing placed there
-    corners = [choices[c] for c in order]
-    regions = [[corner_region[c][k] for k in choices[c]] for c in order]
-    # per region: the unplaced crossings that can still fill it
-    fillers = [0] * len(diagram.regions)
-    for regs in regions:
-        for r in regs:
-            fillers[r] += 1
-    used = [False] * len(diagram.regions)
-    assignment = [0] * n
 
-    # per depth on the current path: the region taken, the next option to
-    # try, and the regions allowed (-1: any unused one, r: only r, -2: none)
-    placed = [0] * n
-    resume = [0] * n
-    allowed = [0] * n
-    depth, entering = 0, True
-    while depth >= 0:
-        regs = regions[depth]
-        if entering:
-            # the crossing leaves the unplaced ones; an unused region of it
-            # that no other unplaced crossing can fill is dead unless this
-            # marker takes it, so one dead region forces the choice
-            dead = -1
-            for r in regs:
-                fillers[r] -= 1
-                if not fillers[r] and not used[r]:
-                    dead = r if dead == -1 else -2
-            allowed[depth] = dead
-            p = 0
-        else:
-            used[placed[depth]] = False
-            dead, p = allowed[depth], resume[depth]
-        while p < len(regs):
-            r = regs[p]
-            p += 1
-            if used[r] or (dead != -1 and r != dead):
+def _reachable_keys(steps: list[_Step]) -> list[set[int]]:
+    """Per depth 0..n-1, the sweep's keys that a partial state reaches."""
+    levels = [{0}]
+    for options, keep in steps[:-1]:
+        nxt = set()
+        for m in levels[-1]:
+            for _k, bit, need in options:
+                if not m & bit and m & need == need:
+                    nxt.add((m | bit) & keep)
+        levels.append(nxt)
+    return levels
+
+
+def _first_state(diagram: LinkDiagram, excluded: tuple[int, int]) -> State | None:
+    """The lexicographically first state, or None when there is none.
+
+    The first complete path through the sweep's transitions, depth first
+    in corner order, with a set of the (depth, key) pairs that are known
+    to have no completion, so that none is searched twice.
+    """
+    steps = _sweep_table(diagram, excluded)
+    n = len(steps)
+    dead: set[tuple[int, int]] = set()
+    keys = [0] * (n + 1)
+    state = [0] * n
+    resume = [0] * n  # per depth on the path: the next option to try
+    d = p = 0
+    while d < n:
+        options, keep = steps[d]
+        m = keys[d]
+        for q in range(p, len(options)):
+            k, bit, need = options[q]
+            if m & bit or m & need != need:
                 continue
-            assignment[order[depth]] = corners[depth][p - 1]
-            if depth == n - 1:
-                yield tuple(assignment)
+            m2 = (m | bit) & keep
+            if (d + 1, m2) in dead:
                 continue
-            used[r] = True
-            placed[depth], resume[depth] = r, p
-            depth, entering = depth + 1, True
+            state[d], resume[d], keys[d + 1] = k, q + 1, m2
+            d, p = d + 1, 0
             break
         else:
-            for r in regs:
-                fillers[r] += 1
-            depth, entering = depth - 1, False
+            if d == 0:
+                return None
+            dead.add((d, m))
+            d -= 1
+            p = resume[d]
+    return tuple(state)
 
 
 def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
@@ -242,9 +290,10 @@ def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, .
     lattice under transpositions, so from any state clockwise
     transpositions lead down to the minimal state, and counterclockwise
     ones from there up to the maximal state, whichever moves are taken.
-    The walk starts from the first state of the matching search, applies
-    clockwise moves until none applies and then counterclockwise ones
-    until none applies, and counts the counterclockwise moves per segment.
+    The walk starts from the lexicographically first state, which
+    ``_first_state`` finds without listing the others, applies clockwise
+    moves until none applies and then counterclockwise ones until none
+    applies, and counts the counterclockwise moves per segment.
 
     Precondition: the diagram is prime, as ``LinkDiagram.validate``
     requires.  On a composite diagram the states can fall into classes
@@ -261,7 +310,7 @@ def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, .
     raises, so it always ends.
     """
     excluded = base_regions(diagram, i)
-    start = next(_matchings(diagram, excluded), None)
+    start = _first_state(diagram, excluded)
     if start is None:
         raise DiagramError(f"no Kauffman states relative to segment {i}")
     # per segment: (tail crossing, head crossing, their corners below and

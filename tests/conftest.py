@@ -15,6 +15,12 @@ FIG8_PD = "X(3,1,4,8) X(7,5,8,4) X(5,2,6,3) X(1,6,2,7)"
 # and s1^2 s2^-2 (Hopf # Hopf)
 SQUARE_KNOT_PD = "X(3,1,4,12) X(11,3,12,2) X(1,11,2,10) X(9,6,10,7) X(5,8,6,9) X(7,4,8,5)"
 HOPF_HOPF_PD = "X(1,2,5,4) X(4,5,7,1) X(3,9,8,7) X(9,3,2,8)"
+# the closure of s1^3 s2 s3^-3: a trefoil and its mirror joined at one
+# nugatory crossing, with no curl
+NUGATORY_PD = (
+    "X(1,2,6,5) X(5,6,8,7) X(7,8,10,1) X(10,3,12,2) X(4,14,13,12) X(14,16,15,13) "
+    "X(16,4,3,15)"
+)
 
 
 def compositions(n):

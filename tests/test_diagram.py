@@ -16,7 +16,7 @@ from knotquiver.diagram import (
 from knotquiver.oracle import alexander_det
 from knotquiver.poly import LaurentPoly
 
-from .conftest import HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD, compositions
+from .conftest import HOPF_HOPF_PD, NUGATORY_PD, SQUARE_KNOT_PD, TREFOIL_PD, compositions
 
 
 class TestParse:
@@ -227,12 +227,7 @@ class TestRegionsAndValidate:
             parse_valid_pd(pd)
 
     def test_nugatory_detected(self):
-        # the closure of s1^3 s2 s3^-3: a trefoil and its mirror joined at
-        # one nugatory crossing, with no curl
-        d = parse_pd(
-            "X(1,2,6,5) X(5,6,8,7) X(7,8,10,1) X(10,3,12,2) X(4,14,13,12) X(14,16,15,13) "
-            "X(16,4,3,15)"
-        )
+        d = parse_pd(NUGATORY_PD)
         report = d.validate()
         assert report.curl_free and not report.prime and not report.ok
         assert "region 2 meets crossing 3 in two corners (nugatory crossing)" in report.notes

@@ -21,7 +21,8 @@ from knotquiver.states import (
     state_sum_alexander,
 )
 
-from .conftest import compositions
+from .conftest import NUGATORY_PD, compositions
+from .matchings_reference import reference_states
 
 # -- independent references: one segment, one state at a time ----------------
 
@@ -101,6 +102,13 @@ def _random_two_bridge(seed, count, max_crossings):
     return diagrams
 
 
+def _shuffled(pd, rng):
+    """The diagram of ``pd`` with its crossings numbered in a shuffled order."""
+    terms = re.findall(r"X\([^)]*\)", pd)
+    rng.shuffle(terms)
+    return parse_pd(" ".join(terms))
+
+
 def _down_move(diagram, state, j):
     """Predecessor of ``state`` under the counterclockwise transposition at j."""
     (tc, ts), (hc, hs) = diagram.segments[j].tail, diagram.segments[j].head
@@ -145,13 +153,50 @@ class TestEnumeration:
     def test_leaves_no_reference_cycle(self, corpus_diagrams):
         # the search state is freed on return, without the cyclic collector
         for d in corpus_diagrams.values():
-            gc.collect()
-            gc.disable()
-            try:
-                enumerate_states(d, 1)
-                assert gc.collect() == 0
-            finally:
-                gc.enable()
+            for search in (enumerate_states, clock_walk):
+                gc.collect()
+                gc.disable()
+                try:
+                    search(d, 1)
+                    assert gc.collect() == 0, search.__name__
+                finally:
+                    gc.enable()
+
+    def test_sweep_work(self, corpus_diagrams, monkeypatch):
+        # the (depth, key) pairs that the sweep's forward pass reaches, over
+        # every segment of the corpus: a change in the sweep's work shows here
+        pairs = []
+        reachable_keys = states_mod._reachable_keys
+
+        def counted(steps):
+            levels = reachable_keys(steps)
+            pairs.append(sum(map(len, levels)))
+            return levels
+
+        monkeypatch.setattr(states_mod, "_reachable_keys", counted)
+        states = 0
+        for d in corpus_diagrams.values():
+            for i in d.segment_ids():
+                states += len(enumerate_states(d, i))
+        assert len(pairs) == 72
+        assert (sum(pairs), states) == (4249, 4872)
+
+    def test_a_region_at_two_corners_raises(self):
+        # a composite diagram, built without validation: a region that meets
+        # a crossing at two corners is reported as the old search reported it,
+        # unless the region is one of the two excluded ones
+        d = parse_pd(NUGATORY_PD)
+        message = "^region 2 meets crossing 3 in two corners; diagram violates the primality assumption$"
+        raised = 0
+        for i in d.segment_ids():
+            if 2 in base_regions(d, i):
+                assert enumerate_states(d, i) == reference_states(d, i), i
+                continue
+            for search in (reference_states, enumerate_states, clock_walk):
+                with pytest.raises(DiagramError, match=message):
+                    search(d, i)
+            raised += 1
+        assert raised == 6
 
     def test_markers_bijective(self, fig8):
         lat = build_lattice(fig8, 1)
@@ -291,6 +336,34 @@ class TestAgainstReferences:
             for i in d.segment_ids():
                 assert enumerate_states(d, i) == _brute_force_states(d, i), (name, i)
 
+    @staticmethod
+    def _same_as_the_search(d, name):
+        for i in d.segment_ids():
+            states = enumerate_states(d, i)
+            assert states == reference_states(d, i), (name, i)
+            # sorted, with no state twice
+            assert all(a < b for a, b in zip(states, states[1:])), (name, i)
+
+    def test_states_are_the_reference_search(self, corpus_diagrams, crossing_change_diagrams):
+        for name, d in corpus_diagrams.items():
+            self._same_as_the_search(d, name)
+        # the 254 compositions with 2-8 crossings
+        for n in range(2, 9):
+            for cf in compositions(n):
+                self._same_as_the_search(two_bridge(cf), cf)
+        for name, d in crossing_change_diagrams.items():
+            self._same_as_the_search(d, name)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_states_are_the_reference_search_in_any_crossing_order(self, corpus, seed):
+        # the sweep places the crossings in index order, so its work depends
+        # on how the PD terms number them, but its result must not
+        rng = random.Random(seed)
+        pds = [entry.pd for entry in corpus]
+        pds += [two_bridge(cf).to_pd() for cf in ([3, 3, 3, 4], [2, 3, 4, 5], [5, 5, 5])]
+        for pd in pds:
+            self._same_as_the_search(_shuffled(pd, rng), (pd, seed))
+
     def test_covers_in_order(self, corpus_diagrams):
         for name, d in self._cases(corpus_diagrams, 11):
             for i in d.segment_ids():
@@ -365,9 +438,26 @@ class TestClockWalk:
         # first state and the order of its moves change
         rng = random.Random(seed)
         for entry in corpus:
-            terms = re.findall(r"X\([^)]*\)", entry.pd)
-            rng.shuffle(terms)
-            self._lands(parse_pd(" ".join(terms)), (entry.name, seed))
+            self._lands(_shuffled(entry.pd, rng), (entry.name, seed))
+
+    def test_starts_from_the_first_state(self, corpus_diagrams, monkeypatch):
+        # the walk starts from the lexicographically first state, found
+        # without listing the others
+        starts = []
+        first_state = states_mod._first_state
+
+        def recorded(diagram, excluded):
+            starts.append(first_state(diagram, excluded))
+            return starts[-1]
+
+        monkeypatch.setattr(states_mod, "_first_state", recorded)
+        diagrams = list(corpus_diagrams.values())
+        diagrams += [two_bridge(cf) for n in range(2, 8) for cf in compositions(n)]
+        for d in diagrams:
+            for i in d.segment_ids():
+                starts.clear()
+                clock_walk(d, i)
+                assert starts == [enumerate_states(d, i)[0]], (d.to_pd(), i)
 
     def test_unknown_segment(self, fig8):
         with pytest.raises(DiagramError, match="^unknown segment id 99$"):
@@ -383,6 +473,6 @@ class TestClockWalk:
             segment_at=lambda crossing, slot: slot % 4 + 1,
         )
         monkeypatch.setattr(states_mod, "base_regions", lambda diagram, i: (0, 1))
-        monkeypatch.setattr(states_mod, "_matchings", lambda diagram, excluded: iter([(0, 0)]))
+        monkeypatch.setattr(states_mod, "_first_state", lambda diagram, excluded: (0, 0))
         with pytest.raises(DiagramError, match="run in a cycle"):
             clock_walk(fake, 1)
