@@ -186,7 +186,10 @@ class TestEnumeration:
         # a crossing at two corners is reported as the old search reported it,
         # unless the region is one of the two excluded ones
         d = parse_pd(NUGATORY_PD)
-        message = "^region 2 meets crossing 3 in two corners; diagram violates the primality assumption$"
+        message = (
+            "^region 2 meets crossing 3 in two corners; "
+            "diagram violates the primality assumption$"
+        )
         raised = 0
         for i in d.segment_ids():
             if 2 in base_regions(d, i):
