@@ -1,14 +1,19 @@
-"""On-disk cache for per-(diagram, segment) pipeline results.
+"""On-disk cache of the per-(diagram, segment) result: F and its specialization.
 
 Keys hash the canonical serialization of the diagram together with the
-segment; values hold the F-polynomial and its specialization as
-deterministic JSON, so that cache hits reproduce byte-identical command
-output.  ``fpoly`` and ``alexander`` use the cache; ``verify`` does not.
+segment and ``_FORMAT_VERSION``.  An entry file is the sha256 of the body
+in hex, a newline, and the body: the deterministic JSON
+``{"f": MultiPoly.to_json(), "spec": LaurentPoly.to_json()}``, so that
+cache hits reproduce byte-identical command output.  ``fpoly`` and
+``alexander`` use the cache; ``verify`` does not.
 
-An entry file is the sha256 of the JSON body in hex, a newline, and the
-body.  An entry whose checksum does not match the body, whose body is not
-JSON, or whose fields the caller's decoder rejects is a miss, and the
-recomputed result overwrites it.  Each writer fills its own temporary file
+An entry is a miss, and the recomputed result overwrites it, when its
+checksum does not match the body, the body is not JSON, a field is
+missing or of the wrong type (``MultiPoly.from_json`` and
+``LaurentPoly.from_json`` reject every row that ``to_json`` does not
+write), F is not over the 2n variables of the diagram's n crossings, or
+F lacks the zero exponent vector, which every F holds because every
+module has the zero submodule.  Each writer fills its own temporary file
 and renames it into place, so concurrent writers of one key do not clash.
 """
 
@@ -20,14 +25,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, TypeVar
 
 from .diagram import LinkDiagram
+from .poly import LaurentPoly, MultiPoly
 
 ENV_CACHE_DIR = "KNOTQUIVER_CACHE_DIR"
 _FORMAT_VERSION = 3
-
-T = TypeVar("T")
 
 
 class RunCache:
@@ -50,12 +53,8 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, diagram: LinkDiagram, segment: int, decode: Callable[[Any], T]) -> T | None:
-        """``decode`` of the stored JSON value, or None on a miss.
-
-        ``decode`` signals a malformed value by raising KeyError, TypeError
-        or ValueError; only an entry that it accepts counts as a hit.
-        """
+    def get(self, diagram: LinkDiagram, segment: int) -> tuple[MultiPoly, LaurentPoly] | None:
+        """The stored F and specialization, or None on a miss (see the module docstring)."""
         try:
             data = self._path(self.key(diagram, segment)).read_bytes()
         except FileNotFoundError:
@@ -65,15 +64,22 @@ class RunCache:
         try:
             if hashlib.sha256(body).hexdigest().encode() != digest:
                 raise ValueError("checksum mismatch")
-            value = decode(json.loads(body))
+            value = json.loads(body)
+            f = MultiPoly.from_json(value["f"])
+            if f.nvars != 2 * diagram.n:
+                raise ValueError(f"F over {f.nvars} variables, expected {2 * diagram.n}")
+            if (0,) * f.nvars not in f.terms:
+                raise ValueError("F lacks the zero exponent vector")
+            spec = LaurentPoly.from_json(value["spec"])
         except (KeyError, TypeError, ValueError):  # includes a body that is not UTF-8
             self.misses += 1
             return None
         self.hits += 1
-        return value
+        return f, spec
 
-    def put(self, diagram: LinkDiagram, segment: int, value: dict) -> None:
+    def put(self, diagram: LinkDiagram, segment: int, f: MultiPoly, spec: LaurentPoly) -> None:
         path = self._path(self.key(diagram, segment))
+        value = {"f": f.to_json(), "spec": spec.to_json()}
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{path.stem}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -13,11 +13,11 @@ from .diagram import DiagramError, LinkDiagram, parse_valid_pd
 class CorpusEntry:
     name: str
     pd: str
-    prime: bool = True
-    components: int | None = None
+    prime: bool
+    components: int | None
     # normalized coefficient list of the expected Alexander polynomial,
     # lowest degree 0 (optional)
-    alexander: tuple[int, ...] | None = None
+    alexander: tuple[int, ...] | None
 
     def diagram(self) -> LinkDiagram:
         try:

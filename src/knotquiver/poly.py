@@ -206,9 +206,9 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_t_coefficients(cls, coeffs: Sequence[int], min_t_degree: int = 0) -> "LaurentPoly":
-        """Polynomial sum(coeffs[k] * t**(min_t_degree + k))."""
-        return cls({2 * (min_t_degree + k): c for k, c in enumerate(coeffs)})
+    def from_t_coefficients(cls, coeffs: Sequence[int]) -> "LaurentPoly":
+        """Polynomial sum(coeffs[k] * t**k)."""
+        return cls({2 * k: c for k, c in enumerate(coeffs)})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms

@@ -33,7 +33,6 @@ Each table is built at the scope it depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 from .cache import RunCache
@@ -123,28 +122,21 @@ def run_segment(diagram: LinkDiagram, q: Quiver, i: int) -> SegmentRun:
     return SegmentRun(rep, ml, f, f.specialize(diagram.specialization_exponents()))
 
 
-def _decode_entry(diagram: LinkDiagram, value: dict) -> tuple[MultiPoly, LaurentPoly]:
-    f = MultiPoly.from_json(value["f"])
-    if f.nvars != 2 * diagram.n:
-        raise ValueError(f"F over {f.nvars} variables, expected {2 * diagram.n}")
-    return f, LaurentPoly.from_json(value["spec"])
-
-
 def segment_pipeline(
     diagram: LinkDiagram, q: Quiver, i: int, cache: RunCache | None = None
 ) -> tuple[MultiPoly, LaurentPoly]:
     """F-polynomial of T(i) and its specialization.
 
-    Results are cached per (diagram, segment) when a cache is supplied; an
-    entry that does not decode is a miss and is overwritten.
+    With a cache, a hit is returned as it is; on a miss, ``run_segment``
+    computes the pair and the cache stores it, overwriting any entry
+    that ``RunCache.get`` rejected.
     """
-    if cache is not None:
-        hit = cache.get(diagram, i, partial(_decode_entry, diagram))
-        if hit is not None:
-            return hit
+    hit = cache.get(diagram, i) if cache is not None else None
+    if hit is not None:
+        return hit
     run = run_segment(diagram, q, i)
     if cache is not None:
-        cache.put(diagram, i, {"f": run.f.to_json(), "spec": run.spec.to_json()})
+        cache.put(diagram, i, run.f, run.spec)
     return run.f, run.spec
 
 

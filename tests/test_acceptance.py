@@ -22,8 +22,8 @@ from knotquiver.states import build_lattice
 from .level_graph import level_sets
 
 
-def t_poly(coeffs, m=0):
-    return LaurentPoly.from_t_coefficients(coeffs, m)
+def t_poly(coeffs):
+    return LaurentPoly.from_t_coefficients(coeffs)
 
 
 def announce(criterion, ok, detail=""):

@@ -15,8 +15,8 @@ from .conftest import compositions
 BORROMEAN_PD = "X(2,1,4,5) X(5,6,7,3) X(6,4,8,9) X(9,10,11,7) X(10,8,1,13) X(13,2,3,11)"
 
 
-def t(coeffs, m=0):
-    return LaurentPoly.from_t_coefficients(coeffs, m)
+def t(coeffs):
+    return LaurentPoly.from_t_coefficients(coeffs)
 
 
 class TestDeterminant:

@@ -6,7 +6,7 @@ from knotquiver.poly import LaurentPoly, MultiPoly
 
 
 def lp(coeffs, min_t=0):
-    return LaurentPoly.from_t_coefficients(coeffs, min_t)
+    return LaurentPoly({2 * (min_t + k): c for k, c in enumerate(coeffs)})
 
 
 class TestLaurent:
