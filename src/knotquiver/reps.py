@@ -479,9 +479,9 @@ class SubmoduleLattice:
     ``rows[p]`` is vertex p's bound and its constraints out, (target,
     slack): el + e_p keeps every constraint into p, so it is a submodule
     exactly when it stays within the bound and keeps the constraints out.
-    That one test, ``_raisable``, has two readers: ``cover_counts`` counts
-    the covers per segment, which the lattice-isomorphism gate reads, and
-    ``covers`` lists them on first read, which no library path does.
+    That one test, ``_raisable``, lists the covers on the first read of
+    ``covers``, which no library path makes: the lattice-isomorphism gate
+    compares the elements alone.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -502,10 +502,6 @@ class SubmoduleLattice:
                         break
                 else:
                     yield el
-
-    def cover_counts(self) -> tuple[int, ...]:
-        """Entry j - 1: the number of covers at segment j."""
-        return tuple(sum(1 for _ in self._raisable(p)) for p in range(len(self.rows)))
 
     @functools.cached_property
     def covers(self) -> tuple[tuple[int, int, int], ...]:
@@ -565,8 +561,8 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     every integer point is found without assuming any lattice theorem.
 
     The lattice keeps each vertex's upper bound and constraints out, and
-    tests its covers from them only when they are counted or listed: F
-    reads only the elements.
+    tests its covers from them only when they are listed: F and the
+    lattice-isomorphism gate read only the elements.
     """
     n = len(rep.dims)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # src -> (tgt, slack)
@@ -823,21 +819,30 @@ def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
 
     Both lattices store an element as a tuple whose entry j - 1 is segment
     j, so each state maps to the submodule whose dimension vector is its
-    height.  That map must be a bijection: the heights are distinct and
-    are the elements.  It then carries the state covers onto the
-    submodule covers exactly when, for every segment j, there are as many
-    state covers at j as submodules x with x + e_j a submodule.
+    height.  Two checks, and no cover is listed on either side:
 
-    Precondition: ``sl`` comes from ``build_lattice``, whose height loop
-    raises unless every state cover (a, j, b) has h(b) = h(a) + e_j.  So
-    (a, j, b) -> (h(a), j) sends the state covers at j into the submodule
-    covers at j, injectively, since the heights are distinct; a finite
-    injection between sets of equal size is onto, and the two sets of
-    (index, segment, index) triples are equal without being built.
+    - check 2: the heights are distinct, and there are as many as
+      submodules;
+    - check 3: the heights are the submodules' dimension vectors.
+
+    Why that suffices.  A submodule is fixed by its dimension vector, one
+    contains another exactly when its vector is at least as large at
+    every segment, and so the submodule covers are the pairs (x, x + e_j).  The Kauffman
+    states relative to i are the perfect matchings of a planar bipartite
+    graph whose faces are the segments, the transposition at j being the
+    rotation of face j.  By Propp's theorem (*Lattice structure for
+    orientations of graphs*, 2002) they form a distributive lattice, in
+    which s <= s' exactly when Thurston's height function (1990) of s is
+    at most that of s' at every face, and s' covers s by a rotation at face
+    j exactly when their height functions differ by e_j.  Precondition:
+    ``sl`` comes from ``build_lattice``, whose check 1 proves that its
+    heights are that function, zero at the minimal state.  Checks 2 and
+    3 then make height -> dimension vector a bijection between two sets
+    of tuples ordered componentwise, which is a lattice isomorphism.
+
+    The minimal state is the clock walk's and the submodules are those of
+    the walk's T(i), so a walk that stops early leaves T(i) with fewer
+    submodules than there are states, and check 2 fails.
     """
     heights = set(sl.heights)
-    if not len(heights) == len(sl.heights) == len(ml.elements) or heights != set(ml.elements):
-        return False
-    per_segment = Counter(map(itemgetter(1), sl.covers))
-    # Counter equality counts a missing key as zero
-    return per_segment == Counter(dict(enumerate(ml.cover_counts(), 1)))
+    return len(heights) == len(sl.heights) == ml.size and heights == set(ml.elements)

@@ -14,15 +14,21 @@ segment j on the way up from the minimal state.  ``enumerate_states``
 lists the states by a sweep over the crossings in index order that keeps
 only the used regions on the frontier between placed and unplaced
 crossings, so it builds no search tree and sorts nothing.
-``build_lattice`` lists every state and cover; ``clock_walk`` finds only
-the two extremes and the maximal height, by one walk of transpositions
-from the lexicographically first state.
+``clock_walk`` finds only the two extremes and the maximal height, by one
+walk of transpositions from the lexicographically first state.
+``build_lattice`` lists every state and takes its height as a sum over its
+markers from one table per segment, Thurston's height function (1990),
+whose steps it checks against every transposition; it searches for no
+height, and lists the covers only when they are read.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import getitem
 
 from .diagram import DiagramError, LinkDiagram
 from .jsontext import json_text
@@ -36,13 +42,12 @@ class StateLattice:
     base_segment: int
     excluded_regions: tuple[int, int]
     states: tuple[State, ...]
-    # up-covers: (state index, segment, successor state index)
-    covers: tuple[tuple[int, int, int], ...]
     # per state, a tuple whose entry j - 1 is segment j: the coordinates of
     # submodule dimension vectors and of F's exponents of y_1..y_2n
     heights: tuple[tuple[int, ...], ...]
     min_state: int
     max_state: int
+    diagram: LinkDiagram = field(repr=False, compare=False)
 
     def height_vector(self, state_index: int) -> dict[int, int]:
         return {j: h for j, h in enumerate(self.heights[state_index], 1) if h}
@@ -50,6 +55,47 @@ class StateLattice:
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def covers(self) -> tuple[tuple[int, int, int], ...]:
+        """The up-covers (state index, segment, successor state index), by
+        state and then by segment.
+
+        The counterclockwise transposition at segment j moves the marker at
+        j's tail from the corner just before its tail slot to the tail
+        slot's corner, and likewise at j's head.  So a marker at corner k
+        of crossing c can only take part in the move at the segment whose
+        tail sits at slot k+1 of c: each state's up-covers are found from
+        its n markers by one table lookup each.
+        """
+        # tail_move[c][k]: (j, slot k+1, head crossing, head slot, head's
+        # corner before the move) for the segment j whose tail is at slot k+1
+        # of crossing c; None where a head sits there or j cannot move
+        tail_move: list[list[tuple[int, int, int, int, int] | None]] = [
+            [None] * 4 for _ in range(self.diagram.n)
+        ]
+        for j, (tc, ts, hc, hs) in _moves(self.diagram, self.excluded_regions).items():
+            tail_move[tc][ts - 1] = (j, ts, hc, hs, (hs - 1) % 4)
+        index = {s: k for k, s in enumerate(self.states)}
+        covers: list[tuple[int, int, int]] = []
+        for k, s in enumerate(self.states):
+            found = []
+            for c, corner in enumerate(s):
+                move = tail_move[c][corner]
+                if move is None:
+                    continue
+                j, ts, hc, hs, before = move
+                if s[hc] != before:
+                    continue
+                nxt = list(s)
+                nxt[c] = ts
+                nxt[hc] = hs
+                up = index.get(tuple(nxt))
+                if up is None:
+                    raise DiagramError("transposition left the state set; corrupt diagram")
+                found.append((k, j, up))
+            covers += sorted(found)
+        return tuple(covers)
 
 
 def base_regions(diagram: LinkDiagram, i: int) -> tuple[int, int]:
@@ -196,91 +242,146 @@ def _first_state(diagram: LinkDiagram, excluded: tuple[int, int]) -> State | Non
 
 
 def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
-    """Enumerate states and grade them by transposition heights from the bottom.
+    """Every state, graded by its height over the clock walk's minimal state.
 
-    The counterclockwise transposition at segment j moves the marker at
-    j's tail from the corner just before its tail slot to the tail slot's
-    corner, and likewise at j's head.  So a marker at corner k of crossing
-    c can only take part in the move at the segment whose tail sits at
-    slot k+1 of c: each state's up-covers are found from its n markers by
-    one table lookup each, listed by segment id.
+    The states come from ``enumerate_states`` and the two extremes from
+    ``clock_walk``.  A state's height is a sum over its markers,
+    h(s) = Σ_c W[c][s_c], from the table of ``_height_table``, which is
+    zero at the minimal state.  Check 1: for every segment j that can move
+    (a segment that bounds neither region at i, and is no curl), the
+    transposition at j must raise that sum by exactly e_j, or this raises
+    ``DiagramError``.  Then, by Kauffman's clock theorem, every state is
+    reached from the minimal one by counterclockwise transpositions, so
+    its height counts them per segment, as the module ``M(S)`` needs, and
+    lies between 0 and the walk's maximal height.  Nothing searches for
+    heights, and no cover is listed until ``StateLattice.covers`` is read.
+
+    The heights are packed one byte per segment, entry j - 1 at bit
+    8(j - 1), so a sum of table entries is one integer and
+    ``int.to_bytes`` unpacks it.  That is exact while every height stays
+    below 256, so a walk that climbs higher raises ``DiagramError``.
     """
     states = enumerate_states(diagram, i)
     if not states:
         raise DiagramError(f"no Kauffman states relative to segment {i}")
-    index = {s: k for k, s in enumerate(states)}
-
-    # tail_move[c][k]: (j, slot k+1, head crossing, head slot, head's
-    # corner before the move) for the segment j whose tail is at slot k+1
-    # of crossing c; None where a head sits there or j is a curl
-    tail_move: list[list[tuple[int, int, int, int, int] | None]] = [
-        [None] * 4 for _ in range(diagram.n)
-    ]
-    for j, seg in diagram.segments.items():
-        (tc, ts), (hc, hs) = seg.tail, seg.head
-        if tc != hc:  # a curl has no move; not reachable on validated diagrams
-            tail_move[tc][(ts - 1) % 4] = (j, ts, hc, hs, (hs - 1) % 4)
-
-    covers: list[tuple[int, int, int]] = []
-    ups: list[list[tuple[int, int]]] = []  # per state: (segment, successor)
-    in_deg = [0] * len(states)
-    for k, s in enumerate(states):
-        found = []
-        for c, corner in enumerate(s):
-            move = tail_move[c][corner]
-            if move is None:
-                continue
-            j, ts, hc, hs, before = move
-            if s[hc] != before:
-                continue
-            nxt = list(s)
-            nxt[c] = ts
-            nxt[hc] = hs
-            up = index.get(tuple(nxt))
-            if up is None:
-                raise DiagramError("transposition left the state set; corrupt diagram")
-            found.append((j, up))
-        found.sort()
-        ups.append(found)
-        for j, up in found:
-            covers.append((k, j, up))
-            in_deg[up] += 1
-
-    minima = [k for k in range(len(states)) if in_deg[k] == 0]
-    maxima = [k for k in range(len(states)) if not ups[k]]
-    if len(minima) != 1 or len(maxima) != 1:
-        raise DiagramError(
-            f"state poset has {len(minima)} minimal and {len(maxima)} maximal elements"
-        )
-
-    heights: list[tuple[int, ...] | None] = [None] * len(states)
-    heights[minima[0]] = (0,) * len(diagram.segments)
-    queue = [minima[0]]
-    while queue:
-        k = queue.pop()
-        hk = heights[k]
-        assert hk is not None
-        for j, k2 in ups[k]:
-            h2 = list(hk)
-            h2[j - 1] += 1
-            h2t = tuple(h2)
-            if heights[k2] is None:
-                heights[k2] = h2t
-                queue.append(k2)
-            elif heights[k2] != h2t:
-                raise DiagramError("height vectors are path dependent; corrupt lattice")
-    if any(h is None for h in heights):
-        raise DiagramError("state poset is not connected from its minimal element")
-
+    bottom, top, top_height = clock_walk(diagram, i)
+    if max(top_height) > 255:
+        raise DiagramError(f"a height above 255 relative to segment {i}")
+    excluded = base_regions(diagram, i)
+    moves = _moves(diagram, excluded)
+    table = _height_table(diagram, moves, bottom)
+    # check 1: every move adds e_j
+    for j, (tc, ts, hc, hs) in moves.items():
+        rise = table[tc][ts] - table[tc][ts - 1] + table[hc][hs] - table[hc][hs - 1]
+        if rise != 1 << 8 * (j - 1):
+            raise DiagramError(
+                f"the transposition at segment {j} does not raise the height by e_{j}"
+            )
+    size = len(diagram.segments)
+    try:
+        heights = tuple(tuple(sum(map(getitem, table, s)).to_bytes(size, "little")) for s in states)
+    except OverflowError:
+        raise DiagramError(f"a state's height relative to segment {i} is negative") from None
     return StateLattice(
         base_segment=i,
-        excluded_regions=base_regions(diagram, i),
+        excluded_regions=excluded,
         states=tuple(states),
-        covers=tuple(covers),
-        heights=tuple(h for h in heights if h is not None),
-        min_state=minima[0],
-        max_state=maxima[0],
+        heights=heights,
+        min_state=_position(states, bottom),
+        max_state=_position(states, top),
+        diagram=diagram,
     )
+
+
+def _position(states: list[State], state: State) -> int:
+    """The index of ``state`` in the sorted list ``states``."""
+    k = bisect_left(states, state)
+    if k == len(states) or states[k] != state:
+        raise DiagramError("the clock walk ended at a state that is not listed")
+    return k
+
+
+def _moves(diagram: LinkDiagram, excluded: tuple[int, int]) -> dict[int, tuple[int, int, int, int]]:
+    """The segments that can move, with their (tail crossing, tail slot,
+    head crossing, head slot): those whose two regions are both usable.
+
+    The regions of segment j are the corners on either side of its tail
+    slot, and of its head slot.  A curl has no move.
+    """
+    moves = {}
+    for j, seg in diagram.segments.items():
+        (tc, ts), (hc, hs) = seg.tail, seg.head
+        regions = diagram.corner_region[tc]
+        if tc != hc and regions[ts - 1] not in excluded and regions[ts] not in excluded:
+            moves[j] = (tc, ts, hc, hs)
+    return moves
+
+
+def _height_table(
+    diagram: LinkDiagram, moves: dict[int, tuple[int, int, int, int]], bottom: State
+) -> list[list[int]]:
+    """W[c][k]: the packed height that a marker at corner k of crossing c
+    adds, with W[c][bottom[c]] = 0 (Thurston's height function, 1990).
+
+    The states are the perfect matchings of the planar bipartite graph
+    whose vertices are the crossings and the usable regions and whose
+    edges are the corners; its faces are the segments.  A marker that
+    crosses slot s of its crossing, from corner s - 1 to corner s, adds a
+    step D(c, s) to the height.  A move at segment j crosses its tail slot
+    and its head slot, so the steps D = y_j there and e_j - y_j at the
+    head make the move add e_j, whatever the vector y_j is.  A marker that
+    can go all the way round its crossing (one with four usable corners)
+    must come back to the same height, so the four steps around it sum to
+    zero; a crossing at one of the two regions at i imposes nothing.  Those
+    crossings are merged into one root, and the constraints are solved
+    from the leaves of a breadth-first tree over the segments that can
+    move, with y = 0 off the tree.  W[c] is then the running sum of the
+    steps from corner bottom[c]: counterclockwise, and clockwise across
+    the slots that the counterclockwise run cannot reach.
+    """
+    unit = {j: 1 << 8 * (j - 1) for j in diagram.segments}
+    links: list[list[tuple[int, int]]] = [[] for _ in range(diagram.n)]
+    for j, (tc, _ts, hc, _hs) in moves.items():
+        links[tc].append((j, hc))
+        links[hc].append((j, tc))
+    # a crossing with four usable corners has four slots that can move
+    order = [c for c, x in enumerate(diagram.crossings) if not all(j in moves for j in x.segments)]
+    parent: dict[int, int | None] = dict.fromkeys(order)  # crossing -> its tree segment
+    for c in order:  # breadth first: the list grows as it is read
+        for j, other in links[c]:
+            if other not in parent:
+                parent[other] = j
+                order.append(other)
+
+    y = dict.fromkeys(diagram.segments, 0)
+
+    def step(c: int, s: int) -> int:
+        j = diagram.segment_at(c, s)
+        return y[j] if diagram.segments[j].tail == (c, s % 4) else unit[j] - y[j]
+
+    for c in reversed(order):
+        j = parent[c]
+        if j is not None:
+            rest = sum(step(c, s) for s in range(4) if diagram.segment_at(c, s) != j)
+            y[j] = -rest if diagram.segments[j].tail[0] == c else unit[j] + rest
+
+    table = []
+    for c, k0 in enumerate(bottom):
+        row = [0] * 4
+        total, p = 0, 1
+        while p < 4 and diagram.segment_at(c, k0 + p) in moves:
+            total += step(c, k0 + p)
+            row[(k0 + p) % 4] = total
+            p += 1
+        total = 0
+        for q in range(1, 5 - p):
+            if diagram.segment_at(c, k0 - q + 1) not in moves:
+                break
+            total -= step(c, k0 - q + 1)
+            row[(k0 - q) % 4] = total
+        table.append(row)
+
+    return table
 
 
 def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, ...]]:

@@ -12,9 +12,12 @@ must hold.  Every caller runs the per-segment chain, clock walk -> T(i)
 covers.  Only verification builds the state lattice: the state sum, the
 lattice isomorphism, the relation gate and the partition cross-check
 read it and the maximal state's module, and that module must equal the
-walk's T(i).  The isomorphism gate counts the submodule covers per
-segment, so no library path reads ``SubmoduleLattice.covers``.
-Verification neither reads nor writes the result cache.
+walk's T(i).  The lattice's heights are linear in the markers and
+checked against every transposition when it is built, so the
+isomorphism gate compares the heights with the submodules' dimension
+vectors and nothing more (Propp's theorem does the rest): verification
+lists no cover of either lattice.  Verification neither reads nor writes
+the result cache.
 
 Each table is built at the scope it depends on:
 
@@ -22,9 +25,9 @@ Each table is built at the scope it depends on:
   determinant and the ``RelationGate``, which holds the Jacobian
   relation paths, the crossing tables and their allowed rows, shared by
   every segment and dropped when the call returns;
-- per segment: the walk, the submodules, the state lattice, the state
-  sum's table of region bits and corner weights, and the partition's
-  region boundary sets and neighbours;
+- per segment: the walk, the submodules, the state lattice and its
+  height table, the state sum's table of region bits and corner weights,
+  and the partition's region boundary sets and neighbours;
 - per state: one pass of the state sum over the state's markers, and a
   module built and checked in full only for a state that misses a
   crossing table.

@@ -6,8 +6,10 @@ import pytest
 
 from knotquiver.cli import main
 from knotquiver.diagram import ValidationReport
+from knotquiver.states import lattice_to_json
 
 from .conftest import FIG8_PD, HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD
+from .lattice_reference import reference_lattice
 
 
 def _sha256(data: bytes) -> bytes:
@@ -92,6 +94,19 @@ class TestStatesCmd:
         code, out, _ = run(capsys, "states", FIG8_PD, "--segment", "1", "--format", "json")
         data = json.loads(out)
         assert code == 0 and len(data["states"]) == 5
+
+    def test_json_is_the_reference_lattice(self, capsys, corpus):
+        # every segment of every corpus diagram, against the lattice whose
+        # heights come from a search up the covers
+        checked = 0
+        for entry in corpus:
+            d = entry.diagram()
+            for i in d.segment_ids():
+                argv = ("states", entry.name, "--segment", str(i), "--format", "json")
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and out == lattice_to_json(d, reference_lattice(d, i)), argv
+                checked += 1
+        assert checked == 72
 
 
 class TestFpolyCmd:

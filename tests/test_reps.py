@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotquiver import reps, verify
+from knotquiver import states as states_mod
 from knotquiver.cli import main
 from knotquiver.diagram import DiagramError, parse_pd, two_bridge
 from knotquiver.quiver import Arrow, Quiver, build_potential, build_quiver
@@ -25,11 +26,12 @@ from knotquiver.reps import (
     link_module,
     state_module,
     t_direct,
+    walk_module,
 )
-from knotquiver.states import build_lattice
+from knotquiver.states import StateLattice, base_regions, build_lattice, enumerate_states
 from knotquiver.verify import verify_diagram
 
-from .conftest import compositions
+from .conftest import HOPF_HOPF_PD, SQUARE_KNOT_PD, compositions
 from .level_graph import level_graph_report, level_sets
 from .partition_reference import reference_partition
 
@@ -782,21 +784,19 @@ class TestRelationsAndIso:
     def test_iso_check_rejects_mutants(self, fig8_ctx):
         fig8, q, _w, lats = fig8_ctx
         lat = lats[1]
-        ml = enumerate_submodules(q, link_module(fig8, q, lat))
+        rep = link_module(fig8, q, lat)
+        ml = enumerate_submodules(q, rep)
         assert lattice_iso_check(lat, ml)
-        (a, j, b), *rest = lat.covers
-        other = next(s for s in fig8.segment_ids() if s != j)
-        relabeled = replace(lat, covers=((a, other, b), *rest))
-        dropped = replace(lat, covers=tuple(rest))
+        (a, _j, b), *_ = lat.covers
         heights = list(lat.heights)
         heights[b] = heights[a]
         merged = replace(lat, heights=tuple(heights))
-        for mutant in (relabeled, dropped, merged):
-            assert not lattice_iso_check(mutant, ml)
-        # with no covers to compare, only the height -> element map can differ
+        assert not lattice_iso_check(merged, ml)
+        assert not lattice_iso_check(lat, _fewer_constraints(q, rep, ml))
+        # with one state, only the height -> element map can differ
         bottom = SubmoduleLattice(ml.elements[:1], ())
         top = lat.heights[lat.max_state]
-        lone = replace(lat, states=lat.states[:1], heights=(top,), covers=())
+        lone = replace(lat, states=lat.states[:1], heights=(top,))
         assert lattice_iso_check(replace(lone, heights=bottom.elements), bottom)
         assert not lattice_iso_check(lone, bottom)
 
@@ -850,15 +850,10 @@ def _fewer_constraints(q, rep, ml):
     raise AssertionError("every constraint of T(i) is implied by the others")
 
 
-def _covers_by_segment(covers, nseg):
-    counts = [0] * nseg
-    for _a, j, _b in covers:
-        counts[j - 1] += 1
-    return tuple(counts)
-
-
 class TestCountGate:
-    """``lattice_iso_check`` counts covers per segment; ``_triple_iso`` lists them."""
+    """``lattice_iso_check`` compares the heights with the submodules'
+    dimension vectors, once it counted covers; ``_triple_iso`` lists the
+    covers on both sides and compares them as triples."""
 
     def test_same_verdict_as_triples(self, corpus_diagrams):
         diagrams = list(corpus_diagrams.values())
@@ -874,37 +869,85 @@ class TestCountGate:
     def test_mutants_fail_as_with_triples(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             for lat, ml, q, rep in _segment_lattices(d):
-                (a, j, b), *rest = lat.covers
-                other = next(s for s in d.segment_ids() if s != j)
+                (a, _j, b), *_ = lat.covers
                 heights = list(lat.heights)
                 heights[b] = heights[a]
                 # a difference constraint of T(i) removed adds submodules
                 looser = _fewer_constraints(q, rep, ml)
                 assert set(ml.elements) < set(looser.elements)
                 pairs = [
-                    (replace(lat, covers=tuple(rest)), ml),  # a state cover dropped
-                    (replace(lat, covers=((a, other, b), *rest)), ml),  # relabeled
                     (replace(lat, heights=tuple(heights)), ml),  # heights not injective
                     (lat, looser),
                 ]
                 for mutant, sub in pairs:
                     assert lattice_iso_check(mutant, sub) is _triple_iso(mutant, sub) is False
 
-    @given(_small_modules())
-    @settings(max_examples=300, deadline=None)
-    def test_counts_against_brute_force(self, case):
-        q, rep = case
-        ml = enumerate_submodules(q, rep)
-        _elements, covers = _reference_submodules(q, rep)
-        assert ml.cover_counts() == _covers_by_segment(covers, len(rep.dims))
+    def test_a_changed_table_entry_raises(self, corpus_diagrams, monkeypatch):
+        # check 1: one entry of the height table changed, at a corner next to
+        # a slot that can move, and the move across that slot adds the wrong
+        # height
+        height_table = states_mod._height_table
+        changed = 0
+        for d in corpus_diagrams.values():
+            moves = states_mod._moves(d, base_regions(d, 1))
+            for c, k in product(range(d.n), range(4)):
+                if d.segment_at(c, k) not in moves and d.segment_at(c, k + 1) not in moves:
+                    continue  # no state's marker sits there
+
+                def one_changed(diagram, moves, bottom, c=c, k=k):
+                    table = height_table(diagram, moves, bottom)
+                    table[c][k] += 1
+                    return table
+
+                monkeypatch.setattr(states_mod, "_height_table", one_changed)
+                with pytest.raises(DiagramError, match="does not raise the height by e_"):
+                    build_lattice(d, 1)
+                changed += 1
+        assert changed > 100
+
+    def test_another_minimum_fails(self, corpus_diagrams, monkeypatch):
+        # the walk's minimal state swapped for the next state in order: the
+        # heights over it are negative at the true minimum
+        walk = states_mod.clock_walk
+
+        def swapped(diagram, i):
+            bottom, top, height = walk(diagram, i)
+            states = enumerate_states(diagram, i)
+            return states[(states.index(bottom) + 1) % len(states)], top, height
+
+        monkeypatch.setattr(states_mod, "clock_walk", swapped)
+        for d in corpus_diagrams.values():
+            for i in d.segment_ids():
+                with pytest.raises(DiagramError, match=f"relative to segment {i} is negative$"):
+                    build_lattice(d, i)
+
+    @pytest.mark.parametrize(
+        "pd, failing", [(SQUARE_KNOT_PD, [3, 5, 9, 11]), (HOPF_HOPF_PD, [4, 6])],
+        ids=["square-knot", "hopf-hopf"],
+    )
+    def test_composite_diagrams_fail_where_the_walk_stops(self, pd, failing):
+        # built without validate(): the walk stays in one class of states,
+        # so T(i) has fewer submodules than there are states
+        d = parse_pd(pd)
+        q = build_quiver(d)
+        verdicts = {}
+        for i in d.segment_ids():
+            lat = build_lattice(d, i)
+            ml = enumerate_submodules(q, walk_module(d, q, i))
+            verdicts[i] = lattice_iso_check(lat, ml)
+            assert verdicts[i] is _triple_iso(lat, ml), i
+        assert [i for i, ok in verdicts.items() if not ok] == failing
 
     def test_gate_lists_no_covers(self, corpus_diagrams, monkeypatch):
-        # the gate reads the counts; the cover list is for other readers
-        monkeypatch.setattr(
-            SubmoduleLattice, "covers", property(lambda ml: pytest.fail("covers were listed"))
-        )
+        # the gate compares elements; the cover lists are for other readers
+        for lattice in (StateLattice, SubmoduleLattice):
+            monkeypatch.setattr(
+                lattice, "covers", property(lambda lat: pytest.fail("covers were listed"))
+            )
         d = corpus_diagrams["10_66"]
         assert all(lattice_iso_check(lat, ml) for lat, ml, _q, _rep in _segment_lattices(d))
+        for check_all_states in (False, True):
+            assert verify_diagram(d, check_all_states=check_all_states).ok
 
 
 # -- the submodule-embedding gate against every module checked in full ----------

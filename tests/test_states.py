@@ -22,6 +22,7 @@ from knotquiver.states import (
 )
 
 from .conftest import NUGATORY_PD, compositions
+from .lattice_reference import reference_lattice
 from .matchings_reference import reference_states
 
 # -- independent references: one segment, one state at a time ----------------
@@ -271,6 +272,19 @@ class TestLattice:
                     diff = {k: hb.get(k, 0) - ha.get(k, 0) for k in set(ha) | set(hb)}
                     assert {k: v for k, v in diff.items() if v} == {j: 1}
 
+    def test_a_height_above_255_raises(self, fig8, monkeypatch):
+        # heights are packed one byte per segment, so a walk that climbs
+        # higher is refused rather than unpacked wrongly
+        walk = states_mod.clock_walk
+
+        def higher(diagram, i):
+            bottom, top, height = walk(diagram, i)
+            return bottom, top, (256,) + height[1:]
+
+        monkeypatch.setattr(states_mod, "clock_walk", higher)
+        with pytest.raises(DiagramError, match="^a height above 255 relative to segment 1$"):
+            build_lattice(fig8, 1)
+
     def test_json_export(self, fig8):
         lat = build_lattice(fig8, 1)
         text = lattice_to_json(fig8, lat)
@@ -367,6 +381,33 @@ class TestAgainstReferences:
         for pd in pds:
             self._same_as_the_search(_shuffled(pd, rng), (pd, seed))
 
+    def test_lattice_is_the_reference(self, corpus, corpus_diagrams, crossing_change_diagrams):
+        # the linear heights against the height search up the covers, and
+        # the extremes from the walk against those of the cover degrees
+        diagrams = list(corpus_diagrams.items())
+        # the 254 compositions with 2-8 crossings
+        diagrams += [(cf, two_bridge(cf)) for n in range(2, 9) for cf in compositions(n)]
+        diagrams += crossing_change_diagrams.items()
+        # the corpus with its crossings numbered the other way round
+        diagrams += [
+            (("reversed", e.name), parse_pd(" ".join(reversed(re.findall(r"X\([^)]*\)", e.pd)))))
+            for e in corpus
+        ]
+        checked = 0
+        for name, d in diagrams:
+            for i in d.segment_ids():
+                lat, ref = build_lattice(d, i), reference_lattice(d, i)
+                assert lat.states == ref.states and lat.heights == ref.heights, (name, i)
+                assert (lat.min_state, lat.max_state) == (ref.min_state, ref.max_state), (name, i)
+                assert lat.covers == ref.covers, (name, i)
+                # check 1 on the reference's covers: each raises the table's sum by e_j
+                moves = states_mod._moves(d, lat.excluded_regions)
+                table = states_mod._height_table(d, moves, lat.states[lat.min_state])
+                sums = [sum(row[k] for row, k in zip(table, s)) for s in lat.states]
+                assert all(sums[b] - sums[a] == 1 << 8 * (j - 1) for a, j, b in ref.covers)
+                checked += 1
+        assert (len(diagrams), checked) == (294, 4160)
+
     def test_covers_in_order(self, corpus_diagrams):
         for name, d in self._cases(corpus_diagrams, 11):
             for i in d.segment_ids():
@@ -414,12 +455,13 @@ class TestAgainstReferences:
 
 
 class TestClockWalk:
-    """``clock_walk`` lands on the lattice's extremes without building the lattice."""
+    """``clock_walk`` lands on the extremes of the reference lattice, which
+    takes them from the covers' degrees, without building a lattice."""
 
     @staticmethod
     def _lands(d, name):
         for i in d.segment_ids():
-            lat = build_lattice(d, i)
+            lat = reference_lattice(d, i)
             expected = (
                 lat.states[lat.min_state],
                 lat.states[lat.max_state],
