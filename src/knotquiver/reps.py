@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
 from .diagram import DiagramError, LinkDiagram
 from .quiver import Potential, Quiver
-from .states import State, StateLattice, clock_walk
+from .states import State, StateLattice, clock_walk, unit_covers
 
 
 class PartitionUndefinedError(DiagramError):
@@ -474,45 +473,25 @@ def t_direct(diagram: LinkDiagram, q: Quiver, part: Partition) -> QuiverRep:
 @dataclass(frozen=True)
 class SubmoduleLattice:
     """The submodules of a module, as dimension vectors (entry j - 1 is
-    segment j), and the rows that their covers are tested from.
+    segment j).
 
-    ``rows[p]`` is vertex p's bound and its constraints out, (target,
-    slack): el + e_p keeps every constraint into p, so it is a submodule
-    exactly when it stays within the bound and keeps the constraints out.
-    That one test, ``_raisable``, lists the covers on the first read of
-    ``covers``, which no library path makes: the lattice-isomorphism gate
-    compares the elements alone.
+    A submodule is fixed by its dimension vector, and one contains another
+    exactly when its vector is at least as large at every segment, so the
+    covers are the pairs (x, x + e_j), read off the elements by
+    ``unit_covers`` on the first read of ``covers``.  No library path makes
+    that read: F and the lattice-isomorphism gate use the elements alone.
     """
 
     elements: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
-    def _raisable(self, p: int) -> Iterator[tuple[int, ...]]:
-        """The elements el, in order, for which el + e_p is a submodule."""
-        bound, out = self.rows[p]
-        for el in self.elements:
-            x = el[p]
-            if x < bound:
-                for t, slack in out:
-                    if el[t] + slack <= x:
-                        break
-                else:
-                    yield el
-
     @functools.cached_property
     def covers(self) -> tuple[tuple[int, int, int], ...]:
         """(from index, segment, to index), by element and then by segment."""
-        index = {el: k for k, el in enumerate(self.elements)}
-        covers = [
-            (index[el], p + 1, index[el[:p] + (el[p] + 1,) + el[p + 1:]])
-            for p in range(len(self.rows))
-            for el in self._raisable(p)
-        ]
-        return tuple(sorted(covers))
+        return unit_covers(self.elements)
 
 
 def _raise_lo(lo: list[int], succ: list[list[tuple[int, int]]], work: list[int]) -> None:
@@ -560,9 +539,9 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     happens.  The work therefore grows with the number of submodules, and
     every integer point is found without assuming any lattice theorem.
 
-    The lattice keeps each vertex's upper bound and constraints out, and
-    tests its covers from them only when they are listed: F and the
-    lattice-isomorphism gate read only the elements.
+    The lattice keeps the elements alone, and its covers are the pairs
+    (x, x + e_j) among them: F and the lattice-isomorphism gate read only
+    the elements.
     """
     n = len(rep.dims)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # src -> (tgt, slack)
@@ -600,7 +579,7 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
                 child_hi[k] = m
                 _lower_hi(child_hi, pred, [k])
             stack.append((k + 1, child_lo, child_hi))
-    return SubmoduleLattice(tuple(elements), tuple(zip(top, map(tuple, succ))))
+    return SubmoduleLattice(tuple(elements))
 
 
 # -- relations and lattice isomorphism -------------------------------------------

@@ -19,16 +19,19 @@ walk of transpositions from the lexicographically first state.
 ``build_lattice`` lists every state and takes its height as a sum over its
 markers from one table per segment, Thurston's height function (1990),
 whose steps it checks against every transposition; it searches for no
-height, and lists the covers only when they are read.
+height.  The walk, the table and that check take their moves from one
+definition, ``_moves``.  The covers are read off the heights, only when
+they are read: by Propp's theorem they are the pairs (x, x + e_j), which
+``unit_covers`` lists, for the submodule lattice's dimension vectors too.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from operator import getitem
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from operator import getitem, lshift
 
 from .diagram import DiagramError, LinkDiagram
 from .jsontext import json_text
@@ -47,7 +50,6 @@ class StateLattice:
     heights: tuple[tuple[int, ...], ...]
     min_state: int
     max_state: int
-    diagram: LinkDiagram = field(repr=False, compare=False)
 
     def height_vector(self, state_index: int) -> dict[int, int]:
         return {j: h for j, h in enumerate(self.heights[state_index], 1) if h}
@@ -59,43 +61,32 @@ class StateLattice:
     @functools.cached_property
     def covers(self) -> tuple[tuple[int, int, int], ...]:
         """The up-covers (state index, segment, successor state index), by
-        state and then by segment.
-
-        The counterclockwise transposition at segment j moves the marker at
-        j's tail from the corner just before its tail slot to the tail
-        slot's corner, and likewise at j's head.  So a marker at corner k
-        of crossing c can only take part in the move at the segment whose
-        tail sits at slot k+1 of c: each state's up-covers are found from
-        its n markers by one table lookup each.
+        state and then by segment: the pairs of heights (x, x + e_j), by
+        Propp's theorem, since check 1 proves them Thurston's heights.
         """
-        # tail_move[c][k]: (j, slot k+1, head crossing, head slot, head's
-        # corner before the move) for the segment j whose tail is at slot k+1
-        # of crossing c; None where a head sits there or j cannot move
-        tail_move: list[list[tuple[int, int, int, int, int] | None]] = [
-            [None] * 4 for _ in range(self.diagram.n)
-        ]
-        for j, (tc, ts, hc, hs) in _moves(self.diagram, self.excluded_regions).items():
-            tail_move[tc][ts - 1] = (j, ts, hc, hs, (hs - 1) % 4)
-        index = {s: k for k, s in enumerate(self.states)}
-        covers: list[tuple[int, int, int]] = []
-        for k, s in enumerate(self.states):
-            found = []
-            for c, corner in enumerate(s):
-                move = tail_move[c][corner]
-                if move is None:
-                    continue
-                j, ts, hc, hs, before = move
-                if s[hc] != before:
-                    continue
-                nxt = list(s)
-                nxt[c] = ts
-                nxt[hc] = hs
-                up = index.get(tuple(nxt))
-                if up is None:
-                    raise DiagramError("transposition left the state set; corrupt diagram")
-                found.append((k, j, up))
-            covers += sorted(found)
-        return tuple(covers)
+        return unit_covers(self.heights)
+
+
+def unit_covers(vectors: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int, int], ...]:
+    """Every (k, j, m) with vectors[m] == vectors[k] + e_j, by k and then by j.
+
+    The vectors are distinct, of one length, with no negative entry.  Each
+    is packed into one int, entry j - 1 in field j, with fields one bit
+    wider than the largest entry needs, so that adding e_j carries into no
+    other field: a cover is then one int addition and one lookup.
+    """
+    size = len(vectors[0]) if vectors else 0
+    width = max((max(v, default=0) for v in vectors), default=0).bit_length() + 1
+    shifts = range(0, width * size, width)
+    packed = [sum(map(lshift, v, shifts)) for v in vectors]
+    index = {x: m for m, x in enumerate(packed)}
+    units = [(j, 1 << s) for j, s in enumerate(shifts, 1)]
+    return tuple(
+        (k, j, m)
+        for k, x in enumerate(packed)
+        for j, unit in units
+        if (m := index.get(x + unit)) is not None
+    )
 
 
 def base_regions(diagram: LinkDiagram, i: int) -> tuple[int, int]:
@@ -289,7 +280,6 @@ def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
         heights=heights,
         min_state=_position(states, bottom),
         max_state=_position(states, top),
-        diagram=diagram,
     )
 
 
@@ -306,7 +296,9 @@ def _moves(diagram: LinkDiagram, excluded: tuple[int, int]) -> dict[int, tuple[i
     head crossing, head slot): those whose two regions are both usable.
 
     The regions of segment j are the corners on either side of its tail
-    slot, and of its head slot.  A curl has no move.
+    slot, and of its head slot.  A curl has no move.  Four readers share
+    this definition: ``clock_walk``, ``_height_table``, ``build_lattice``'s
+    check 1 and, through that check, ``StateLattice.covers``.
     """
     moves = {}
     for j, seg in diagram.segments.items():
@@ -401,25 +393,26 @@ def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, .
     that no transposition joins, and the walk then stops at an extreme of
     its own class: a wrong T(i), with no error.
 
-    The moves are ``build_lattice``'s: the counterclockwise move at j
-    takes the markers from the corners just before j's tail and head
-    slots to those slots' corners, and the clockwise move takes them back.
-    A marker at corner k of a crossing can only take part in the
-    counterclockwise move at the segment at slot k+1 and the clockwise
-    move at the segment at slot k, so after a move only those moves at
-    its two crossings are tried again.  A walk that comes back to a state
-    raises, so it always ends.
+    The moves are ``build_lattice``'s: they come from ``_moves``.  The
+    counterclockwise move at j takes the markers from the corners just
+    before j's tail and head slots to those slots' corners, and the
+    clockwise move takes them back; at a segment next to a region at i it
+    would need a marker in that region, so it never applies.  A marker at
+    corner k of a crossing can only take part in the counterclockwise move
+    at the segment at slot k+1 and the clockwise move at the segment at
+    slot k, so after a move only those moves at its two crossings are
+    tried again.  A walk that comes back to a state raises, so it always
+    ends.
     """
     excluded = base_regions(diagram, i)
     start = _first_state(diagram, excluded)
     if start is None:
         raise DiagramError(f"no Kauffman states relative to segment {i}")
     # per segment: (tail crossing, head crossing, their corners below and
-    # above the move); None for a curl, which has no move
-    moves: list[tuple[int, int, tuple[int, int, int, int]] | None] = []
-    for j in diagram.segment_ids():
-        (tc, ts), (hc, hs) = diagram.segments[j].tail, diagram.segments[j].head
-        moves.append(None if tc == hc else (tc, hc, ((ts - 1) % 4, (hs - 1) % 4, ts, hs)))
+    # above the move); None for a segment that cannot move
+    moves: list[tuple[int, int, tuple[int, int, int, int]] | None] = [None] * len(diagram.segments)
+    for j, (tc, ts, hc, hs) in _moves(diagram, excluded).items():
+        moves[j - 1] = (tc, hc, ((ts - 1) % 4, (hs - 1) % 4, ts, hs))
     state = list(start)
     heights = [0] * len(moves)
     extremes = []

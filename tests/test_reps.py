@@ -794,7 +794,7 @@ class TestRelationsAndIso:
         assert not lattice_iso_check(merged, ml)
         assert not lattice_iso_check(lat, _fewer_constraints(q, rep, ml))
         # with one state, only the height -> element map can differ
-        bottom = SubmoduleLattice(ml.elements[:1], ())
+        bottom = SubmoduleLattice(ml.elements[:1])
         top = lat.heights[lat.max_state]
         lone = replace(lat, states=lat.states[:1], heights=(top,))
         assert lattice_iso_check(replace(lone, heights=bottom.elements), bottom)

@@ -5,7 +5,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotquiver import states as states_mod
@@ -19,6 +19,7 @@ from knotquiver.states import (
     enumerate_states,
     lattice_to_json,
     state_sum_alexander,
+    unit_covers,
 )
 
 from .conftest import NUGATORY_PD, compositions
@@ -292,6 +293,39 @@ class TestLattice:
         assert '"max_state"' in text
 
 
+def _brute_covers(vectors):
+    """Every (k, j, m) with vectors[m] - vectors[k] == e_j, from all pairs."""
+    found = []
+    for k, x in enumerate(vectors):
+        for m, y in enumerate(vectors):
+            diff = [b - a for a, b in zip(x, y)]
+            if sorted(diff) == [0] * (len(diff) - 1) + [1]:
+                found.append((k, diff.index(1) + 1, m))
+    return sorted(found)
+
+
+@st.composite
+def _vector_sets(draw):
+    """Distinct vectors of one length, with entries near 0, near a byte's
+    edge and large, so that small sets still have covers."""
+    size = draw(st.integers(0, 4))
+    entry = st.integers(0, 3) | st.integers(253, 258) | st.integers(0, 1 << 20)
+    return tuple(draw(st.lists(st.tuples(*[entry] * size), unique=True, max_size=12)))
+
+
+class TestUnitCovers:
+    @given(_vector_sets())
+    @example(())
+    @example(((),))
+    @example(((0, 0, 0),))
+    @example(((255, 0), (0, 1)))
+    @example(((255, 0), (256, 0), (255, 1), (256, 1), (257, 1)))
+    @example(((256,), (257,), (511,), (512,), (1 << 20,), ((1 << 20) + 1,)))
+    @settings(max_examples=300, deadline=None)
+    def test_against_all_pairs(self, vectors):
+        assert list(unit_covers(vectors)) == _brute_covers(vectors)
+
+
 class TestWeightsAndSum:
     def test_fig8_statesum(self, fig8):
         poly = state_sum_alexander(fig8, enumerate_states(fig8, 1))
@@ -516,6 +550,7 @@ class TestClockWalk:
             segments=segments,
             segment_ids=lambda: sorted(segments),
             segment_at=lambda crossing, slot: slot % 4 + 1,
+            corner_region=((2, 3, 4, 5), (2, 3, 4, 5)),
         )
         monkeypatch.setattr(states_mod, "base_regions", lambda diagram, i: (0, 1))
         monkeypatch.setattr(states_mod, "_first_state", lambda diagram, excluded: (0, 0))
