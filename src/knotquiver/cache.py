@@ -1,20 +1,22 @@
-"""On-disk cache of the per-(diagram, segment) result: F and its specialization.
+"""On-disk cache of the per-(diagram, segment) F-polynomial.
 
-Keys hash the canonical serialization of the diagram together with the
-segment and ``_FORMAT_VERSION``.  An entry file is the sha256 of the body
-in hex, a newline, and the body: the deterministic JSON
-``{"f": MultiPoly.to_json(), "spec": LaurentPoly.to_json()}``, so that
-cache hits reproduce byte-identical command output.  ``fpoly`` and
-``alexander`` use the cache; ``verify`` does not.
+Keys hash the canonical serialization of the diagram, the segment and
+``_FORMAT_VERSION`` (4), so an entry of another version is never opened:
+version-3 entries, which held F beside its specialization, are misses.
+An entry file is the sha256 of the body in hex, a newline, and the body,
+F's deterministic JSON ``MultiPoly.to_json()``.  The specialization is
+not stored: it is a function of F and the diagram, and a stored copy
+could disagree with F.  ``fpoly`` and ``alexander`` use the cache;
+``verify`` does not.
 
-An entry is a miss, and the recomputed result overwrites it, when its
-checksum does not match the body, the body is not JSON, a field is
-missing or of the wrong type (``MultiPoly.from_json`` and
-``LaurentPoly.from_json`` reject every row that ``to_json`` does not
-write), F is not over the 2n variables of the diagram's n crossings, or
-F lacks the zero exponent vector, which every F holds because every
-module has the zero submodule.  Each writer fills its own temporary file
-and renames it into place, so concurrent writers of one key do not clash.
+An entry is a miss, and the recomputed F overwrites it, when its
+checksum does not match the body, the body is not JSON or nests deeper
+than the recursion limit, ``MultiPoly.from_json`` rejects it (it rejects
+every row that ``to_json`` does not write), F is not over the 2n
+variables of the diagram's n crossings, or F lacks the zero exponent
+vector, which every F holds because every module has the zero
+submodule.  Each writer fills its own temporary file and renames it into
+place, so concurrent writers of one key do not clash.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import tempfile
 from pathlib import Path
 
 from .diagram import LinkDiagram
-from .poly import LaurentPoly, MultiPoly
+from .poly import MultiPoly
 
 ENV_CACHE_DIR = "KNOTQUIVER_CACHE_DIR"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 class RunCache:
@@ -53,8 +55,8 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, diagram: LinkDiagram, segment: int) -> tuple[MultiPoly, LaurentPoly] | None:
-        """The stored F and specialization, or None on a miss (see the module docstring)."""
+    def get(self, diagram: LinkDiagram, segment: int) -> MultiPoly | None:
+        """The stored F, or None on a miss (see the module docstring)."""
         try:
             data = self._path(self.key(diagram, segment)).read_bytes()
         except FileNotFoundError:
@@ -64,26 +66,24 @@ class RunCache:
         try:
             if hashlib.sha256(body).hexdigest().encode() != digest:
                 raise ValueError("checksum mismatch")
-            value = json.loads(body)
-            f = MultiPoly.from_json(value["f"])
+            f = MultiPoly.from_json(json.loads(body))
             if f.nvars != 2 * diagram.n:
                 raise ValueError(f"F over {f.nvars} variables, expected {2 * diagram.n}")
             if (0,) * f.nvars not in f.terms:
                 raise ValueError("F lacks the zero exponent vector")
-            spec = LaurentPoly.from_json(value["spec"])
-        except (KeyError, TypeError, ValueError):  # includes a body that is not UTF-8
+        except (KeyError, TypeError, ValueError, RecursionError):  # includes a body not in UTF-8
             self.misses += 1
             return None
         self.hits += 1
-        return f, spec
+        return f
 
-    def put(self, diagram: LinkDiagram, segment: int, f: MultiPoly, spec: LaurentPoly) -> None:
+    def put(self, diagram: LinkDiagram, segment: int, f: MultiPoly) -> None:
+        """Store F under the key of (diagram, segment), replacing any entry there."""
         path = self._path(self.key(diagram, segment))
-        value = {"f": f.to_json(), "spec": spec.to_json()}
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{path.stem}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                body = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+                body = json.dumps(f.to_json(), sort_keys=True, separators=(",", ":")).encode()
                 fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
             os.replace(tmp, path)
         except BaseException:

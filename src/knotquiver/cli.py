@@ -77,12 +77,14 @@ def cmd_states(args: argparse.Namespace) -> int:
 
 def cmd_fpoly(args: argparse.Namespace) -> int:
     diagram = _resolve_input(args.input)
-    q = build_quiver(diagram)
-    cache = RunCache.from_env(args.cache_dir)
     segments = diagram.segment_ids() if args.all else [args.segment]
     if segments == [None]:
         print("fpoly: provide --segment N or --all", file=sys.stderr)
         return 2
+    if not args.all and args.segment not in diagram.segments:
+        raise DiagramError(f"unknown segment id {args.segment}")
+    q = build_quiver(diagram)
+    cache = RunCache.from_env(args.cache_dir)
     rows = [(i, *segment_pipeline(diagram, q, i, cache)) for i in segments]
     if args.format == "json":
         data = [
@@ -106,10 +108,10 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
 
 def cmd_alexander(args: argparse.Namespace) -> int:
     diagram = _resolve_input(args.input)
-    cache = RunCache.from_env(args.cache_dir)
     seg = args.segment if args.segment is not None else min(diagram.segment_ids())
     if seg not in diagram.segments:
         raise DiagramError(f"unknown segment id {seg}")
+    cache = RunCache.from_env(args.cache_dir)
     values: dict[str, LaurentPoly] = {}
     if args.method in ("det", "all"):
         values["det"] = alexander_det(diagram)

@@ -70,7 +70,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             continue
         try:
             entries.append(_entry(json.loads(line)))
-        except ValueError as exc:  # includes json.JSONDecodeError
+        except (ValueError, RecursionError) as exc:  # includes json.JSONDecodeError
             raise ValueError(f"corpus line {line_no}: {exc}") from None
     return entries
 

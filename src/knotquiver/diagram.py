@@ -396,7 +396,7 @@ def parse_pd(text: str) -> LinkDiagram:
     if text.startswith("{"):
         try:
             rows = json.loads(text)["crossings"]
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, RecursionError) as exc:
             raise ParseError(f"malformed PD JSON: {exc}") from None
         if type(rows) is not list or not all(
             type(row) is list and len(row) == 4 and all(type(x) is int and x >= 0 for x in row)

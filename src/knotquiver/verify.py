@@ -130,16 +130,15 @@ def segment_pipeline(
 ) -> tuple[MultiPoly, LaurentPoly]:
     """F-polynomial of T(i) and its specialization.
 
-    With a cache, a hit is returned as it is; on a miss, ``run_segment``
-    computes the pair and the cache stores it, overwriting any entry
-    that ``RunCache.get`` rejected.
+    A cache hit's F is specialized here, as ``run_segment`` does on a
+    miss, whose F the cache stores over any entry ``RunCache.get`` rejected.
     """
-    hit = cache.get(diagram, i) if cache is not None else None
-    if hit is not None:
-        return hit
+    f = cache.get(diagram, i) if cache is not None else None
+    if f is not None:
+        return f, f.specialize(diagram.specialization_exponents())
     run = run_segment(diagram, q, i)
     if cache is not None:
-        cache.put(diagram, i, run.f, run.spec)
+        cache.put(diagram, i, run.f)
     return run.f, run.spec
 
 

@@ -70,6 +70,13 @@ class TestQuiverCmd:
         code, out, err = run(capsys, "quiver", f"@{tmp_path}")
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_json_nested_past_the_recursion_limit_exit_2(self, capsys, tmp_path):
+        pd = tmp_path / "deep.json"
+        pd.write_text('{"crossings": ' + "[" * 200000)
+        code, out, err = run(capsys, "quiver", f"@{pd}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed PD JSON: maximum recursion depth exceeded")
+
     def test_corpus_name_conway(self, capsys):
         code, out, _ = run(capsys, "quiver", "conway")
         data = json.loads(out)
@@ -154,7 +161,7 @@ class TestFpolyCmd:
         (entry,) = cache_dir.glob("*.json")
         good = entry.read_bytes()
         digest, _, body = good.partition(b"\n")
-        assert digest == _sha256(body) and set(json.loads(body)) == {"f", "spec"}
+        assert digest == _sha256(body) and set(json.loads(body)) == {"nvars", "terms"}
         entry.write_bytes(good[:-10])  # a truncated write
         code, out, err = run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
                              "--cache-dir", str(cache_dir))
@@ -163,8 +170,8 @@ class TestFpolyCmd:
         assert entry.read_bytes() == good
         # not UTF-8, an object without the fields, fields of the wrong
         # types: a miss with or without a matching checksum
-        wrong = b'{"f": {"nvars": 8, "terms": []}, "spec": {"s_terms": [[0, 5]]}}'
-        rejected = (b"\xff\xfe garbage", b"{}", b'{"f": 1, "spec": 2, "vectors": 3}')
+        wrong = b'{"nvars": 6, "terms": [{"coef": 1, "exp": [0, 0, 0, 0, 0, 0]}]}'
+        rejected = (b"\xff\xfe garbage", b"{}", b'{"nvars": 6, "terms": 2}')
         variants = [c for p in rejected for c in (p, _sha256(p) + b"\n" + p)]
         # well-formed fields holding the wrong polynomials, under no
         # checksum or the checksum of another body
@@ -213,6 +220,20 @@ class TestFpolyCmd:
                              "--cache-dir", str(tmp_path))
         assert (code, out, err) == (2, "", "error: unknown segment id 99\n")
         assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fpoly", "figure-eight"], "fpoly: provide --segment N or --all\n"),
+            (["fpoly", "figure-eight", "--segment", "99"], "error: unknown segment id 99\n"),
+            (["alexander", "figure-eight", "--segment", "99"], "error: unknown segment id 99\n"),
+        ],
+        ids=["fpoly-no-segment", "fpoly-unknown-segment", "alexander-unknown-segment"],
+    )
+    def test_input_error_creates_no_cache_dir(self, capsys, tmp_path, argv, message):
+        cache_dir = tmp_path / "cache"
+        assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == (2, "", message)
+        assert not cache_dir.exists()
 
     def test_rejected_entry_counts_as_a_miss(self, tmp_path, corpus_diagrams):
         from knotquiver.cache import RunCache
@@ -337,6 +358,13 @@ class TestVerifyCmd:
         code, out, err = run(capsys, "verify", str(corpus), "--fast")
         assert (code, out) == (2, "")
         assert err == f"error: corpus line 2: {message}\n"
+
+    def test_corpus_line_nested_past_the_recursion_limit_exit_2(self, capsys, tmp_path):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text('{"name": "k", "pd": ' + "[" * 200000 + "\n")
+        code, out, err = run(capsys, "verify", str(corpus))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: corpus line 1: maximum recursion depth exceeded")
 
     def test_empty_corpus_warns(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"

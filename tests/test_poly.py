@@ -69,6 +69,11 @@ class TestLaurent:
         with pytest.raises(ValueError, match="repeated"):
             LaurentPoly.from_json({"s_terms": [[0, 1], [0, 1], [2, -1]]})
 
+    @pytest.mark.parametrize("row", [[2, -1.0], [True, -1]], ids=["coef-float", "exp-true"])
+    def test_from_json_rejects_entries_that_are_not_ints(self, row):
+        with pytest.raises(ValueError, match="must be ints"):
+            LaurentPoly.from_json({"s_terms": [[-2, -1], [0, 3], row]})
+
 
 # the five-element lattice of the figure-eight module T(1): dense exponent
 # vectors over y_1..y_8
