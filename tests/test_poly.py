@@ -69,6 +69,12 @@ class TestLaurent:
         with pytest.raises(ValueError, match="repeated"):
             LaurentPoly.from_json({"s_terms": [[0, 1], [0, 1], [2, -1]]})
 
+    def test_from_json_rejects_a_last_row_repeating_the_one_before(self):
+        """The repeat is caught wherever it falls, not only among the first
+        rows."""
+        with pytest.raises(ValueError, match="repeated"):
+            LaurentPoly.from_json({"s_terms": [[-2, -1], [0, 3], [0, 3]]})
+
     @pytest.mark.parametrize("row", [[2, -1.0], [True, -1]], ids=["coef-float", "exp-true"])
     def test_from_json_rejects_entries_that_are_not_ints(self, row):
         with pytest.raises(ValueError, match="must be ints"):
