@@ -23,7 +23,7 @@ from .jsontext import json_text
 from .oracle import alexander_det
 from .poly import LaurentPoly, render_monomial
 from .quiver import build_potential, build_quiver, export, reduce_two_cycles
-from .states import build_lattice, enumerate_states, lattice_to_json, state_sum_alexander
+from .states import build_lattice, lattice_to_json, state_sum_alexander
 from .verify import run_segment, segment_pipeline, verify_diagram
 
 
@@ -111,15 +111,15 @@ def cmd_alexander(args: argparse.Namespace) -> int:
     seg = args.segment if args.segment is not None else min(diagram.segment_ids())
     if seg not in diagram.segments:
         raise DiagramError(f"unknown segment id {seg}")
-    cache = RunCache.from_env(args.cache_dir)
     values: dict[str, LaurentPoly] = {}
     if args.method in ("det", "all"):
         values["det"] = alexander_det(diagram)
     if args.method in ("statesum", "all"):
-        values["statesum"] = state_sum_alexander(diagram, enumerate_states(diagram, seg))
+        values["statesum"] = state_sum_alexander(diagram, seg)
     if args.method in ("spec", "all"):
-        q = build_quiver(diagram)
-        values["spec"] = segment_pipeline(diagram, q, seg, cache)[1]
+        # only this method reads the cache, so only it opens the directory
+        cache = RunCache.from_env(args.cache_dir)
+        values["spec"] = segment_pipeline(diagram, build_quiver(diagram), seg, cache)[1]
     polys = list(values.values())
     agree = all(polys[0].dot_eq(p) for p in polys[1:])
     for method, poly in values.items():

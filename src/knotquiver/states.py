@@ -23,13 +23,15 @@ height.  The walk, the table and that check take their moves from one
 definition, ``_moves``.  The covers are read off the heights, only when
 they are read: by Propp's theorem they are the pairs (x, x + e_j), which
 ``unit_covers`` lists, for the submodule lattice's dimension vectors too.
+``state_sum_alexander`` carries Kauffman's signed state sum along the
+same sweep, key by key, so it lists no state either.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import getitem, lshift
 
@@ -463,44 +465,51 @@ def corner_weights(diagram: LinkDiagram, crossing: int) -> tuple[int, int, int, 
     return (0, -1, 0, +1)  # B at corner 1, W at corner 3
 
 
-def state_sum_alexander(diagram: LinkDiagram, states: Iterable[State]) -> LaurentPoly:
-    """Kauffman's state sum specialized at W = s, B = 1/s (s**2 = t).
+def state_sum_alexander(diagram: LinkDiagram, i: int) -> LaurentPoly:
+    """Kauffman's state sum relative to segment i, at W = s, B = 1/s (s**2 = t).
 
-    ``states`` are the Kauffman states relative to one segment, as
-    ``enumerate_states`` or ``StateLattice.states`` give them, so they all
-    place their markers in the same n regions.  Each state contributes
-    its sign times s to the sum of its ``corner_weights``.  The sign is
-    that of the state as a bijection from crossings to regions, ordered
-    by region id: the parity of its inversions, the pairs of crossings
-    c < c' whose regions come in the other order.  Transposing two markers
-    composes the bijection with a transposition, so the sign flips across
-    every cover of the lattice.  Returns the unnormalized polynomial in
-    Z[s, 1/s]; it equals the Alexander polynomial of the diagram up to a
-    signed power of t.
+    Each state contributes its sign times s to the sum of its
+    ``corner_weights``.  The sign is that of the state as a bijection from
+    crossings to regions, ordered by region id: the parity of its
+    inversions, the pairs of crossings c < c' whose regions come in the
+    other order.  Transposing two markers composes the bijection with a
+    transposition, so the sign flips across every cover of the lattice.
+    Returns the unnormalized polynomial in Z[s, 1/s]; it equals the
+    Alexander polynomial of the diagram up to a signed power of t.
 
-    The region bits and weights are read from one table per call, so each
-    state is one pass over its crossings: a bit set of the regions seen so
-    far, masked by the regions of higher id than the current one, counts
-    the inversions that the current crossing closes.
+    No state is listed.  The sum is carried along ``enumerate_states``'s
+    sweep, the frontier method of Kawahara, Inoue, Iwashita and Minato
+    (IEICE Trans. Fundamentals E100-A, 2017): per depth, a map from each
+    key to its partial sum, a polynomial, over the partial states that
+    reach it.  The weight of crossing d's marker depends on its corner
+    alone.  The inversions that it closes are the regions above its own
+    among those used by crossings 0..d-1, which the key does not hold in
+    full: it drops the regions that no crossing from d on reaches.  Those
+    forgotten regions are all used, since the sweep keeps no key that
+    leaves an unused region behind, so the used set is the key together
+    with them, and each step is a function of (depth, key, corner).
     """
+    excluded = base_regions(diagram, i)
+    steps = _sweep_table(diagram, excluded)
     top = 1 << len(diagram.regions)
-    # table[c][k]: for the region r at corner k of crossing c, its bit, the
-    # mask of the regions with ids above r and the corner's weight
-    table = [
-        [(1 << r, top - (2 << r), w)
-         for r, w in zip(diagram.corner_region[c], corner_weights(diagram, c))]
-        for c in range(diagram.n)
-    ]
-    terms: dict[int, int] = {}
-    for state in states:
-        seen = inversions = e = 0
-        for row, k in zip(table, state):
-            bit, higher, w = row[k]
-            inversions += (seen & higher).bit_count()
-            seen |= bit
-            e += w
-        terms[e] = terms.get(e, 0) + (-1 if inversions & 1 else 1)
-    return LaurentPoly(terms)
+    usable = top - 1 - (1 << excluded[0]) - (1 << excluded[1])
+    sums: dict[int, dict[int, int]] = {0: {0: 1}}
+    reached = usable  # the regions that crossings d..n-1 reach
+    for d, (options, keep) in enumerate(steps):
+        gone = usable & ~reached
+        weights = corner_weights(diagram, d)
+        nxt: dict[int, dict[int, int]] = {}
+        for m, poly in sums.items():
+            used = m | gone
+            for k, bit, need in options:
+                if not m & bit and m & need == need:
+                    sign = -1 if (used & (top - (bit << 1))).bit_count() & 1 else 1
+                    w = weights[k]
+                    out = nxt.setdefault((m | bit) & keep, {})
+                    for e, c in poly.items():
+                        out[e + w] = out.get(e + w, 0) + sign * c
+        sums, reached = nxt, keep
+    return LaurentPoly(sums.get(0))
 
 
 # -- export -------------------------------------------------------------------

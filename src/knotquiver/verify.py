@@ -9,15 +9,16 @@ submodule of T(i) that its height cuts out), and the structural counts
 must hold.  Every caller runs the per-segment chain, clock walk -> T(i)
 -> submodule lattice -> F-polynomial -> specialization, through
 ``run_segment``; F reads neither the state lattice nor the submodule
-covers.  Only verification builds the state lattice: the state sum, the
-lattice isomorphism, the relation gate and the partition cross-check
-read it and the maximal state's module, and that module must equal the
-walk's T(i).  The lattice's heights are linear in the markers and
-checked against every transposition when it is built, so the
-isomorphism gate compares the heights with the submodules' dimension
-vectors and nothing more (Propp's theorem does the rest): verification
-lists no cover of either lattice.  Verification neither reads nor writes
-the result cache.
+covers.  Only verification builds the state lattice: the lattice
+isomorphism, the relation gate and the partition cross-check read it and
+the maximal state's module, and that module must equal the walk's T(i).
+The state sum reads neither: it is carried over the state sweep's
+frontier keys, with no state listed.  The lattice's heights are linear
+in the markers and checked against every transposition when it is
+built, so the isomorphism gate compares the heights with the
+submodules' dimension vectors and nothing more (Propp's theorem does the
+rest): verification lists no cover of either lattice.  Verification
+neither reads nor writes the result cache.
 
 Each table is built at the scope it depends on:
 
@@ -26,11 +27,10 @@ Each table is built at the scope it depends on:
   relation paths, the crossing tables and their allowed rows, shared by
   every segment and dropped when the call returns;
 - per segment: the walk, the submodules, the state lattice and its
-  height table, the state sum's table of region bits and corner weights,
-  and the partition's region boundary sets and neighbours;
-- per state: one pass of the state sum over the state's markers, and a
-  module built and checked in full only for a state that misses a
-  crossing table.
+  height table, the state sum's transfer over the sweep's (depth, key)
+  pairs, and the partition's region boundary sets and neighbours;
+- per state: a module built and checked in full only for a state that
+  misses a crossing table.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _segment_report(
     walked, ml, f, spec = run_segment(diagram, q, i)
     lat = build_lattice(diagram, i)
     rep = link_module(diagram, q, lat)
-    ssum = state_sum_alexander(diagram, lat.states)
+    ssum = state_sum_alexander(diagram, i)
     thm1 = spec.dot_eq(det) and spec.dot_eq(ssum)
     if not thm1:
         notes.append(

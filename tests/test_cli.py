@@ -295,6 +295,44 @@ class TestAlexanderCmd:
                              "--segment", "99")
         assert (code, out, err) == (2, "", "error: unknown segment id 99\n")
 
+    def test_statesum_lists_no_state(self, capsys, monkeypatch, corpus, corpus_diagrams):
+        # the same lines as the per-state sum over the listed states printed
+        from knotquiver.oracle import alexander_det
+        from knotquiver.quiver import build_quiver
+        from knotquiver.states import build_lattice, enumerate_states
+        from knotquiver.verify import segment_pipeline
+
+        from .matchings_reference import reference_states
+        from .statesum_reference import reference_state_sum
+
+        expected = {}
+        for entry in corpus:
+            d = corpus_diagrams[entry.name]
+            det = alexander_det(d).normalize().render()
+            for i in d.segment_ids():
+                ssum = reference_state_sum(d, reference_states(d, i)).normalize().render()
+                spec = segment_pipeline(d, build_quiver(d), i)[1].normalize().render()
+                expected[entry.name, i] = (
+                    f"statesum: {ssum}\n",
+                    f"det: {det}\nstatesum: {ssum}\nspec: {spec}\n",
+                )
+        _forbid(monkeypatch, enumerate_states, build_lattice)
+        for (name, i), (statesum_out, all_out) in expected.items():
+            seg = str(i)
+            assert run(capsys, "alexander", name, "--method", "statesum", "--segment", seg) == (
+                0, statesum_out, "")
+            assert run(capsys, "alexander", name, "--method", "all", "--segment", seg) == (
+                0, all_out, "")
+        assert len(expected) == 72
+
+    @pytest.mark.parametrize("method", ["det", "statesum"])
+    def test_a_method_that_reads_no_cache_creates_no_cache_dir(self, capsys, tmp_path, method):
+        cache_dir = tmp_path / "cache"
+        code, out, err = run(capsys, "alexander", "figure-eight", "--method", method,
+                             "--cache-dir", str(cache_dir))
+        assert (code, out, err) == (0, f"{method}: 1 - 3*t + t^2\n", "")
+        assert not cache_dir.exists()
+
 
 class TestVerifyCmd:
     def test_bundled_corpus_passes(self, capsys):

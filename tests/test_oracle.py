@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from knotquiver.diagram import DiagramError, continued_fraction_value, parse_pd, two_bridge
 from knotquiver.oracle import _balanced_digits, _bareiss_det, alexander_det, build_matrix
 from knotquiver.poly import LaurentPoly
-from knotquiver.states import enumerate_states, state_sum_alexander
+from knotquiver.states import state_sum_alexander
 from knotquiver.verify import verify_diagram
 
 from .conftest import compositions
@@ -77,15 +78,32 @@ class TestDeterminant:
         for cf in ([2], [4], [2, 2, 2], [3, 1]):
             d = two_bridge(cf)
             det = alexander_det(d)
-            ssum = state_sum_alexander(d, enumerate_states(d, 1))
+            ssum = state_sum_alexander(d, 1)
             assert det.dot_eq(ssum), cf
+
+    def test_agrees_with_the_statesum_on_every_segment_of_a_ladder(self):
+        # the state sum lists no state, so it reaches diagrams whose states
+        # no listing could hold: [3] * 14 has at least 16.8 million per segment
+        rng = random.Random(29)
+        ladder = [[3] * 14]
+        for n in range(12, 43, 6):
+            cf = []
+            while sum(cf) < n:
+                cf.append(min(rng.randint(1, 4), n - sum(cf)))
+            ladder.append(cf)
+        for cf in ladder:
+            d = two_bridge(cf).require_valid()
+            det = alexander_det(d)
+            for i in d.segment_ids():
+                assert state_sum_alexander(d, i).dot_eq(det), (cf, i)
+        assert [sum(cf) for cf in ladder] == [42, 12, 18, 24, 30, 36, 42]
 
     def test_borromean_rings(self):
         d = parse_pd(BORROMEAN_PD)
         det = alexander_det(d)
         # Conway polynomial z^4, so Delta = (t - 1)^4 / t^2 up to units
         assert det.dot_eq(t([1, -4, 6, -4, 1]))
-        assert det.dot_eq(state_sum_alexander(d, enumerate_states(d, 1)))
+        assert det.dot_eq(state_sum_alexander(d, 1))
 
     def test_exact_terms(self, corpus_diagrams):
         """The determinant itself, not only its class up to units: the

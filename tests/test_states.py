@@ -1,4 +1,5 @@
 import gc
+import inspect
 import random
 import re
 from itertools import product
@@ -25,6 +26,7 @@ from knotquiver.states import (
 from .conftest import NUGATORY_PD, compositions
 from .lattice_reference import reference_lattice
 from .matchings_reference import reference_states
+from .statesum_reference import reference_state_sum
 
 # -- independent references: one segment, one state at a time ----------------
 
@@ -328,13 +330,13 @@ class TestUnitCovers:
 
 class TestWeightsAndSum:
     def test_fig8_statesum(self, fig8):
-        poly = state_sum_alexander(fig8, enumerate_states(fig8, 1))
+        poly = state_sum_alexander(fig8, 1)
         assert poly.normalize() == LaurentPoly.from_t_coefficients([1, -3, 1])
 
     def test_trefoil_statesum_any_segment(self, trefoil):
         target = LaurentPoly.from_t_coefficients([1, -1, 1])
         for i in trefoil.segment_ids():
-            assert state_sum_alexander(trefoil, enumerate_states(trefoil, i)).dot_eq(target)
+            assert state_sum_alexander(trefoil, i).dot_eq(target)
 
     def test_sign_sum_is_knot_determinant_parity(self, corpus_diagrams):
         # at t = 1 the sum of signs equals the Alexander value, odd for knots
@@ -415,9 +417,8 @@ class TestAgainstReferences:
         for pd in pds:
             self._same_as_the_search(_shuffled(pd, rng), (pd, seed))
 
-    def test_lattice_is_the_reference(self, corpus, corpus_diagrams, crossing_change_diagrams):
-        # the linear heights against the height search up the covers, and
-        # the extremes from the walk against those of the cover degrees
+    @staticmethod
+    def _every_diagram(corpus, corpus_diagrams, crossing_change_diagrams):
         diagrams = list(corpus_diagrams.items())
         # the 254 compositions with 2-8 crossings
         diagrams += [(cf, two_bridge(cf)) for n in range(2, 9) for cf in compositions(n)]
@@ -427,6 +428,12 @@ class TestAgainstReferences:
             (("reversed", e.name), parse_pd(" ".join(reversed(re.findall(r"X\([^)]*\)", e.pd)))))
             for e in corpus
         ]
+        return diagrams
+
+    def test_lattice_is_the_reference(self, corpus, corpus_diagrams, crossing_change_diagrams):
+        # the linear heights against the height search up the covers, and
+        # the extremes from the walk against those of the cover degrees
+        diagrams = self._every_diagram(corpus, corpus_diagrams, crossing_change_diagrams)
         checked = 0
         for name, d in diagrams:
             for i in d.segment_ids():
@@ -457,8 +464,8 @@ class TestAgainstReferences:
                     e = state_weight_exponent(d, s)
                     terms[e] = terms.get(e, 0) + state_sign(d, s)
                 expected = LaurentPoly(terms)
-                assert state_sum_alexander(d, states) == expected, (name, i)
-                assert state_sum_alexander(d, iter(states)) == expected, (name, i)
+                assert reference_state_sum(d, states) == expected, (name, i)
+                assert reference_state_sum(d, iter(states)) == expected, (name, i)
 
     def test_state_sum_of_each_state(self, corpus_diagrams, crossing_change_diagrams):
         # one state at a time, so that two sign errors cannot cancel in a sum,
@@ -471,7 +478,7 @@ class TestAgainstReferences:
             for i in d.segment_ids():
                 for s in enumerate_states(d, i):
                     expected = LaurentPoly({state_weight_exponent(d, s): state_sign(d, s)})
-                    assert state_sum_alexander(d, [s]) == expected, (d.to_pd(), i, s)
+                    assert reference_state_sum(d, [s]) == expected, (d.to_pd(), i, s)
                     checked += 1
         assert checked == 4872 + 18952 + 29232
 
@@ -482,10 +489,39 @@ class TestAgainstReferences:
         i = data.draw(st.sampled_from(d.segment_ids()))
         states = enumerate_states(d, i)
         shuffled = data.draw(st.permutations(states))
-        assert state_sum_alexander(d, shuffled) == state_sum_alexander(d, states)
+        assert reference_state_sum(d, shuffled) == reference_state_sum(d, states)
 
     def test_empty_state_sum(self, fig8):
-        assert state_sum_alexander(fig8, []) == LaurentPoly({})
+        assert reference_state_sum(fig8, []) == LaurentPoly({})
+
+    def test_transfer_is_the_listed_sum(self, corpus, corpus_diagrams, crossing_change_diagrams):
+        # the sum carried over the sweep's keys against the per-state loop,
+        # over the sweep's states and over the backtracking search's
+        diagrams = self._every_diagram(corpus, corpus_diagrams, crossing_change_diagrams)
+        checked = 0
+        for name, d in diagrams:
+            for i in d.segment_ids():
+                expected = reference_state_sum(d, enumerate_states(d, i))
+                assert state_sum_alexander(d, i) == expected, (name, i)
+                assert reference_state_sum(d, reference_states(d, i)) == expected, (name, i)
+                checked += 1
+        assert (len(diagrams), checked) == (294, 4160)
+
+    def test_a_sign_without_the_forgotten_regions_fails(self, corpus_diagrams):
+        # mutant: the inversions counted against the key alone, without the
+        # used regions that the sweep has already forgotten
+        source = inspect.getsource(states_mod.state_sum_alexander)
+        assert source.count("used = m | gone\n") == 1
+        namespace = dict(vars(states_mod))
+        exec(source.replace("used = m | gone\n", "used = m\n"), namespace)
+        mutant = namespace["state_sum_alexander"]
+        wrong = [
+            (name, i)
+            for name, d in corpus_diagrams.items()
+            for i in d.segment_ids()
+            if mutant(d, i) != reference_state_sum(d, enumerate_states(d, i))
+        ]
+        assert len(wrong) == 65
 
 
 class TestClockWalk:
