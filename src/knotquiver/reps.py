@@ -19,9 +19,11 @@ shifts gives the partial shift with offsets added and ranges intersected,
 and the normalized form is unique, so equality of the tuples is equality
 of the matrices.  ``PartialShift.to_dense`` gives the explicit integer
 matrix.  The link module T(i) is the module of the maximal state, which
-``clock_walk`` finds without the state lattice; an independent geometric
+``clock_walk`` finds without the state lattice, while the lattice reads
+its own extremes off its heights and takes no walk; so ``link_module``
+and ``walk_module`` build T(i) apart, and an independent geometric
 construction from the level partition of the segments is kept as a
-cross-check.
+further cross-check.
 
 Ids are positions: entry j - 1 of a dimension tuple is segment j, and
 entry a of a module's ``maps`` is the map on arrow a.  A module's
@@ -819,9 +821,10 @@ def lattice_iso_check(sl: StateLattice, ml: SubmoduleLattice) -> bool:
     3 then make height -> dimension vector a bijection between two sets
     of tuples ordered componentwise, which is a lattice isomorphism.
 
-    The minimal state is the clock walk's and the submodules are those of
-    the walk's T(i), so a walk that stops early leaves T(i) with fewer
-    submodules than there are states, and check 2 fails.
+    The minimal state is the least height, found without a walk, and the
+    submodules are those of the walk's T(i), so a walk that stops early
+    leaves T(i) with fewer submodules than there are states, and check 2
+    fails.
     """
     heights = set(sl.heights)
     return len(heights) == len(sl.heights) == ml.size and heights == set(ml.elements)

@@ -18,11 +18,12 @@ crossings, so it builds no search tree and sorts nothing.
 walk of transpositions from the lexicographically first state.
 ``build_lattice`` lists every state and takes its height as a sum over its
 markers from one table per segment, Thurston's height function (1990),
-whose steps it checks against every transposition; it searches for no
-height.  The walk, the table and that check take their moves from one
-definition, ``_moves``.  The covers are read off the heights, only when
-they are read: by Propp's theorem they are the pairs (x, x + e_j), which
-``unit_covers`` lists, for the submodule lattice's dimension vectors too.
+whose steps it checks against every transposition, and reads the two
+extremes off the heights: it takes no walk and searches for no height.
+The walk shares only ``_moves`` with the table and that check.  The covers
+are read off the heights, only when they are read: by Propp's theorem
+they are the pairs (x, x + e_j), which ``unit_covers`` lists, for the
+submodule lattice's dimension vectors too.
 ``state_sum_alexander`` carries Kauffman's signed state sum along the
 same sweep, key by key, so it lists no state either.
 """
@@ -30,7 +31,6 @@ same sweep, key by key, so it lists no state either.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import getitem, lshift
@@ -235,62 +235,52 @@ def _first_state(diagram: LinkDiagram, excluded: tuple[int, int]) -> State | Non
 
 
 def build_lattice(diagram: LinkDiagram, i: int) -> StateLattice:
-    """Every state, graded by its height over the clock walk's minimal state.
+    """Every state, graded by its height over the minimal state.
 
-    The states come from ``enumerate_states`` and the two extremes from
-    ``clock_walk``.  A state's height is a sum over its markers,
-    h(s) = Σ_c W[c][s_c], from the table of ``_height_table``, which is
-    zero at the minimal state.  Check 1: for every segment j that can move
-    (a segment that bounds neither region at i, and is no curl), the
+    The states come from ``enumerate_states``.  A state's packed height is
+    a sum over its markers, Σ_c W[c][s_c], from ``_height_table``, zero at
+    the first listed state.  Check 1: for every segment j that can move (a
+    segment that bounds neither region at i, and is no curl), the
     transposition at j must raise that sum by exactly e_j, or this raises
     ``DiagramError``.  Then, by Kauffman's clock theorem, every state is
-    reached from the minimal one by counterclockwise transpositions, so
-    its height counts them per segment, as the module ``M(S)`` needs, and
-    lies between 0 and the walk's maximal height.  Nothing searches for
-    heights, and no cover is listed until ``StateLattice.covers`` is read.
+    reached from the minimal one by counterclockwise transpositions, which
+    its height over the minimal state counts per segment, as ``M(S)``
+    needs.  The sum grows with every one, so by Propp's theorem the
+    extremes are the least and the greatest sums: no walk finds them.
 
-    The heights are packed one byte per segment, entry j - 1 at bit
-    8(j - 1), so a sum of table entries is one integer and
-    ``int.to_bytes`` unpacks it.  That is exact while every height stays
-    below 256, so a walk that climbs higher raises ``DiagramError``.
+    The heights are packed one byte per segment under a degree field, and
+    ``int.to_bytes`` unpacks the bytes, which is exact below 256.  Every
+    height is at most the maximal state's, whose bytes sum to its degree
+    only if none overflowed, so a higher lattice raises ``DiagramError``.
     """
     states = enumerate_states(diagram, i)
     if not states:
         raise DiagramError(f"no Kauffman states relative to segment {i}")
-    bottom, top, top_height = clock_walk(diagram, i)
-    if max(top_height) > 255:
-        raise DiagramError(f"a height above 255 relative to segment {i}")
     excluded = base_regions(diagram, i)
     moves = _moves(diagram, excluded)
-    table = _height_table(diagram, moves, bottom)
+    table = _height_table(diagram, moves, states[0])
+    size = len(diagram.segments)
+    degree = 1 << 8 * size
     # check 1: every move adds e_j
     for j, (tc, ts, hc, hs) in moves.items():
         rise = table[tc][ts] - table[tc][ts - 1] + table[hc][hs] - table[hc][hs - 1]
-        if rise != 1 << 8 * (j - 1):
+        if rise != degree | 1 << 8 * (j - 1):
             raise DiagramError(
                 f"the transposition at segment {j} does not raise the height by e_{j}"
             )
-    size = len(diagram.segments)
-    try:
-        heights = tuple(tuple(sum(map(getitem, table, s)).to_bytes(size, "little")) for s in states)
-    except OverflowError:
-        raise DiagramError(f"a state's height relative to segment {i} is negative") from None
+    sums = [sum(map(getitem, table, s)) for s in states]
+    bottom, top = min(sums), max(sums)
+    top_degree, top_bytes = divmod(top - bottom, degree)
+    if sum(top_bytes.to_bytes(size, "little")) != top_degree:
+        raise DiagramError(f"a height above 255 relative to segment {i}")
     return StateLattice(
         base_segment=i,
         excluded_regions=excluded,
         states=tuple(states),
-        heights=heights,
-        min_state=_position(states, bottom),
-        max_state=_position(states, top),
+        heights=tuple(tuple(((x - bottom) % degree).to_bytes(size, "little")) for x in sums),
+        min_state=sums.index(bottom),
+        max_state=sums.index(top),
     )
-
-
-def _position(states: list[State], state: State) -> int:
-    """The index of ``state`` in the sorted list ``states``."""
-    k = bisect_left(states, state)
-    if k == len(states) or states[k] != state:
-        raise DiagramError("the clock walk ended at a state that is not listed")
-    return k
 
 
 def _moves(diagram: LinkDiagram, excluded: tuple[int, int]) -> dict[int, tuple[int, int, int, int]]:
@@ -299,8 +289,9 @@ def _moves(diagram: LinkDiagram, excluded: tuple[int, int]) -> dict[int, tuple[i
 
     The regions of segment j are the corners on either side of its tail
     slot, and of its head slot.  A curl has no move.  Four readers share
-    this definition: ``clock_walk``, ``_height_table``, ``build_lattice``'s
-    check 1 and, through that check, ``StateLattice.covers``.
+    this definition, and the walk shares nothing else with the lattice:
+    ``clock_walk``, ``_height_table``, ``build_lattice``'s check 1 and,
+    through that check, ``StateLattice.covers``.
     """
     moves = {}
     for j, seg in diagram.segments.items():
@@ -312,10 +303,12 @@ def _moves(diagram: LinkDiagram, excluded: tuple[int, int]) -> dict[int, tuple[i
 
 
 def _height_table(
-    diagram: LinkDiagram, moves: dict[int, tuple[int, int, int, int]], bottom: State
+    diagram: LinkDiagram, moves: dict[int, tuple[int, int, int, int]], reference: State
 ) -> list[list[int]]:
     """W[c][k]: the packed height that a marker at corner k of crossing c
-    adds, with W[c][bottom[c]] = 0 (Thurston's height function, 1990).
+    adds, zero at the state ``reference`` (Thurston's height function,
+    1990).  The packed e_j is 1 at bit 8(j - 1) and 1 at bit 16n, the
+    degree field above the segments' 2n bytes.
 
     The states are the perfect matchings of the planar bipartite graph
     whose vertices are the crossings and the usable regions and whose
@@ -330,10 +323,11 @@ def _height_table(
     crossings are merged into one root, and the constraints are solved
     from the leaves of a breadth-first tree over the segments that can
     move, with y = 0 off the tree.  W[c] is then the running sum of the
-    steps from corner bottom[c]: counterclockwise, and clockwise across
+    steps from corner reference[c]: counterclockwise, and clockwise across
     the slots that the counterclockwise run cannot reach.
     """
-    unit = {j: 1 << 8 * (j - 1) for j in diagram.segments}
+    degree = 1 << 8 * len(diagram.segments)
+    unit = {j: degree | 1 << 8 * (j - 1) for j in diagram.segments}
     links: list[list[tuple[int, int]]] = [[] for _ in range(diagram.n)]
     for j, (tc, _ts, hc, _hs) in moves.items():
         links[tc].append((j, hc))
@@ -360,7 +354,7 @@ def _height_table(
             y[j] = -rest if diagram.segments[j].tail[0] == c else unit[j] + rest
 
     table = []
-    for c, k0 in enumerate(bottom):
+    for c, k0 in enumerate(reference):
         row = [0] * 4
         total, p = 0, 1
         while p < 4 and diagram.segment_at(c, k0 + p) in moves:
@@ -395,7 +389,9 @@ def clock_walk(diagram: LinkDiagram, i: int) -> tuple[State, State, tuple[int, .
     that no transposition joins, and the walk then stops at an extreme of
     its own class: a wrong T(i), with no error.
 
-    The moves are ``build_lattice``'s: they come from ``_moves``.  The
+    The moves come from ``_moves``, as the lattice's do, but the lattice
+    takes no walk, so its maximal state's module and the walk's T(i) are
+    computed apart.  The
     counterclockwise move at j takes the markers from the corners just
     before j's tail and head slots to those slots' corners, and the
     clockwise move takes them back; at a segment next to a region at i it

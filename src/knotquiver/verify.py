@@ -8,10 +8,13 @@ relations (T(i) is checked once, and each state module as the leading
 submodule of T(i) that its height cuts out), and the structural counts
 must hold.  Every caller runs the per-segment chain, clock walk -> T(i)
 -> submodule lattice -> F-polynomial -> specialization, through
-``run_segment``; F reads neither the state lattice nor the submodule
-covers.  Only verification builds the state lattice: the lattice
-isomorphism, the relation gate and the partition cross-check read it and
-the maximal state's module, and that module must equal the walk's T(i).
+``run_segment``, the one walk of a segment; F reads neither the state
+lattice nor the submodule covers.  Only verification builds the state
+lattice, which takes no walk: it reads its extremes off its heights.
+The lattice isomorphism, the relation gate and the partition
+cross-check read it and the maximal state's module, and that module
+must equal the walk's T(i), a check between two independent
+computations.
 The state sum reads neither: it is carried over the state sweep's
 frontier keys, with no state listed.  The lattice's heights are linear
 in the markers and checked against every transposition when it is
@@ -26,7 +29,7 @@ Each table is built at the scope it depends on:
   determinant and the ``RelationGate``, which holds the Jacobian
   relation paths, the crossing tables and their allowed rows, shared by
   every segment and dropped when the call returns;
-- per segment: the walk, the submodules, the state lattice and its
+- per segment: the one walk, the submodules, the state lattice and its
   height table, the state sum's transfer over the sweep's (depth, key)
   pairs, and the partition's region boundary sets and neighbours;
 - per state: a module built and checked in full only for a state that

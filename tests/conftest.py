@@ -23,6 +23,25 @@ NUGATORY_PD = (
 )
 
 
+def rebind(monkeypatch, function, replacement):
+    """Bind ``replacement`` wherever a knotquiver module binds ``function``."""
+    for name, module in list(sys.modules.items()):
+        if name == "knotquiver" or name.startswith("knotquiver."):
+            for key, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def forbid(monkeypatch, *functions):
+    """Make every binding of ``functions`` in the knotquiver modules raise."""
+    for function in functions:
+
+        def boom(*args, _name=function.__name__, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        rebind(monkeypatch, function, boom)
+
+
 def compositions(n):
     """Every sequence of positive integers with sum n: a 2-bridge link's twists."""
     if n == 0:

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -8,26 +7,12 @@ from knotquiver.cli import main
 from knotquiver.diagram import ValidationReport
 from knotquiver.states import lattice_to_json
 
-from .conftest import FIG8_PD, HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD
+from .conftest import FIG8_PD, HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD, forbid
 from .lattice_reference import reference_lattice
 
 
 def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).hexdigest().encode()
-
-
-def _forbid(monkeypatch, *functions):
-    """Make every binding of ``functions`` in the knotquiver modules raise."""
-    for name, module in list(sys.modules.items()):
-        if name != "knotquiver" and not name.startswith("knotquiver."):
-            continue
-        for key, value in list(vars(module).items()):
-            if any(value is f for f in functions):
-
-                def boom(*args, _key=key, **kwargs):
-                    raise AssertionError(f"{_key} called")
-
-                monkeypatch.setattr(module, key, boom)
 
 
 def run(capsys, *argv):
@@ -193,7 +178,7 @@ class TestFpolyCmd:
         q = build_quiver(d)
         cache = RunCache(tmp_path / "c")
         first = segment_pipeline(d, q, 1, cache)
-        _forbid(monkeypatch, clock_walk, enumerate_submodules, build_lattice)
+        forbid(monkeypatch, clock_walk, enumerate_submodules, build_lattice)
         second = segment_pipeline(d, q, 1, cache)
         assert first[0] == second[0] and first[1] == second[1]
         assert cache.hits == 1
@@ -209,7 +194,7 @@ class TestFpolyCmd:
         d = corpus_diagrams["10_66"]
         q = build_quiver(d)
         expected = MultiPoly.from_vectors(2 * d.n, build_lattice(d, 1).heights)
-        _forbid(monkeypatch, build_lattice, enumerate_states)
+        forbid(monkeypatch, build_lattice, enumerate_states)
         cache = RunCache(tmp_path)
         f, spec = segment_pipeline(d, q, 1, cache)
         assert f == expected and spec == f.specialize(d.specialization_exponents())
@@ -316,7 +301,7 @@ class TestAlexanderCmd:
                     f"statesum: {ssum}\n",
                     f"det: {det}\nstatesum: {ssum}\nspec: {spec}\n",
                 )
-        _forbid(monkeypatch, enumerate_states, build_lattice)
+        forbid(monkeypatch, enumerate_states, build_lattice)
         for (name, i), (statesum_out, all_out) in expected.items():
             seg = str(i)
             assert run(capsys, "alexander", name, "--method", "statesum", "--segment", seg) == (

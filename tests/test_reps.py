@@ -31,7 +31,8 @@ from knotquiver.reps import (
 from knotquiver.states import StateLattice, base_regions, build_lattice, enumerate_states
 from knotquiver.verify import verify_diagram
 
-from .conftest import HOPF_HOPF_PD, SQUARE_KNOT_PD, compositions
+from .conftest import HOPF_HOPF_PD, SQUARE_KNOT_PD, compositions, rebind
+from .lattice_reference import reference_lattice
 from .level_graph import level_graph_report, level_sets
 from .partition_reference import reference_partition
 
@@ -907,7 +908,8 @@ class TestCountGate:
 
     def test_another_minimum_fails(self, corpus_diagrams, monkeypatch):
         # the walk's minimal state swapped for the next state in order: the
-        # heights over it are negative at the true minimum
+        # lattice takes no walk, so the swap reaches only the walk's T(i),
+        # whose marker history then disagrees with the walk's heights
         walk = states_mod.clock_walk
 
         def swapped(diagram, i):
@@ -915,11 +917,14 @@ class TestCountGate:
             states = enumerate_states(diagram, i)
             return states[(states.index(bottom) + 1) % len(states)], top, height
 
-        monkeypatch.setattr(states_mod, "clock_walk", swapped)
+        rebind(monkeypatch, walk, swapped)
         for d in corpus_diagrams.values():
+            q = build_quiver(d)
             for i in d.segment_ids():
-                with pytest.raises(DiagramError, match=f"relative to segment {i} is negative$"):
-                    build_lattice(d, i)
+                lat = build_lattice(d, i)
+                assert lat.states[lat.min_state] == walk(d, i)[0], i
+                with pytest.raises(DiagramError, match="^marker (history|position) "):
+                    walk_module(d, q, i)
 
     @pytest.mark.parametrize(
         "pd, failing", [(SQUARE_KNOT_PD, [3, 5, 9, 11]), (HOPF_HOPF_PD, [4, 6])],
@@ -939,15 +944,27 @@ class TestCountGate:
         assert [i for i, ok in verdicts.items() if not ok] == failing
 
     def test_gate_lists_no_covers(self, corpus_diagrams, monkeypatch):
-        # the gate compares elements; the cover lists are for other readers
+        # the gate compares elements; the cover lists are for other readers.
+        # And verify takes one clock walk per segment, for T(i) alone
         for lattice in (StateLattice, SubmoduleLattice):
             monkeypatch.setattr(
                 lattice, "covers", property(lambda lat: pytest.fail("covers were listed"))
             )
         d = corpus_diagrams["10_66"]
         assert all(lattice_iso_check(lat, ml) for lat, ml, _q, _rep in _segment_lattices(d))
-        for check_all_states in (False, True):
-            assert verify_diagram(d, check_all_states=check_all_states).ok
+        walks = []
+        walk = states_mod.clock_walk
+
+        def counted(diagram, i):
+            walks.append(i)
+            return walk(diagram, i)
+
+        rebind(monkeypatch, walk, counted)
+        for d in corpus_diagrams.values():
+            for check_all_states in (False, True):
+                walks.clear()
+                assert verify_diagram(d, check_all_states=check_all_states).ok
+                assert walks == list(d.segment_ids())
 
 
 # -- the submodule-embedding gate against every module checked in full ----------
@@ -1319,17 +1336,19 @@ class TestRelationWalk:
 
 def _short_walk(monkeypatch, pd, segment):
     """Make the clock walk stop one move short of the maximal state at one
-    segment of the diagram with PD code ``pd``."""
-    original = reps.clock_walk
+    segment of the diagram with PD code ``pd``, in every module that binds
+    it; the short extremes come from the reference lattice, which takes no
+    walk."""
+    original = states_mod.clock_walk
 
     def short(diagram, i):
         if i != segment or diagram.to_pd() != pd:
             return original(diagram, i)
-        lat = build_lattice(diagram, i)
+        lat = reference_lattice(diagram, i)
         below = next(a for a, _j, b in lat.covers if b == lat.max_state)
         return lat.states[lat.min_state], lat.states[below], lat.heights[below]
 
-    monkeypatch.setattr(reps, "clock_walk", short)
+    rebind(monkeypatch, original, short)
 
 
 class TestWalkGate:

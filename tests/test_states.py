@@ -23,7 +23,7 @@ from knotquiver.states import (
     unit_covers,
 )
 
-from .conftest import NUGATORY_PD, compositions
+from .conftest import NUGATORY_PD, compositions, forbid
 from .lattice_reference import reference_lattice
 from .matchings_reference import reference_states
 from .statesum_reference import reference_state_sum
@@ -276,15 +276,19 @@ class TestLattice:
                     assert {k: v for k, v in diff.items() if v} == {j: 1}
 
     def test_a_height_above_255_raises(self, fig8, monkeypatch):
-        # heights are packed one byte per segment, so a walk that climbs
-        # higher is refused rather than unpacked wrongly
-        walk = states_mod.clock_walk
+        # heights are packed one byte per segment under a degree field, so a
+        # lattice that climbs higher is refused rather than unpacked wrongly.
+        # The table of a lattice in which every transposition counts 256
+        # times: check 1 is given no moves, or it would refuse it first
+        moves, height_table = states_mod._moves, states_mod._height_table
 
-        def higher(diagram, i):
-            bottom, top, height = walk(diagram, i)
-            return bottom, top, (256,) + height[1:]
+        def every_move_256_times(diagram, _moves, reference):
+            table = height_table(diagram, moves(diagram, base_regions(diagram, 1)), reference)
+            return [[w << 8 for w in row] for row in table]
 
-        monkeypatch.setattr(states_mod, "clock_walk", higher)
+        forbid(monkeypatch, clock_walk)
+        monkeypatch.setattr(states_mod, "_moves", lambda diagram, excluded: {})
+        monkeypatch.setattr(states_mod, "_height_table", every_move_256_times)
         with pytest.raises(DiagramError, match="^a height above 255 relative to segment 1$"):
             build_lattice(fig8, 1)
 
@@ -430,9 +434,13 @@ class TestAgainstReferences:
         ]
         return diagrams
 
-    def test_lattice_is_the_reference(self, corpus, corpus_diagrams, crossing_change_diagrams):
+    def test_lattice_is_the_reference(
+        self, corpus, corpus_diagrams, crossing_change_diagrams, monkeypatch
+    ):
         # the linear heights against the height search up the covers, and
-        # the extremes from the walk against those of the cover degrees
+        # the extremes of the heights against those of the cover degrees,
+        # with no walk taken
+        forbid(monkeypatch, clock_walk, states_mod._first_state)
         diagrams = self._every_diagram(corpus, corpus_diagrams, crossing_change_diagrams)
         checked = 0
         for name, d in diagrams:
@@ -445,7 +453,8 @@ class TestAgainstReferences:
                 moves = states_mod._moves(d, lat.excluded_regions)
                 table = states_mod._height_table(d, moves, lat.states[lat.min_state])
                 sums = [sum(row[k] for row, k in zip(table, s)) for s in lat.states]
-                assert all(sums[b] - sums[a] == 1 << 8 * (j - 1) for a, j, b in ref.covers)
+                degree = 1 << 8 * len(d.segments)
+                assert all(sums[b] - sums[a] == degree | 1 << 8 * (j - 1) for a, j, b in ref.covers)
                 checked += 1
         assert (len(diagrams), checked) == (294, 4160)
 
