@@ -6,8 +6,8 @@ version-3 entries, which held F beside its specialization, are misses.
 An entry file is the sha256 of the body in hex, a newline, and the body,
 F's deterministic JSON ``MultiPoly.to_json()``.  The specialization is
 not stored: it is a function of F and the diagram, and a stored copy
-could disagree with F.  ``fpoly`` and ``alexander`` use the cache;
-``verify`` does not.
+could disagree with F.  ``fpoly --cache-dir`` is the cache's only
+caller; ``alexander`` and ``verify`` read no cache.
 
 An entry is a miss, and the recomputed F overwrites it, when its
 checksum does not match the body, the body is not JSON or nests deeper
@@ -31,7 +31,6 @@ from pathlib import Path
 from .diagram import LinkDiagram
 from .poly import MultiPoly
 
-ENV_CACHE_DIR = "KNOTQUIVER_CACHE_DIR"
 _FORMAT_VERSION = 4
 
 
@@ -41,11 +40,6 @@ class RunCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-
-    @classmethod
-    def from_env(cls, override: str | None = None) -> "RunCache | None":
-        directory = override or os.environ.get(ENV_CACHE_DIR)
-        return cls(directory) if directory else None
 
     @staticmethod
     def key(diagram: LinkDiagram, segment: int) -> str:

@@ -84,7 +84,7 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
     if not args.all and args.segment not in diagram.segments:
         raise DiagramError(f"unknown segment id {args.segment}")
     q = build_quiver(diagram)
-    cache = RunCache.from_env(args.cache_dir)
+    cache = RunCache(args.cache_dir) if args.cache_dir else None
     rows = [(i, *segment_pipeline(diagram, q, i, cache)) for i in segments]
     if args.format == "json":
         data = [
@@ -117,9 +117,7 @@ def cmd_alexander(args: argparse.Namespace) -> int:
     if args.method in ("statesum", "all"):
         values["statesum"] = state_sum_alexander(diagram, seg)
     if args.method in ("spec", "all"):
-        # only this method reads the cache, so only it opens the directory
-        cache = RunCache.from_env(args.cache_dir)
-        values["spec"] = segment_pipeline(diagram, build_quiver(diagram), seg, cache)[1]
+        values["spec"] = run_segment(diagram, build_quiver(diagram), seg).spec
     polys = list(values.values())
     agree = all(polys[0].dot_eq(p) for p in polys[1:])
     for method, poly in values.items():
@@ -221,14 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--segment", type=int)
     which.add_argument("--all", action="store_true", help="all segments")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", help="store each segment's F here; later runs read it back")
     p.set_defaults(func=cmd_fpoly)
 
     p = sub.add_parser("alexander", help="Alexander polynomial")
     p.add_argument("input")
     p.add_argument("--method", choices=("spec", "statesum", "det", "all"), default="all")
     p.add_argument("--segment", type=int)
-    p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_alexander)
 
     p = sub.add_parser("verify", help="run all cross-checks over a corpus")

@@ -142,11 +142,9 @@ def test_version_3_entry_is_a_miss_that_gains_the_version_4_entry(tmp_path, caps
 def test_a_stored_specialization_is_never_read(tmp_path, capsys, fig8):
     """F's true body with a forged ``spec`` beside it, under its own
     checksum: the entry is a hit for F, and every printed specialization is
-    F's, so ``fpoly`` prints the cold output and ``alexander`` agrees."""
+    F's, so ``fpoly`` prints the cold output, its ``F|t`` lines too."""
     cold_text = _fpoly(capsys, "--segment", "1", fmt="text")
     cold_json = _fpoly(capsys, "--segment", "1")
-    assert main(["alexander", "figure-eight", "--method", "all", "--segment", "1"]) == 0
-    cold_alexander = capsys.readouterr().out
     forged = FIG8_SEG1_BODY[:-1] + b',"spec":{"s_terms":[[0,5]]}}'
     (tmp_path / FIG8_SEG1_NAME).write_bytes(_signed(forged))
     cache = RunCache(tmp_path)
@@ -154,8 +152,6 @@ def test_a_stored_specialization_is_never_read(tmp_path, capsys, fig8):
     argv = ("--segment", "1", "--cache-dir", str(tmp_path))
     assert _fpoly(capsys, *argv, fmt="text") == cold_text
     assert _fpoly(capsys, *argv) == cold_json
-    assert main(["alexander", "figure-eight", "--method", "all", *argv]) == 0
-    assert capsys.readouterr().out == cold_alexander
     assert (tmp_path / FIG8_SEG1_NAME).read_bytes() == _signed(forged)  # a hit, not rewritten
 
 
@@ -242,15 +238,7 @@ def test_entry_over_the_wrong_number_of_variables_is_a_miss(tmp_path, capsys, co
 ZERO_BODY = b'{"nvars":8,"terms":[]}'
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["fpoly", "--segment", "1"],
-        ["alexander", "--method", "spec", "--segment", "1"],
-        ["alexander", "--method", "all", "--segment", "1"],
-    ],
-    ids=["fpoly", "alexander-spec", "alexander-all"],
-)
+@pytest.mark.parametrize("argv", [["fpoly", "--segment", "1"]], ids=["fpoly"])
 def test_zero_polynomial_entry_is_a_miss(tmp_path, capsys, argv):
     """The zero F under its own checksum: F lacks the zero exponent vector,
     so the entry is a miss, the output is the cold one, and the recomputed

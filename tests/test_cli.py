@@ -211,9 +211,8 @@ class TestFpolyCmd:
         [
             (["fpoly", "figure-eight"], "fpoly: provide --segment N or --all\n"),
             (["fpoly", "figure-eight", "--segment", "99"], "error: unknown segment id 99\n"),
-            (["alexander", "figure-eight", "--segment", "99"], "error: unknown segment id 99\n"),
         ],
-        ids=["fpoly-no-segment", "fpoly-unknown-segment", "alexander-unknown-segment"],
+        ids=["fpoly-no-segment", "fpoly-unknown-segment"],
     )
     def test_input_error_creates_no_cache_dir(self, capsys, tmp_path, argv, message):
         cache_dir = tmp_path / "cache"
@@ -237,14 +236,27 @@ class TestFpolyCmd:
             assert segment_pipeline(d, q, 1, cache) == cold
             assert (cache.hits, cache.misses) == (1, 1), payload
 
-    def test_wrong_entry_is_not_a_verification_failure(self, capsys, tmp_path):
+    def test_wrong_entry_is_not_a_verification_failure(self, capsys, monkeypatch, tmp_path):
+        # no environment variable names a cache: a wrong entry in the directory
+        # that $KNOTQUIVER_CACHE_DIR names is neither read nor rewritten
+        commands = [
+            ("fpoly", "figure-eight", "--all"),
+            ("fpoly", "figure-eight", "--all", "--format", "json"),
+            ("alexander", "figure-eight"),
+        ]
+        expected = [run(capsys, *argv) for argv in commands]
+        code, out, err = expected[-1]
+        assert code == 0, err
+        assert out.count("1 - 3*t + t^2") == 3
         cache_dir = tmp_path / "cache"
         run(capsys, "fpoly", "figure-eight", "--segment", "1", "--cache-dir", str(cache_dir))
         (entry,) = cache_dir.glob("*.json")
-        entry.write_bytes(b'{"f": {"nvars": 8, "terms": []}, "spec": {"s_terms": [[0, 5]]}}')
-        code, out, err = run(capsys, "alexander", "figure-eight", "--cache-dir", str(cache_dir))
-        assert code == 0, err
-        assert out.count("1 - 3*t + t^2") == 3
+        wrong = b'{"f": {"nvars": 8, "terms": []}, "spec": {"s_terms": [[0, 5]]}}'
+        entry.write_bytes(wrong)
+        monkeypatch.setenv("KNOTQUIVER_CACHE_DIR", str(cache_dir))
+        for argv, result in zip(commands, expected):
+            assert run(capsys, *argv) == result, argv
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == {entry.name: wrong}
 
 
 class TestAlexanderCmd:
@@ -310,12 +322,15 @@ class TestAlexanderCmd:
                 0, all_out, "")
         assert len(expected) == 72
 
-    @pytest.mark.parametrize("method", ["det", "statesum"])
+    @pytest.mark.parametrize("method", ["spec", "statesum", "det", "all"])
     def test_a_method_that_reads_no_cache_creates_no_cache_dir(self, capsys, tmp_path, method):
+        # no method reads the cache, so alexander takes no --cache-dir
         cache_dir = tmp_path / "cache"
-        code, out, err = run(capsys, "alexander", "figure-eight", "--method", method,
-                             "--cache-dir", str(cache_dir))
-        assert (code, out, err) == (0, f"{method}: 1 - 3*t + t^2\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["alexander", "figure-eight", "--method", method, "--cache-dir", str(cache_dir)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments: --cache-dir" in err
         assert not cache_dir.exists()
 
 

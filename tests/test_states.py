@@ -395,11 +395,14 @@ class TestAgainstReferences:
 
     @staticmethod
     def _same_as_the_search(d, name):
+        """The states of every segment, checked against the search."""
+        listed = {}
         for i in d.segment_ids():
-            states = enumerate_states(d, i)
+            states = listed[i] = enumerate_states(d, i)
             assert states == reference_states(d, i), (name, i)
             # sorted, with no state twice
             assert all(a < b for a, b in zip(states, states[1:])), (name, i)
+        return listed
 
     def test_states_are_the_reference_search(self, corpus_diagrams, crossing_change_diagrams):
         for name, d in corpus_diagrams.items():
@@ -413,13 +416,16 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_states_are_the_reference_search_in_any_crossing_order(self, corpus, seed):
-        # the sweep places the crossings in index order, so its work depends
-        # on how the PD terms number them, but its result must not
+        # the sweeps of the states and of the state sum place the crossings in
+        # index order, so their work depends on how the PD terms number them,
+        # but their results must not
         rng = random.Random(seed)
         pds = [entry.pd for entry in corpus]
         pds += [two_bridge(cf).to_pd() for cf in ([3, 3, 3, 4], [2, 3, 4, 5], [5, 5, 5])]
         for pd in pds:
-            self._same_as_the_search(_shuffled(pd, rng), (pd, seed))
+            d = _shuffled(pd, rng)
+            for i, states in self._same_as_the_search(d, (pd, seed)).items():
+                assert state_sum_alexander(d, i) == reference_state_sum(d, states), (pd, seed, i)
 
     @staticmethod
     def _every_diagram(corpus, corpus_diagrams, crossing_change_diagrams):
