@@ -1,21 +1,25 @@
 """On-disk cache of the per-(diagram, segment) F-polynomial.
 
 Keys hash the canonical serialization of the diagram, the segment and
-``_FORMAT_VERSION`` (4), so an entry of another version is never opened:
-version-3 entries, which held F beside its specialization, are misses.
-An entry file is the sha256 of the body in hex, a newline, and the body,
-F's deterministic JSON ``MultiPoly.to_json()``.  The specialization is
-not stored: it is a function of F and the diagram, and a stored copy
-could disagree with F.  ``fpoly --cache-dir`` is the cache's only
-caller; ``alexander`` and ``verify`` read no cache.
+``_FORMAT_VERSION`` (5), so an entry of another version is never opened:
+version-4 entries, which held F as JSON in ``<key>.json``, are misses.
+An entry file, ``<key>.bin``, is the sha256 of the body in hex, a
+newline, and the body: F's exponent rows as raw bytes, one byte per
+variable, 2n bytes per row for the diagram's n crossings, no separators,
+in the printed order of ``MultiPoly.to_json()``.  Every coefficient of F
+is 1, so the rows are all of F.  ``put`` stores nothing when an exponent
+is above 255, which does not fit in a byte.  The specialization is not
+stored: it is a function of F and the diagram, and a stored copy could
+disagree with F.  ``fpoly --cache-dir`` is the cache's only caller;
+``alexander`` and ``verify`` read no cache.
 
-An entry is a miss, and the recomputed F overwrites it, when its
-checksum does not match the body, the body is not JSON or nests deeper
-than the recursion limit, ``MultiPoly.from_json`` rejects it (it rejects
-every row that ``to_json`` does not write), F is not over the 2n
-variables of the diagram's n crossings, or F lacks the zero exponent
-vector, which every F holds because every module has the zero
-submodule.  Each writer fills its own temporary file and renames it into
+An absent entry and a corrupt one are misses, and the recomputed F
+overwrites them.  An entry is corrupt when its checksum does not match
+the body, the body is not a whole number of 2n-byte rows, a row repeats,
+or no row is the zero exponent vector, which every F holds because every
+module has the zero submodule (so an empty body is corrupt too).
+``RunCache.misses`` counts both kinds and ``RunCache.corrupt`` the
+second.  Each writer fills its own temporary file and renames it into
 place, so concurrent writers of one key do not clash.
 """
 
@@ -23,15 +27,15 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from .diagram import LinkDiagram
 from .poly import MultiPoly
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 class RunCache:
@@ -39,7 +43,8 @@ class RunCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
-        self.misses = 0
+        self.misses = 0  # absent and corrupt entries
+        self.corrupt = 0
 
     @staticmethod
     def key(diagram: LinkDiagram, segment: int) -> str:
@@ -47,7 +52,7 @@ class RunCache:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        return self.directory / f"{key}.bin"
 
     def get(self, diagram: LinkDiagram, segment: int) -> MultiPoly | None:
         """The stored F, or None on a miss (see the module docstring)."""
@@ -57,27 +62,32 @@ class RunCache:
             self.misses += 1
             return None
         digest, _, body = data.partition(b"\n")
-        try:
-            if hashlib.sha256(body).hexdigest().encode() != digest:
-                raise ValueError("checksum mismatch")
-            f = MultiPoly.from_json(json.loads(body))
-            if f.nvars != 2 * diagram.n:
-                raise ValueError(f"F over {f.nvars} variables, expected {2 * diagram.n}")
-            if (0,) * f.nvars not in f.terms:
-                raise ValueError("F lacks the zero exponent vector")
-        except (KeyError, TypeError, ValueError, RecursionError):  # includes a body not in UTF-8
+        width = 2 * diagram.n
+        rows = list(zip(*[iter(body)] * width))  # whole rows; a short last one is dropped
+        terms = frozenset(rows)
+        if (
+            hashlib.sha256(body).hexdigest().encode() != digest
+            or len(body) != width * len(rows)
+            or len(terms) != len(rows)
+            or (0,) * width not in terms
+        ):
             self.misses += 1
+            self.corrupt += 1
             return None
         self.hits += 1
-        return f
+        return MultiPoly(width, terms)
 
     def put(self, diagram: LinkDiagram, segment: int, f: MultiPoly) -> None:
-        """Store F under the key of (diagram, segment), replacing any entry there."""
+        """Store F under the key of (diagram, segment), replacing any entry
+        there; store nothing if an exponent is above 255."""
+        try:
+            body = bytes(chain.from_iterable(row["exp"] for row in f.to_json()["terms"]))
+        except ValueError:  # bytes must be in range(0, 256)
+            return
         path = self._path(self.key(diagram, segment))
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{path.stem}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                body = json.dumps(f.to_json(), sort_keys=True, separators=(",", ":")).encode()
                 fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
             os.replace(tmp, path)
         except BaseException:

@@ -103,8 +103,13 @@ class PartialShift(_Shape):
         """rows x (rows-1) inclusion padding a zero in the last coordinate."""
         return cls(rows, rows - 1, 0, 1, rows - 1)
 
+    @functools.cache
     def kind(self) -> str:
-        """Classify the map as I, J, V, H, or E (involving a zero space)."""
+        """Classify the map as I, J, V, H, or E (involving a zero space).
+
+        Maps are immutable tuples, so each is classified once; a map that
+        has no kind is not cached and raises again on every call.
+        """
         rows, cols = self.rows, self.cols
         if rows == 0 or cols == 0:
             return "E"

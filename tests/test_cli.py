@@ -133,8 +133,8 @@ class TestFpolyCmd:
                              "--format", "json", "--cache-dir", cache_dir)
         assert code1 == code2 == 0
         assert out1 == out2
-        files = list((tmp_path / "cache").glob("*.json"))
-        assert len(files) == 1
+        files = list((tmp_path / "cache").iterdir())
+        assert len(files) == 1 and files[0].suffix == ".bin"
 
     def test_corrupt_cache_entry_is_a_miss(self, capsys, tmp_path):
         cold_dir, cache_dir = str(tmp_path / "cold"), tmp_path / "cache"
@@ -143,23 +143,24 @@ class TestFpolyCmd:
         assert code == 0
         run(capsys, "fpoly", TREFOIL_PD, "--segment", "1", "--format", "json",
             "--cache-dir", str(cache_dir))
-        (entry,) = cache_dir.glob("*.json")
+        (entry,) = cache_dir.iterdir()
         good = entry.read_bytes()
         digest, _, body = good.partition(b"\n")
-        assert digest == _sha256(body) and set(json.loads(body)) == {"nvars", "terms"}
+        assert digest == _sha256(body) and len(body) == 3 * 6  # 3 terms over 6 segments
         entry.write_bytes(good[:-10])  # a truncated write
         code, out, err = run(capsys, "fpoly", TREFOIL_PD, "--all", "--format", "json",
                              "--cache-dir", str(cache_dir))
         assert code == 0, err
         assert out == cold
         assert entry.read_bytes() == good
-        # not UTF-8, an object without the fields, fields of the wrong
-        # types: a miss with or without a matching checksum
-        wrong = b'{"nvars": 6, "terms": [{"coef": 1, "exp": [0, 0, 0, 0, 0, 0]}]}'
-        rejected = (b"\xff\xfe garbage", b"{}", b'{"nvars": 6, "terms": 2}')
+        # not whole rows, a repeated row, no zero row, the format-4 JSON
+        # body: a miss with or without a matching checksum
+        rejected = (b"\xff\xfe garbage", body * 2, body[6:],
+                    b'{"nvars":6,"terms":[{"coef":1,"exp":[0,0,0,0,0,0]}]}')
         variants = [c for p in rejected for c in (p, _sha256(p) + b"\n" + p)]
-        # well-formed fields holding the wrong polynomials, under no
-        # checksum or the checksum of another body
+        # whole, distinct rows with the zero row, holding the wrong
+        # polynomial, under no checksum or the checksum of another body
+        wrong = bytes(6) + b"\x01" * 6
         variants += [wrong, good[:64] + b"\n" + wrong]
         for contents in variants:
             entry.write_bytes(contents)
@@ -181,7 +182,7 @@ class TestFpolyCmd:
         forbid(monkeypatch, clock_walk, enumerate_submodules, build_lattice)
         second = segment_pipeline(d, q, 1, cache)
         assert first[0] == second[0] and first[1] == second[1]
-        assert cache.hits == 1
+        assert (cache.hits, cache.misses, cache.corrupt) == (1, 1, 0)
 
     def test_cold_run_builds_no_state_lattice(self, tmp_path, monkeypatch, corpus_diagrams):
         # F reads T(i) alone, which the clock walk finds without listing the states
@@ -198,7 +199,7 @@ class TestFpolyCmd:
         cache = RunCache(tmp_path)
         f, spec = segment_pipeline(d, q, 1, cache)
         assert f == expected and spec == f.specialize(d.specialization_exponents())
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 1, 0)
 
     def test_unknown_segment_writes_no_entry(self, capsys, tmp_path):
         code, out, err = run(capsys, "fpoly", "figure-eight", "--segment", "99",
@@ -227,14 +228,14 @@ class TestFpolyCmd:
         d = corpus_diagrams["figure-eight"]
         q = build_quiver(d)
         cold = segment_pipeline(d, q, 1, RunCache(tmp_path))
-        (entry,) = tmp_path.glob("*.json")
-        for payload in (b"{}", b"garbage"):
+        (entry,) = tmp_path.iterdir()
+        for payload in (b"{}", b"garbage", b""):
             entry.write_bytes(_sha256(payload) + b"\n" + payload)
             cache = RunCache(tmp_path)
             assert segment_pipeline(d, q, 1, cache) == cold
-            assert (cache.hits, cache.misses) == (0, 1), payload
+            assert (cache.hits, cache.misses, cache.corrupt) == (0, 1, 1), payload
             assert segment_pipeline(d, q, 1, cache) == cold
-            assert (cache.hits, cache.misses) == (1, 1), payload
+            assert (cache.hits, cache.misses, cache.corrupt) == (1, 1, 1), payload
 
     def test_wrong_entry_is_not_a_verification_failure(self, capsys, monkeypatch, tmp_path):
         # no environment variable names a cache: a wrong entry in the directory
@@ -250,7 +251,7 @@ class TestFpolyCmd:
         assert out.count("1 - 3*t + t^2") == 3
         cache_dir = tmp_path / "cache"
         run(capsys, "fpoly", "figure-eight", "--segment", "1", "--cache-dir", str(cache_dir))
-        (entry,) = cache_dir.glob("*.json")
+        (entry,) = cache_dir.iterdir()
         wrong = b'{"f": {"nvars": 8, "terms": []}, "spec": {"s_terms": [[0, 5]]}}'
         entry.write_bytes(wrong)
         monkeypatch.setenv("KNOTQUIVER_CACHE_DIR", str(cache_dir))

@@ -149,6 +149,18 @@ class TestMultiPoly:
             MultiPoly.from_json({"nvars": 2, "terms": [{"exp": [0, 0], "coef": 1},
                                                        {"exp": exp, "coef": coef}]})
 
+    @pytest.mark.parametrize(
+        "nvars, exp, coef",
+        [(2, [1, "1"], 1), (2, [1, 0], "1"), (2, [1, 0], 1.0), (2.0, [1, 0], 1)],
+        ids=["exp-str", "coef-str", "coef-float", "nvars-float"],
+    )
+    def test_from_json_rejects_a_forged_field(self, nvars, exp, coef):
+        """A string or a float where ``to_json`` writes an int, even one
+        equal to the int (1.0 == 1, 2.0 == 2)."""
+        with pytest.raises(ValueError, match="must be ints"):
+            MultiPoly.from_json({"nvars": nvars, "terms": [{"exp": [0, 0], "coef": 1},
+                                                           {"exp": exp, "coef": coef}]})
+
     @pytest.mark.parametrize("coef", [2, 0, -1])
     def test_from_json_rejects_a_coefficient_other_than_1(self, coef):
         """``to_json`` writes every term with coefficient 1."""
