@@ -220,9 +220,33 @@ def test_json_nested_past_the_recursion_limit_is_a_miss(tmp_path, capsys, fig8):
     _assert_corrupt_is_recomputed(tmp_path, capsys, fig8, _signed(b"[" * 200000 + b"]" * 200000))
 
 
+def _forge_v4(old: bytes, new: bytes) -> bytes:
+    """F's format-4 JSON body with one field forged."""
+    body = FIG8_SEG1_V4_ENTRY.partition(b"\n")[2]
+    assert body.count(old) == 1
+    return body.replace(old, new)
+
+
+EXP = b"[0,1,0,0,1,0,0,1]"
+TERM = b'{"coef":1,"exp":[0,1,0,0,1,0,0,1]}'
+
+
 @pytest.mark.parametrize(
     "body",
     [
+        # F's format-4 JSON rows with a field that is not an int, a
+        # coefficient other than 1, or a float variable count: format 4 had
+        # to parse them to reject them, format 5 reads them as bytes
+        _forge_v4(EXP, b"[0,1,0,0,1,0,0,true]"),
+        _forge_v4(EXP, b"[0,1,0,0,1,0,0,1.0]"),
+        _forge_v4(EXP, b"[0,1,0,0,1,0,0,-1]"),
+        _forge_v4(EXP, b'[0,1,0,0,1,0,0,"1"]'),
+        _forge_v4(EXP, b"[0,1,0,0,1,0,0,null]"),
+        _forge_v4(TERM, TERM.replace(b'"coef":1', b'"coef":true')),
+        _forge_v4(TERM, TERM.replace(b'"coef":1', b'"coef":1.0')),
+        _forge_v4(TERM, TERM.replace(b'"coef":1', b'"coef":"1"')),
+        _forge_v4(TERM, TERM.replace(b'"coef":1', b'"coef":2')),
+        _forge_v4(b'"nvars":8', b'"nvars":8.0'),
         # F's last row repeats the row before it
         FIG8_SEG1_BODY[:-8] + FIG8_SEG1_BODY[-16:-8],
         # F without the zero exponent vector, which every F holds
@@ -230,13 +254,16 @@ def test_json_nested_past_the_recursion_limit_is_a_miss(tmp_path, capsys, fig8):
         # a truncated write: the last row lacks its last byte
         FIG8_SEG1_BODY[:-1],
     ],
-    ids=["f-repeated-exp", "f-no-zero-vector", "truncated"],
+    ids=["exp-true", "exp-float", "exp-negative", "exp-str", "exp-null",
+         "coef-true", "coef-float", "coef-str", "coef-two", "nvars-float",
+         "f-repeated-exp", "f-no-zero-vector", "truncated"],
 )
 def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, body):
-    """A row that repeats, an F without the zero exponent vector, or a
-    body that is not a whole number of rows is a miss even under its own
-    checksum; the recomputed entry replaces it and the output is the cold
-    one."""
+    """A row that repeats, an F without the zero exponent vector, a body
+    that is not a whole number of rows, or format-4 JSON rows with a forged
+    field (never parsed: ASCII text holds no zero row) is a miss even under
+    its own checksum; the recomputed entry replaces it and the output is
+    the cold one."""
     _assert_corrupt_is_recomputed(tmp_path, capsys, fig8, _signed(body))
 
 
