@@ -12,11 +12,12 @@ constructions expect them.
 
 Both front ends, PD parsing (``parse_pd``) and slot-level wiring
 (``diagram_from_wiring``, behind ``two_bridge``), reduce their input to
-the same data: each crossing's arcs in ccw order with its ``over_in``
-slot, and the (crossing, slot) of each arc's tail and head.
-``_assemble`` alone turns that into a diagram: it follows each arc to
-its successor, relabels the arcs 1..2n component by component and
-builds the crossings and segments.
+PD terms: each crossing's arc labels in ccw order from the incoming
+under end.  One path orients and builds both: ``_orient_pd`` reads the
+(crossing, slot) of each arc's tail and head off the terms, and
+``_assemble`` follows each arc to its successor, relabels the arcs 1..2n
+component by component and builds the crossings and segments.  So
+``to_pd`` re-parses to the same diagram whichever front end built it.
 
 Regions (faces of the planar complement) are computed by the standard
 face traversal of the rotation system: a walk arriving at slot ``s``
@@ -262,7 +263,11 @@ class LinkDiagram:
     # -- serialization --------------------------------------------------------
 
     def to_pd(self) -> str:
-        """PD text using internal segment labels (round-trips through parse_pd)."""
+        """PD text using internal segment labels.
+
+        ``parse_pd`` reads it back to this diagram, orientation included,
+        whichever front end built it.
+        """
         terms = []
         for c in self.crossings:
             terms.append("X({},{},{},{})".format(*c.segments))
@@ -285,15 +290,17 @@ class LinkDiagram:
 
 
 def _assemble(
-    raw: list[tuple[tuple[int, int, int, int], int]],
+    terms: list[tuple[int, int, int, int]],
     ends: dict[int, tuple[tuple[int, int], tuple[int, int]]],
     marked_arc: int | None = None,
 ) -> LinkDiagram:
-    """Build a LinkDiagram from crossings given as (ccw arc labels, over_in slot).
+    """Build a LinkDiagram from PD terms and the arc ends ``_orient_pd`` reads.
 
-    ``ends[arc]`` is the (crossing, slot) of the arc's tail and of its head.
-    Arcs are relabeled 1..2n along the orientation, component by component,
-    each component starting from its lowest input label.
+    ``terms[c]`` lists crossing c's arc labels ccw from the incoming under
+    end, and ``ends[arc]`` is the (crossing, slot) of the arc's tail and of
+    its head; each crossing's ``over_in`` is read off the ends.  Arcs are
+    relabeled 1..2n along the orientation, component by component, each
+    component starting from its lowest input label.
     """
     new_id: dict[int, int] = {}
     component_of: dict[int, int] = {}
@@ -307,17 +314,17 @@ def _assemble(
             component_of[arc] = components
             # the successor leaves the crossing where this arc arrives
             c, s = ends[arc][1]
-            arc = raw[c][0][(s + 2) % 4]
+            arc = terms[c][(s + 2) % 4]
         components += 1
 
     crossings = [
-        Crossing(tuple(new_id[a] for a in arcs), over_in)
-        for arcs, over_in in raw
+        Crossing(tuple(new_id[a] for a in arcs), 1 if ends[arcs[1]][1] == (c, 1) else 3)
+        for c, arcs in enumerate(terms)
     ]
     # segments in order of first appearance in the crossings' slots
     segments = {
         new_id[arc]: Segment(new_id[arc], *ends[arc], component_of[arc])
-        for arc in dict.fromkeys(a for arcs, _ in raw for a in arcs)
+        for arc in dict.fromkeys(a for arcs in terms for a in arcs)
     }
     marked = new_id[marked_arc] if marked_arc is not None else None
     return LinkDiagram(crossings, segments, components, marked_segment=marked)
@@ -330,9 +337,16 @@ def _orient_pd(
 
     Slot 0 of every crossing is a head and slot 2 a tail; the two ends of
     an arc, and the two over slots of a crossing, have opposite roles.
-    Over strands that these rules leave open are oriented by the arc
-    numbering: the ranks of the labels, not their values, so any strictly
-    increasing relabeling orients them alike.
+    These rules orient every component that passes under somewhere.  A
+    component that never does is oriented by the arc numbering at the first
+    crossing it passes: of two consecutive labels the lower arrives there,
+    and any other pair is the wrap-around, where the larger flows into the
+    smaller.  A component of two arcs, which meet again at the over slots of
+    one other crossing, has no wrap-around: its lower label arrives.  The
+    ranks of the labels count, not their values, so any strictly increasing
+    relabeling orients alike, and so does ``_assemble``'s, which numbers
+    each component consecutively along this orientation from its lowest
+    label.
     """
     positions: dict[int, list[tuple[int, int]]] = {}
     for c, arcs in enumerate(terms):
@@ -343,6 +357,10 @@ def _orient_pd(
             raise ParseError(f"arc label {arc} appears {len(occ)} times (expected 2)")
 
     is_head: dict[tuple[int, int], bool] = {}
+
+    def other_end(pos: tuple[int, int]) -> tuple[int, int]:
+        a, b = positions[terms[pos[0]][pos[1]]]
+        return b if pos == a else a
 
     def orient(seeds: list[tuple[tuple[int, int], bool]]) -> None:
         """Fix the role of each seed end and of every end it forces."""
@@ -355,8 +373,7 @@ def _orient_pd(
                 continue
             is_head[pos] = value
             c, s = pos
-            a, b = positions[terms[c][s]]
-            queue.append((b if pos == a else a, not value))
+            queue.append((other_end(pos), not value))
             if s % 2:
                 queue.append(((c, 4 - s), not value))
 
@@ -368,10 +385,11 @@ def _orient_pd(
         if (c, 1) in is_head:
             continue
         b, d = rank[arcs[1]], rank[arcs[3]]
-        if d == b + 1:
-            first = 1
-        elif b == d + 1:
-            first = 3
+        (c1, s1), (c3, s3) = other_end((c, 1)), other_end((c, 3))
+        two_arcs = c1 == c3 != c and (s1 - s3) % 4 == 2
+        if two_arcs or abs(b - d) == 1:
+            # consecutive labels, or the two arcs of a component: the lower arrives
+            first = 1 if b < d else 3
         else:
             # wrap-around of a component: the larger label flows into the smaller
             first = 1 if b > d else 3
@@ -413,9 +431,7 @@ def parse_pd(text: str) -> LinkDiagram:
     if not terms:
         raise ParseError("PD code contains no crossings")
 
-    ends = _orient_pd(terms)
-    raw = [(arcs, 1 if ends[arcs[1]][1] == (c, 1) else 3) for c, arcs in enumerate(terms)]
-    return _assemble(raw, ends)
+    return _assemble(terms, _orient_pd(terms))
 
 
 def parse_valid_pd(text: str) -> LinkDiagram:
@@ -436,7 +452,16 @@ def diagram_from_wiring(
     ``wiring[c][s]`` is the (crossing, slot) connected to slot ``s`` of
     crossing ``c`` (slots counterclockwise).  ``over_diagonal[c]`` is 0 if
     the strand through slots (0, 2) passes over, 1 for slots (1, 3).
-    Orientations are chosen per component deterministically.
+
+    Each component is walked straight through its crossings from its
+    lowest (crossing, slot), and its arcs are numbered as they are met.
+    Each crossing's PD term starts at the under end where the walk
+    arrives, and the terms are oriented and built by ``_orient_pd`` and
+    ``_assemble``, as parsed PD is.  So a component that passes under
+    somewhere, or that has three arcs or more, is oriented along the walk.
+    A two-arc component that passes over at both its crossings is oriented
+    as ``_orient_pd`` reads its PD, against the walk: it enters its
+    lower-numbered crossing at the lower of its two slots there.
     """
     n = len(wiring)
     ports = {(c, s) for c in range(n) for s in range(4)}
@@ -454,38 +479,29 @@ def diagram_from_wiring(
             if wiring[c2][s2] != (c, s):
                 raise DiagramError("wiring is not an involution on slot positions")
 
-    # orient each component by walking straight through crossings; arcs are
-    # numbered as they are met and both ends of an arc map to it
+    # walk each component straight through its crossings, numbering the arcs
+    # as they are met; both ends of an arc map to it
     arc_at: dict[tuple[int, int], int] = {}
-    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    heads: set[tuple[int, int]] = set()
     for start in ((c, s) for c in range(n) for s in range(4)):
         tail = start
         while tail not in arc_at:
-            arc = len(ends) + 1
-            arc_at[tail] = arc
+            arc_at[tail] = arc = len(heads) + 1
             head = wiring[tail[0]][tail[1]]
             if head in arc_at:
                 raise DiagramError("wiring does not decompose into closed strands")
             arc_at[head] = arc
-            ends[arc] = (tail, head)
+            heads.add(head)
             tail = (head[0], (head[1] + 2) % 4)
 
-    # rotate each crossing so that slot 0 is the incoming under end
-    raw = []
-    rotation = []
+    # each crossing's PD term starts at the end where the walk arrives under
+    terms = []
     for c in range(n):
-        under_pair = (1, 3) if over_diagonal[c] == 0 else (0, 2)
-        rot = next(s for s in under_pair if ends[arc_at[c, s]][1] == (c, s))
-        arcs = tuple(arc_at[c, (rot + k) % 4] for k in range(4))
-        over_in = 1 if ends[arcs[1]][1] == (c, (rot + 1) % 4) else 3
-        raw.append((arcs, over_in))
-        rotation.append(rot)
-    ends = {
-        arc: ((tc, (ts - rotation[tc]) % 4), (hc, (hs - rotation[hc]) % 4))
-        for arc, ((tc, ts), (hc, hs)) in ends.items()
-    }
+        under = (1, 3) if over_diagonal[c] == 0 else (0, 2)
+        first = next(s for s in under if (c, s) in heads)
+        terms.append(tuple(arc_at[c, (first + k) % 4] for k in range(4)))
     marked_arc = arc_at[marked_port] if marked_port is not None else None
-    return _assemble(raw, ends, marked_arc=marked_arc)
+    return _assemble(terms, _orient_pd(terms), marked_arc)
 
 
 # -- two-bridge diagrams -------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from knotquiver.diagram import (
 )
 from knotquiver.oracle import alexander_det
 from knotquiver.poly import LaurentPoly
+from knotquiver.verify import verify_diagram
 
 from .conftest import HOPF_HOPF_PD, NUGATORY_PD, SQUARE_KNOT_PD, TREFOIL_PD, compositions
 
@@ -182,6 +184,115 @@ class TestConstruction:
             diagram_from_wiring([[(0, 2), (0, 3), (0, 0), (0, 1)]], over_diagonal)
 
 
+def _wiring(d):
+    """d's slot-level wiring: each slot is wired to the other end of its segment."""
+
+    def other(c, s):
+        seg = d.segments[d.segment_at(c, s)]
+        return seg.head if seg.tail == (c, s) else seg.tail
+
+    return [[other(c, s) for s in range(4)] for c in range(d.n)]
+
+
+def _assert_round_trips(d):
+    got = parse_pd(d.to_pd())
+    assert got.canonical_json() == d.canonical_json(), d.to_pd()
+    assert _segment_ends(got) == _segment_ends(d), d.to_pd()
+
+
+def _random_cf(rng):
+    return [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+
+
+def _random_wirings(seed, count):
+    """2-bridge wirings with their crossings renumbered, each crossing's slots
+    turned and each crossing's over strand drawn at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = _wiring(two_bridge(_random_cf(rng)))
+        n = len(base)
+        order = rng.sample(range(n), n)
+        turn = [rng.randrange(4) for _ in range(n)]
+
+        def port(c, s):
+            return order[c], (s + turn[c]) % 4
+
+        wiring = [[None] * 4 for _ in range(n)]
+        for c in range(n):
+            for s in range(4):
+                c2, s2 = port(c, s)
+                wiring[c2][s2] = port(*base[c][s])
+        yield wiring, [rng.randint(0, 1) for _ in range(n)]
+
+
+def _scrambled_pds(seed, count):
+    """2-bridge PD codes with random crossings changed, the terms shuffled and
+    the arcs renamed to random labels with gaps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = two_bridge(_random_cf(rng))
+        labels = rng.sample(range(1, 8 * d.n), 2 * d.n)
+        terms = []
+        for c in d.crossings:
+            # starting the term at the incoming over end changes the crossing
+            k = rng.choice((0, c.over_in))
+            arcs = c.segments[k:] + c.segments[:k]
+            terms.append("X({},{},{},{})".format(*(labels[a - 1] for a in arcs)))
+        rng.shuffle(terms)
+        yield " ".join(terms)
+
+
+class TestRoundTrip:
+    """``parse_pd(d.to_pd())`` is d, whichever front end built d."""
+
+    def test_wiring_with_two_arc_over_only_component(self):
+        # component 1..2 passes over at both crossings: PD reads it as
+        # entering crossing 0 on its lower label, and so must the wiring
+        d = diagram_from_wiring(
+            [[(1, 1), (1, 0), (1, 3), (1, 2)], [(0, 1), (0, 0), (0, 3), (0, 2)]], [0, 1]
+        )
+        assert d.to_pd() == "X(4,1,3,2) X(3,1,4,2)"
+        assert [c.over_in for c in d.crossings] == [1, 3]
+        _assert_round_trips(d)
+
+    def test_pd_with_gapped_two_arc_over_only_component(self):
+        # arcs 2 and 4 pass over at both crossings; the relabeling closes
+        # their gap, and the lower label still enters crossing 0
+        d = parse_pd("X(3,4,1,2) X(1,4,3,2)")
+        assert d.to_pd() == "X(2,4,1,3) X(1,4,2,3)"
+        assert [c.over_in for c in d.crossings] == [3, 1]
+        _assert_round_trips(d)
+
+    def test_random_wirings(self):
+        kept = 0
+        for wiring, over_diagonal in _random_wirings(7, 150):
+            d = diagram_from_wiring(wiring, over_diagonal)
+            if d.validate().ok:
+                kept += 1
+                _assert_round_trips(d)
+        assert kept > 100
+
+    def test_scrambled_pds(self):
+        kept = 0
+        for text in _scrambled_pds(2, 400):
+            d = parse_pd(text)
+            if d.validate().ok:
+                kept += 1
+                _assert_round_trips(d)
+        assert kept > 300
+
+    def test_rebuilt_from_own_wiring(self, corpus_diagrams, crossing_change_diagrams):
+        # slots 0 and 2 of a built diagram carry the under strand
+        diagrams = {**corpus_diagrams, **crossing_change_diagrams}
+        assert len(diagrams) == 35
+        for name, d in diagrams.items():
+            rebuilt = diagram_from_wiring(_wiring(d), [1] * d.n)
+            assert rebuilt.validate().ok, name
+            assert alexander_det(rebuilt).dot_eq(alexander_det(d)), name
+            assert verify_diagram(rebuilt, name=name).ok, name
+            _assert_round_trips(rebuilt)
+
+
 class TestRegionsAndValidate:
     def test_region_counts(self, trefoil, fig8, corpus_diagrams):
         assert len(trefoil.regions) == 5
@@ -279,8 +390,6 @@ class TestTwoBridge:
             two_bridge([2, 0, 1])
 
     def test_always_validates(self):
-        import random
-
         rng = random.Random(11)
         for _ in range(40):
             cf = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
