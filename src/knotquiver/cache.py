@@ -3,15 +3,19 @@
 Keys hash the canonical serialization of the diagram, the segment and
 ``_FORMAT_VERSION`` (5), so an entry of another version is never opened:
 version-4 entries, which held F as JSON in ``<key>.json``, are misses.
-An entry file, ``<key>.bin``, is the sha256 of the body in hex, a
-newline, and the body: F's exponent rows as raw bytes, one byte per
-variable, 2n bytes per row for the diagram's n crossings, no separators,
-in the printed order of ``MultiPoly.to_json()``.  Every coefficient of F
-is 1, so the rows are all of F.  ``put`` stores nothing when an exponent
-is above 255, which does not fit in a byte.  The specialization is not
-stored: it is a function of F and the diagram, and a stored copy could
-disagree with F.  ``fpoly --cache-dir`` is the cache's only caller;
-``alexander`` and ``verify`` read no cache.
+The diagram builds its serialization once, so the keys of one command
+share it.  An entry file, ``<key>.bin``, is the sha256 of the body in
+hex, a newline, and the body: F's exponent rows as raw bytes, one byte
+per variable, 2n bytes per row for the diagram's n crossings, no
+separators, in F's printed order, ``MultiPoly.rows()``.  A hit does not
+trust that order: F is built from the rows as a set and sorted again
+when it is printed, so a checksum-valid entry with its rows permuted
+prints the bytes of the true one.  Every coefficient of F is 1, so the
+rows are all of F.  ``put`` stores nothing when an exponent is above
+255, which does not fit in a byte.  The specialization is not stored:
+it is a function of F and the diagram, and a stored copy could disagree
+with F.  ``fpoly --cache-dir`` is the cache's only caller; ``alexander``
+and ``verify`` read no cache.
 
 An absent entry and a corrupt one are misses, and the recomputed F
 overwrites them.  An entry is corrupt when its checksum does not match
@@ -81,7 +85,7 @@ class RunCache:
         """Store F under the key of (diagram, segment), replacing any entry
         there; store nothing if an exponent is above 255."""
         try:
-            body = bytes(chain.from_iterable(row["exp"] for row in f.to_json()["terms"]))
+            body = bytes(chain.from_iterable(f.rows()))
         except ValueError:  # bytes must be in range(0, 256)
             return
         path = self._path(self.key(diagram, segment))

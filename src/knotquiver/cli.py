@@ -8,6 +8,7 @@ entry).  Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cache import RunCache
@@ -19,9 +20,9 @@ from .diagram import (
     parse_valid_pd,
     two_bridge,
 )
-from .jsontext import json_text
+from .jsontext import fpoly_text, json_text
 from .oracle import alexander_det
-from .poly import LaurentPoly, render_monomial
+from .poly import LaurentPoly, Monomial, MultiPoly, render_monomial
 from .quiver import build_potential, build_quiver, export, reduce_two_cycles
 from .states import build_lattice, lattice_to_json, state_sum_alexander
 from .verify import run_segment, segment_pipeline, verify_diagram
@@ -85,25 +86,31 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
         raise DiagramError(f"unknown segment id {args.segment}")
     q = build_quiver(diagram)
     cache = RunCache(args.cache_dir) if args.cache_dir else None
-    rows = [(i, *segment_pipeline(diagram, q, i, cache)) for i in segments]
+    rows = []
+    for i in segments:  # every error is raised before anything is written
+        f, spec = segment_pipeline(diagram, q, i, cache)
+        rows.append((i, f, spec, f.top_term()))
     if args.format == "json":
-        data = [
-            {
-                "segment": i,
-                "terms": f.num_terms,
-                "top": dict(f.top_term()),
-                "f": f.to_json(),
-                "specialization": spec.to_json(),
-            }
-            for i, f, spec in rows
-        ]
-        sys.stdout.write(json_text(data) + "\n")
+        opening = "["
+        for row in rows:  # one record's text at a time, never the whole output
+            sys.stdout.write(opening + "\n  " + _fpoly_record(*row))
+            opening = ","
+        sys.stdout.write("\n]\n")
         return 0
-    for i, f, spec in rows:
-        print(f"segment {i}: {f.num_terms} terms, top {render_monomial(f.top_term())}")
+    for i, f, spec, top in rows:
+        print(f"segment {i}: {f.num_terms} terms, top {render_monomial(top)}")
         print(f"  F = {f.render()}")
         print(f"  F|t = {spec.render()}")
     return 0
+
+
+def _fpoly_record(i: int, f: MultiPoly, spec: LaurentPoly, top: Monomial) -> str:
+    """The text of one segment's record in ``fpoly --format json``'s list:
+    ``{"f": f.to_json(), "segment": i, "specialization": spec.to_json(),
+    "terms": f.num_terms, "top": dict(top)}`` at indent 2."""
+    rest = {"segment": i, "specialization": spec.to_json(), "terms": f.num_terms, "top": dict(top)}
+    # "f" sorts before every key of rest, so its field opens the record
+    return '{\n    "f": ' + fpoly_text(f.rows(), f.nvars, "\n    ") + "," + json_text(rest, "\n  ")[1:]
 
 
 def cmd_alexander(args: argparse.Namespace) -> int:
@@ -194,7 +201,9 @@ def cmd_two_bridge(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="knotquiver",
         description="Quivers with potential, Kauffman state lattices and Alexander polynomials",
@@ -205,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="PD code, @file, or bundled corpus name")
     p.add_argument("--reduced", action="store_true", help="remove bigon 2-cycles")
     p.add_argument("--format", choices=("dot", "json", "text"), default="json")
-    p.set_defaults(func=cmd_quiver)
+    p.set_defaults(handler="cmd_quiver")
 
     p = sub.add_parser("states", help="Kauffman state lattice relative to a segment")
     p.add_argument("input")
     p.add_argument("--segment", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_states)
+    p.set_defaults(handler="cmd_states")
 
     p = sub.add_parser("fpoly", help="F-polynomial of the link module T(i)")
     p.add_argument("input")
@@ -220,32 +229,34 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="all segments")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--cache-dir", help="store each segment's F here; later runs read it back")
-    p.set_defaults(func=cmd_fpoly)
+    p.set_defaults(handler="cmd_fpoly")
 
     p = sub.add_parser("alexander", help="Alexander polynomial")
     p.add_argument("input")
     p.add_argument("--method", choices=("spec", "statesum", "det", "all"), default="all")
     p.add_argument("--segment", type=int)
-    p.set_defaults(func=cmd_alexander)
+    p.set_defaults(handler="cmd_alexander")
 
     p = sub.add_parser("verify", help="run all cross-checks over a corpus")
     p.add_argument("corpus", nargs="?", help="JSON-lines corpus file (default: bundled)")
     p.add_argument("--fast", action="store_true", help="skip every relation check, T(i)'s too")
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("two-bridge", help="build a 2-bridge diagram from a continued fraction")
     p.add_argument("cf", help="comma separated positive integers, e.g. 2,1,2,3")
     p.add_argument("--report-theorem3", action="store_true")
-    p.set_defaults(func=cmd_two_bridge)
+    p.set_defaults(handler="cmd_two_bridge")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the parser names each handler, looked up here on every call: the parser
+    # outlives any rebinding of a cmd_* function
+    handler = globals()[args.handler]
     try:
-        return args.func(args)
+        return handler(args)
     except (DiagramError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,6 +106,7 @@ class LinkDiagram:
         self.segments = dict(segments)
         self.components = components
         self.marked_segment = marked_segment
+        self._canonical: str | None = None
         self.regions: tuple[Region, ...]
         self.corner_region: tuple[tuple[int, int, int, int], ...]
         self.regions, self.corner_region = self._trace_regions()
@@ -274,13 +275,16 @@ class LinkDiagram:
         return " ".join(terms)
 
     def canonical_json(self) -> str:
-        """Deterministic serialization used for hashing and caching."""
-        data = {
-            "crossings": [list(c.segments) for c in self.crossings],
-            "over_in": [c.over_in for c in self.crossings],
-            "components": self.components,
-        }
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        """Deterministic serialization used for hashing and caching, built
+        on the first call: every cache key of a run reads it."""
+        if self._canonical is None:
+            data = {
+                "crossings": [list(c.segments) for c in self.crossings],
+                "over_in": [c.over_in for c in self.crossings],
+                "components": self.components,
+            }
+            self._canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return self._canonical
 
     def __repr__(self) -> str:
         return f"LinkDiagram(n={self.n}, components={self.components})"

@@ -8,10 +8,15 @@ plain ints in one step.
 A list of records -- dicts with one set of str keys, each column all plain
 ints or all int lists of one nonzero length -- is written through one
 ``%``-template, built once per list from the sorted keys and the indent:
-the F-polynomial's ``{"coef", "exp"}`` term rows are such a list.  Its
-shape is checked column by column, not row by row.  Any other list,
-including one whose records break the shape anywhere, takes the generic
-walk, so the text is the same either way.
+the ``states`` and ``quiver`` JSON hold such lists.  Its shape is checked
+column by column, not row by row.  Any other list, including one whose
+records break the shape anywhere, takes the generic walk, so the text is
+the same either way.
+
+The F-polynomial is not written through records: ``fpoly_text`` writes
+the text of ``MultiPoly.to_json()`` straight from F's sorted rows of
+ints, with no row dict and no type check, in one join over a table of
+the entries' digits.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ from __future__ import annotations
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
+from typing import Callable, Sequence
+
+# The text of each entry that fits in a byte, the entries of nearly every F.
+_DIGITS = {k: str(k) for k in range(256)}
 
 
 def _records_text(rows: list | tuple, nl: str) -> str | None:
@@ -56,12 +65,41 @@ def _records_text(rows: list | tuple, nl: str) -> str | None:
     return "[" + item + f",{item}".join([row] * len(rows)) % values + nl + "]"
 
 
-def json_text(obj: object) -> str:
+def fpoly_text(rows: Sequence[tuple[int, ...]], nvars: int, nl: str = "\n") -> str:
+    """``json_text({"nvars": nvars, "terms": [{"coef": 1, "exp": row}, ...]}, nl)``.
+
+    ``rows`` are one or more tuples of ``nvars`` > 0 ints, as a nonzero
+    F's ``MultiPoly.rows()``; they are not checked.  Their entries are
+    flattened, looked up in the digit table, regrouped ``nvars`` at a time
+    and joined, each group and then the groups, with the text between two
+    entries and between two rows.  An entry outside 0..255 sends every
+    entry through ``str``.
+    """
+    field, item, inner, entry = (nl + "  " * k for k in (1, 2, 3, 4))
+    opening = item + "{" + inner + '"coef": 1,' + inner + '"exp": [' + entry
+    closing = inner + "]" + item + "}"
+    between = "," + entry
+
+    def body(text: Callable[[int], str]) -> str:
+        texts = map(text, chain.from_iterable(rows))
+        return (closing + "," + opening).join(map(between.join, zip(*[texts] * nvars)))
+
+    try:
+        terms = body(_DIGITS.__getitem__)
+    except KeyError:
+        terms = body(str)
+    head = "{" + field + f'"nvars": {nvars},' + field + '"terms": [' + opening
+    return head + terms + closing + field + "]" + nl + "}"
+
+
+def json_text(obj: object, nl: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``.
 
     Handles dict, list, tuple, str, int, bool and None.  Dict keys may be
     str, int, bool or None; they are sorted before they become strings,
-    as ``json`` does.  Any other type raises TypeError.
+    as ``json`` does.  Any other type raises TypeError.  ``nl`` opens
+    each new line of the text: a newline and 2k spaces write ``obj`` as it
+    is written nested k levels deep.
     """
     parts: list[str] = []
     put = parts.append
@@ -106,5 +144,5 @@ def json_text(obj: object) -> str:
         else:
             put(scalar(o))
 
-    write(obj, "\n")
+    write(obj, nl)
     return "".join(parts)

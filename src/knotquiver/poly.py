@@ -9,11 +9,16 @@ Two types are used throughout the package:
   vectors.  A monomial is its dense exponent tuple, whose entry k - 1 is
   the exponent of ``y_k``: the form in which state heights and submodule
   dimension vectors are stored (over the sorted segment ids 1..2n), and
-  the rows of ``to_json``.  Terms are sorted by a key read off the dense
-  tuple; the sparse ``((variable, exponent), ...)`` view is derived only
-  to print.  F is specialized by a weight tuple over the segments, a dot
-  product per term, with the term's sign read from its degree.  F is
-  built, compared, queried, specialized and serialized, but it has no
+  the rows of ``to_json``.  F's one sorted list of rows, ``rows()``, is
+  built on first use and read by every writer (``render``, ``to_json``,
+  ``top_term``, the cache and ``fpoly --format json``), so F is sorted
+  once per run.  The sort key is read off the dense tuple in C: the
+  degree, then the tuple as bytes with 0 mapped past every positive
+  entry; an F with an entry above 255 is sorted by ``_order_key``
+  instead.  The sparse ``((variable, exponent), ...)`` view is derived
+  only to print.  F is specialized by a weight tuple over the segments,
+  a dot product per term, with the term's sign read from its degree.  F
+  is built, compared, queried, specialized and serialized, but it has no
   ring operations.
 
 * ``LaurentPoly`` -- sparse integer Laurent polynomials in a single
@@ -29,9 +34,9 @@ All coefficients are Python ints, so arithmetic is exact at any size.
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress, repeat
+from operator import itemgetter, mul
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 # A dense exponent vector over y_1..y_nvars: a term of a MultiPoly.
 Exponents = tuple[int, ...]
@@ -66,6 +71,21 @@ def _order_key(e: Exponents) -> tuple[int, list[int]]:
     return d, [x or d + 1 for x in e]
 
 
+# Byte x to (x - 1) % 256: 0 sorts after every positive entry, as in
+# ``_order_key``, and the map is a bijection, so distinct vectors keep
+# distinct keys.
+_ZERO_LAST = bytes((x - 1) % 256 for x in range(256))
+
+
+def _byte_keys(terms: Collection[Exponents]) -> Iterator[tuple[int, bytes, Exponents]]:
+    """``(degree, byte key, term)`` per term, built in C, for ``sorted``.
+
+    For entries 0..255 the pairs (degree, byte key) sort as ``_order_key``
+    does; another entry makes ``bytes`` raise ValueError as they are read.
+    """
+    return zip(map(sum, terms), map(bytes.translate, map(bytes, terms), repeat(_ZERO_LAST)), terms)
+
+
 def _check_lengths(nvars: int, vectors: Iterable[Sequence[int]]) -> None:
     wrong = set(map(len, vectors)) - {nvars}
     if wrong:
@@ -76,12 +96,12 @@ class MultiPoly:
     """F-polynomial in y_1..y_nvars: the set of its terms' dense exponent
     tuples, each with coefficient 1 (no ring operations)."""
 
-    __slots__ = ("nvars", "terms", "_json")
+    __slots__ = ("nvars", "terms", "_rows")
 
     def __init__(self, nvars: int, terms: Iterable[Exponents] = ()):
         self.nvars = nvars
         self.terms: frozenset[Exponents] = frozenset(terms)
-        self._json: dict | None = None
+        self._rows: list[Exponents] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -106,15 +126,29 @@ class MultiPoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
+    def rows(self) -> list[Exponents]:
+        """The terms by degree, then sparse monomial: the printed order.
+
+        F does not change once built, so the list is sorted on the first
+        call and later calls return the same list.  Callers must not
+        modify it.
+        """
+        if self._rows is None:
+            try:
+                self._rows = list(map(itemgetter(2), sorted(_byte_keys(self.terms))))
+            except ValueError:  # an entry outside 0..255 has no byte
+                self._rows = sorted(self.terms, key=_order_key)
+        return self._rows
+
     def top_term(self) -> Monomial:
-        """Sparse monomial of maximal total degree (must be unique)."""
-        if not self.terms:
+        """Sparse monomial of maximal total degree (must be unique): the
+        last row, unless the row before it has the same degree."""
+        rows = self.rows()
+        if not rows:
             raise ValueError("zero polynomial has no top term")
-        degrees = list(map(sum, self.terms))
-        deg = max(degrees)
-        if degrees.count(deg) > 1:
+        if len(rows) > 1 and sum(rows[-2]) == sum(rows[-1]):
             raise ValueError("top total degree is not attained uniquely")
-        return _sparse(list(self.terms)[degrees.index(deg)])
+        return _sparse(rows[-1])
 
     def evaluate_at_minus_one(self) -> int:
         """Value at y_j = -1 for all j: each term is -1 to its degree."""
@@ -141,25 +175,18 @@ class MultiPoly:
 
     # -- rendering / serialization ------------------------------------
 
-    def _sorted_terms(self) -> list[Exponents]:
-        """The terms by degree, then sparse monomial."""
-        return sorted(self.terms, key=_order_key)
-
     def render(self) -> str:
-        return " + ".join(render_monomial(_sparse(e)) or "1" for e in self._sorted_terms()) or "0"
+        return " + ".join(render_monomial(_sparse(e)) or "1" for e in self.rows()) or "0"
 
     def to_json(self) -> dict:
         """``{"nvars", "terms": [{"coef": 1, "exp"}, ...]}``, terms in printed order.
 
-        F does not change once built, so the rows are sorted and built on
-        the first call, and later calls return the same dict: a cold
-        ``fpoly --format json`` hands it to the cache and to the output.
-        Callers must not modify it.
+        A new dict over ``rows()`` on every call.  ``fpoly --format json``
+        does not build it: it writes the same text from ``rows()`` with
+        ``jsontext.fpoly_text``, and ``json.dumps(f.to_json(), indent=2,
+        sort_keys=True)`` is that text's reference.
         """
-        if self._json is None:
-            rows = [{"exp": e, "coef": 1} for e in self._sorted_terms()]
-            self._json = {"nvars": self.nvars, "terms": rows}
-        return self._json
+        return {"nvars": self.nvars, "terms": [{"exp": e, "coef": 1} for e in self.rows()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -40,6 +41,25 @@ def forbid(monkeypatch, *functions):
             raise AssertionError(f"{_name} called")
 
         rebind(monkeypatch, function, boom)
+
+
+def fpoly_json_reference(runs) -> str:
+    """What ``fpoly --format json`` prints for ``(segment, F, F|t)`` triples:
+    ``json.dumps`` of records built from ``MultiPoly.to_json()``, with the
+    top term read off the terms by degree."""
+    data = []
+    for i, f, spec in runs:
+        degrees = sorted(map(sum, f.terms))
+        assert degrees.count(degrees[-1]) == 1
+        top = max(f.terms, key=sum)
+        data.append({
+            "segment": i,
+            "terms": len(f.terms),
+            "top": {v: x for v, x in enumerate(top, 1) if x},
+            "f": f.to_json(),
+            "specialization": spec.to_json(),
+        })
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def compositions(n):

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import knotquiver.cache as cache_mod
+import knotquiver.diagram as diagram_mod
 import knotquiver.poly as poly_mod
 import knotquiver.verify as verify_mod
 from knotquiver.cache import RunCache
@@ -13,6 +14,8 @@ from knotquiver.cli import main
 from knotquiver.poly import MultiPoly
 from knotquiver.quiver import build_quiver
 from knotquiver.verify import run_segment, segment_pipeline
+
+from .conftest import forbid, fpoly_json_reference
 
 
 def _names(directory):
@@ -269,12 +272,32 @@ def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, bo
 
 def test_cold_fpoly_sorts_each_f_once(tmp_path, capsys, monkeypatch):
     """The cache entry and the output of a cold run share one sorted list
-    of term rows per F."""
+    of term rows per F, and a warm run sorts each F it reads once: the
+    byte keys are built in one call per F, over all of its terms, and no
+    term takes ``_order_key``."""
     keyed = []
-    order_key = poly_mod._order_key
-    monkeypatch.setattr(poly_mod, "_order_key", lambda term: keyed.append(term) or order_key(term))
-    out = json.loads(_fpoly(capsys, "--all", "--cache-dir", str(tmp_path)))
-    assert len(keyed) == sum(seg["terms"] for seg in out) == 40
+    byte_keys = poly_mod._byte_keys
+    monkeypatch.setattr(poly_mod, "_byte_keys", lambda terms: keyed.append(len(terms)) or byte_keys(terms))
+    forbid(monkeypatch, poly_mod._order_key)
+    outputs = []
+    for _ in ("cold", "warm"):
+        keyed.clear()
+        outputs.append(_fpoly(capsys, "--all", "--cache-dir", str(tmp_path)))
+        out = json.loads(outputs[-1])
+        assert keyed == [seg["terms"] for seg in out] and sum(keyed) == 40
+    assert len(_names(tmp_path)) == 8 and outputs[0] == outputs[1]
+
+
+def test_one_fpoly_command_serializes_its_diagram_once(tmp_path, capsys, monkeypatch):
+    """Every cache key of a command hashes the diagram's canonical JSON,
+    which ``json.dumps`` builds once per command, cold and warm."""
+    dumps = []
+    real_dumps = diagram_mod.json.dumps
+    monkeypatch.setattr(diagram_mod.json, "dumps", lambda *a, **k: dumps.append(a) or real_dumps(*a, **k))
+    for _ in ("cold", "warm"):
+        dumps.clear()
+        _fpoly(capsys, "--all", "--cache-dir", str(tmp_path))
+        assert len(dumps) == 1
 
 
 def test_entry_over_the_wrong_number_of_variables_is_a_miss(tmp_path, capsys, fig8):
@@ -300,7 +323,8 @@ def test_zero_polynomial_entry_is_a_miss(tmp_path, capsys, argv):
 
 def test_an_exponent_above_255_writes_no_entry(tmp_path, capsys, monkeypatch, fig8):
     """An exponent does not fit in a byte above 255, so ``put`` stores no
-    entry for such an F, and ``fpoly`` prints what it prints with no cache."""
+    entry for such an F, and ``fpoly`` prints what it prints with no cache:
+    for JSON, ``json.dumps`` of the records built from ``to_json``."""
     real_run_segment = verify_mod.run_segment
 
     def run_segment(diagram, q, i):
@@ -309,11 +333,15 @@ def test_an_exponent_above_255_writes_no_entry(tmp_path, capsys, monkeypatch, fi
         return run._replace(f=f, spec=f.specialize(diagram.specialization_exponents()))
 
     monkeypatch.setattr(verify_mod, "run_segment", run_segment)
+    q = build_quiver(fig8)
+    runs = [(i, *run_segment(fig8, q, i)[2:]) for i in fig8.segment_ids()]
     for fmt in ("json", "text"):
         uncached = _fpoly(capsys, "--all", fmt=fmt)
         assert "256" in uncached
         assert _fpoly(capsys, "--all", "--cache-dir", str(tmp_path), fmt=fmt) == uncached
         assert _names(tmp_path) == []
+    # F is sorted without byte keys and its entries are written through str
+    assert _fpoly(capsys, "--all") == fpoly_json_reference(runs)
     cache = RunCache(tmp_path)
     assert cache.get(fig8, 1) is None and _counters(cache) == (0, 1, 0)
 

@@ -1,13 +1,30 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from knotquiver.cli import main
-from knotquiver.diagram import ValidationReport
+import knotquiver
+import knotquiver.cli as cli
+from knotquiver.cli import build_parser, main
+from knotquiver.diagram import ValidationReport, two_bridge
+from knotquiver.quiver import build_quiver
 from knotquiver.states import lattice_to_json
+from knotquiver.verify import run_segment
 
-from .conftest import FIG8_PD, HOPF_HOPF_PD, SQUARE_KNOT_PD, TREFOIL_PD, forbid
+from .conftest import (
+    FIG8_PD,
+    HOPF_HOPF_PD,
+    SQUARE_KNOT_PD,
+    TREFOIL_PD,
+    compositions,
+    forbid,
+    fpoly_json_reference,
+    rebind,
+)
 from .lattice_reference import reference_lattice
 
 
@@ -260,6 +277,59 @@ class TestFpolyCmd:
         assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == {entry.name: wrong}
 
 
+class TestFpolyJson:
+    """``fpoly --format json`` writes F's rows with no row dict: its text is
+    ``json.dumps`` of the records that ``MultiPoly.to_json()`` builds."""
+
+    @staticmethod
+    def _check(capsys, diagram):
+        q = build_quiver(diagram)
+        runs = [(i, *run_segment(diagram, q, i)[2:]) for i in diagram.segment_ids()]
+        code, out, err = run(capsys, "fpoly", diagram.to_pd(), "--all", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == fpoly_json_reference(runs)
+
+    def test_corpus(self, capsys, corpus_diagrams):
+        for diagram in corpus_diagrams.values():
+            self._check(capsys, diagram)
+
+    def test_two_bridge(self, capsys):
+        for n in range(2, 8):
+            for cf in compositions(n):
+                self._check(capsys, two_bridge(cf).require_valid())
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_a_valid_call_prints_what_a_fresh_process_prints(self, capsys):
+        """The one parser is not changed by a call that argparse ends with
+        exit code 2."""
+        argv = ["fpoly", "figure-eight", "--all", "--format", "json"]
+        src = str(Path(knotquiver.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run([sys.executable, "-m", "knotquiver", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert fresh.returncode == 0 and fresh.stdout
+        for bad in (["fpoly", "figure-eight", "--segment", "1", "--all"],
+                    ["fpoly", "figure-eight", "--format", "xml"],
+                    ["states", "figure-eight"],
+                    ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_a_rebound_command_is_the_one_that_runs(self, capsys, monkeypatch):
+        main(["alexander", "trefoil"])  # the parser exists before the rebinding
+        capsys.readouterr()
+        calls = []
+        rebind(monkeypatch, cli.cmd_alexander, lambda args: calls.append(args.input) or 7)
+        assert run(capsys, "alexander", "trefoil") == (7, "", "")
+        assert calls == ["trefoil"]
+
+
 class TestAlexanderCmd:
     def test_all_methods_agree(self, capsys):
         code, out, _ = run(capsys, "alexander", FIG8_PD)
@@ -485,6 +555,12 @@ class TestByteOutput:
              "693f8f26a00576ea745cc6a2371a11d084cdb44667f0e216426c123f25473584"),
             (("fpoly", "10_66", "--all", "--format", "json"),
              "9fbc0ea17e25547088564f6744c4e1b08d8807e9851195ab4f5db77619027883"),
+            (("fpoly", "10_66", "--all"),
+             "e037f03b8a84b54eda850cf7eca1c0bb67f62a0e0c78b7277882cf10045b77fe"),
+            # two_bridge([2, 1, 2, 3]).to_pd()
+            (("fpoly", "X(9,1,10,16) X(1,9,2,8) X(15,2,16,3) X(7,14,8,15) X(13,6,14,7) "
+                       "X(3,12,4,13) X(11,4,12,5) X(5,10,6,11)", "--all", "--format", "json"),
+             "e58b008c6a2f5f52c01b24c8a2b0a077105519b3141f8a399b05ee17ba37315e"),
             (("two-bridge", "2,1,2,3", "--report-theorem3"),
              "ac31938010af420f24b13a9205df1d9dd9d5cb7fe03a748d0d03d910c43d4f7b"),
             (("states", "10_66", "--segment", "1", "--format", "json"),
@@ -494,7 +570,8 @@ class TestByteOutput:
             (("alexander", "conway"),
              "8b614d447c523e98af7ff0832e5ec25aea976bdedcb3f3f37491ede22ed0e46c"),
         ],
-        ids=["verify-fast", "verify-full", "fpoly-10_66", "two-bridge-2123", "states-10_66-json",
+        ids=["verify-fast", "verify-full", "fpoly-10_66", "fpoly-10_66-text", "fpoly-2123-json",
+             "two-bridge-2123", "states-10_66-json",
              "quiver-10_66-reduced", "alexander-conway"],
     )
     def test_stdout_digest(self, capsys, argv, digest):

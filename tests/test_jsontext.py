@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from knotquiver.jsontext import json_text
+from knotquiver.jsontext import fpoly_text, json_text
 
 ints = st.integers() | st.integers(min_value=2**64, max_value=2**200)
 scalars = st.none() | st.booleans() | ints | st.text()
@@ -21,8 +21,8 @@ def _records(shape):
     return st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=5)
 
 
-# same-shape records, which json_text writes through one template: F's
-# {"coef", "exp"} term rows, and records under arbitrary keys
+# same-shape records, which json_text writes through one template: records
+# shaped like F's {"coef", "exp"} term rows, and records under arbitrary keys
 shapes = st.dictionaries(st.text(), st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
 records = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: _records({"coef": 0, "exp": n})
@@ -69,3 +69,30 @@ def test_same_text_as_json_dumps(value):
 def test_unsupported_type_is_a_type_error(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+@given(values)
+@example({"b": [1, {"c": None}], "a": []})
+def test_nested_text_is_the_text_one_level_in(value):
+    """With ``nl`` one level deep, the text is the value's text as a field."""
+    outer = json.dumps({"k": value}, indent=2, sort_keys=True)
+    assert outer == '{\n  "k": ' + json_text(value, "\n  ") + "\n}"
+
+
+def _rows(nvars):
+    entries = st.sampled_from([0, 1, 9, 10, 99, 100, 255]) | st.integers(0, 255)
+    rows = st.tuples(*[entries | st.integers(-3, 2**70)] * nvars)
+    return st.tuples(st.just(nvars), st.lists(rows, min_size=1, max_size=6))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(_rows), st.integers(min_value=0, max_value=3))
+@example((2, [(0, 0), (1, 255)]), 3)
+@example((2, [(0, 0), (1, 256)]), 0)  # an entry past the digit table
+@example((1, [(-1,)]), 0)  # a negative entry is not read from the table
+def test_fpoly_text_is_the_text_of_the_term_records(case, depth):
+    nvars, rows = case
+    data = {"nvars": nvars, "terms": [{"coef": 1, "exp": list(row)} for row in rows]}
+    nl = "\n" + "  " * depth
+    assert fpoly_text(rows, nvars, nl) == json_text(data, nl)
+    if depth == 0:
+        assert fpoly_text(rows, nvars) == json.dumps(data, indent=2, sort_keys=True)

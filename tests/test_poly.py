@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import knotquiver.poly as poly_mod
 from knotquiver.poly import LaurentPoly, MultiPoly
 
 
@@ -106,6 +107,17 @@ def _reference_order(vectors):
 _term_sets = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
         st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, 3, 10, 11])] * n),
+        min_size=1,
+        max_size=40,
+        unique=True,
+    )
+)
+
+# the same, with every entry a byte: the extremes 0 and 255 and the values
+# next to them, where the byte key maps 0 past 255
+_byte_term_sets = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.sampled_from([0, 0, 0, 1, 2, 254, 255]) | st.integers(0, 255)] * n),
         min_size=1,
         max_size=40,
         unique=True,
@@ -243,6 +255,33 @@ class TestMultiPoly:
         expected = _reference_order(vectors)
         assert [tuple(row["exp"]) for row in f.to_json()["terms"]] == expected
         assert f.render() == " + ".join(MultiPoly(f.nvars, [e]).render() for e in expected)
+
+    @given(_byte_term_sets)
+    @example([(0,), (255,)])
+    @example([(255, 0), (0, 255), (254, 1), (1, 254), (0, 0)])
+    @example([(255, 0, 0), (0, 0, 255), (0, 255, 0), (1, 0, 254), (254, 0, 1), (0, 1, 254)])
+    def test_byte_key_is_the_reference_order(self, vectors):
+        """(degree, bytes with 0 mapped past 255) sorts terms with entries
+        0..255 by degree, then sparse monomial, and F's rows are so sorted."""
+        expected = _reference_order(vectors)
+        assert [e for _, _, e in sorted(poly_mod._byte_keys(vectors))] == expected
+        assert MultiPoly(len(vectors[0]), vectors).rows() == expected
+
+    def test_an_entry_above_255_is_sorted_by_the_dense_key(self, monkeypatch):
+        vectors = [(0, 256), (256, 0), (0, 0), (1, 255), (255, 1), (0, 300)]
+        keyed = []
+        order_key = poly_mod._order_key
+        monkeypatch.setattr(poly_mod, "_order_key", lambda e: keyed.append(e) or order_key(e))
+        assert MultiPoly(2, vectors).rows() == _reference_order(vectors)
+        assert sorted(keyed) == sorted(vectors)
+
+    def test_top_term_is_the_last_row(self):
+        f = MultiPoly.from_vectors(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert f.rows()[-1] == (1, 1) and f.top_term() == ((1, 1), (2, 1))
+        with pytest.raises(ValueError, match="not attained uniquely"):
+            MultiPoly.from_vectors(2, [(0, 0), (2, 0), (1, 1)]).top_term()
+        with pytest.raises(ValueError, match="zero polynomial"):
+            MultiPoly(2).top_term()
 
     def test_lattice_dispatch(self):
         """State heights and submodule dimension vectors give the same F."""
