@@ -565,14 +565,19 @@ class TestByteOutput:
              "ac31938010af420f24b13a9205df1d9dd9d5cb7fe03a748d0d03d910c43d4f7b"),
             (("states", "10_66", "--segment", "1", "--format", "json"),
              "1d2d15a6a89f716de2f97791b99ce128cffefd5fad1dfe6ef11eb9871ae8d8cf"),
+            # two_bridge([3] * 5).to_pd(): 360 states, each keyed "0".."14", in string order
+            (("states", two_bridge([3] * 5).to_pd(), "--segment", "1", "--format", "json"),
+             "82ca1ff6cf5d9058689f7c7aa8c433bd86ddc13c19152acd3c3f815865de459a"),
+            (("quiver", "10_66"),
+             "c880f527ad0f38cff8cb8c30b8bbd9e9a924f4f50878c0bd314a6ebb9a5548f7"),
             (("quiver", "10_66", "--reduced"),
              "711378dd83837dca39e1defadfba1de86a5693bb77e6b1c8ca69572d0aed5b07"),
             (("alexander", "conway"),
              "8b614d447c523e98af7ff0832e5ec25aea976bdedcb3f3f37491ede22ed0e46c"),
         ],
         ids=["verify-fast", "verify-full", "fpoly-10_66", "fpoly-10_66-text", "fpoly-2123-json",
-             "two-bridge-2123", "states-10_66-json",
-             "quiver-10_66-reduced", "alexander-conway"],
+             "two-bridge-2123", "states-10_66-json", "states-3x5-json",
+             "quiver-10_66", "quiver-10_66-reduced", "alexander-conway"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
