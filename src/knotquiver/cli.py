@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from .cache import RunCache
@@ -20,7 +21,6 @@ from .diagram import (
     parse_valid_pd,
     two_bridge,
 )
-from .jsontext import fpoly_text, json_text
 from .oracle import alexander_det
 from .poly import LaurentPoly, Monomial, MultiPoly, render_monomial
 from .quiver import build_potential, build_quiver, export, reduce_two_cycles
@@ -107,10 +107,16 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
 def _fpoly_record(i: int, f: MultiPoly, spec: LaurentPoly, top: Monomial) -> str:
     """The text of one segment's record in ``fpoly --format json``'s list:
     ``{"f": f.to_json(), "segment": i, "specialization": spec.to_json(),
-    "terms": f.num_terms, "top": dict(top)}`` at indent 2."""
+    "terms": f.num_terms, "top": dict(top)}`` at indent 2.
+
+    F is written by ``f.to_json_text``, the other fields by ``json.dumps``,
+    which escapes every newline inside a string: each newline in its text
+    is a line break, and is indented one level deeper.
+    """
     rest = {"segment": i, "specialization": spec.to_json(), "terms": f.num_terms, "top": dict(top)}
+    text = json.dumps(rest, indent=2, sort_keys=True).replace("\n", "\n  ")
     # "f" sorts before every key of rest, so its field opens the record
-    return '{\n    "f": ' + fpoly_text(f.rows(), f.nvars, "\n    ") + "," + json_text(rest, "\n  ")[1:]
+    return '{\n    "f": ' + f.to_json_text("\n    ") + "," + text[1:]
 
 
 def cmd_alexander(args: argparse.Namespace) -> int:

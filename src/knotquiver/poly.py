@@ -9,10 +9,11 @@ Two types are used throughout the package:
   vectors.  A monomial is its dense exponent tuple, whose entry k - 1 is
   the exponent of ``y_k``: the form in which state heights and submodule
   dimension vectors are stored (over the sorted segment ids 1..2n), and
-  the rows of ``to_json``.  F's one sorted list of rows, ``rows()``, is
-  built on first use and read by every writer (``render``, ``to_json``,
-  ``top_term``, the cache and ``fpoly --format json``), so F is sorted
-  once per run.  The sort key is read off the dense tuple in C: the
+  the rows of ``to_json``.  ``to_json_text`` writes the text of
+  ``to_json`` straight from the rows: ``fpoly --format json`` prints F
+  through it.  F's one sorted list of rows, ``rows()``, is built on first
+  use and read by every writer (``render``, ``to_json``, ``to_json_text``,
+  ``top_term`` and the cache), so F is sorted once per run.  The sort key is read off the dense tuple in C: the
   degree, then the tuple as bytes with 0 mapped past every positive
   entry; an F with an entry above 255 is sorted by ``_order_key``
   instead.  The sparse ``((variable, exponent), ...)`` view is derived
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 # A dense exponent vector over y_1..y_nvars: a term of a MultiPoly.
 Exponents = tuple[int, ...]
@@ -84,6 +85,10 @@ def _byte_keys(terms: Collection[Exponents]) -> Iterator[tuple[int, bytes, Expon
     does; another entry makes ``bytes`` raise ValueError as they are read.
     """
     return zip(map(sum, terms), map(bytes.translate, map(bytes, terms), repeat(_ZERO_LAST)), terms)
+
+
+# The text of each entry that fits in a byte, the entries of nearly every F.
+_DIGITS = {k: str(k) for k in range(256)}
 
 
 def _check_lengths(nvars: int, vectors: Iterable[Sequence[int]]) -> None:
@@ -183,10 +188,38 @@ class MultiPoly:
 
         A new dict over ``rows()`` on every call.  ``fpoly --format json``
         does not build it: it writes the same text from ``rows()`` with
-        ``jsontext.fpoly_text``, and ``json.dumps(f.to_json(), indent=2,
-        sort_keys=True)`` is that text's reference.
+        ``to_json_text``.
         """
         return {"nvars": self.nvars, "terms": [{"exp": e, "coef": 1} for e in self.rows()]}
+
+    def to_json_text(self, nl: str = "\n") -> str:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)`` with each
+        newline replaced by ``nl``: a newline and 2k spaces write F as it is
+        written nested k levels deep.
+
+        F must have a term and ``nvars`` > 0, as every F of a T(i) does.
+        The entries of ``rows()`` are flattened, looked up in the digit
+        table, regrouped ``nvars`` at a time and joined, each group and then
+        the groups, with the text between two entries and between two rows,
+        with no row dict and no type check.  An entry outside 0..255 sends
+        every entry through ``str``.
+        """
+        rows, nvars = self.rows(), self.nvars
+        field, item, inner, entry = (nl + "  " * k for k in (1, 2, 3, 4))
+        opening = item + "{" + inner + '"coef": 1,' + inner + '"exp": [' + entry
+        closing = inner + "]" + item + "}"
+        between = "," + entry
+
+        def body(text: Callable[[int], str]) -> str:
+            texts = map(text, chain.from_iterable(rows))
+            return (closing + "," + opening).join(map(between.join, zip(*[texts] * nvars)))
+
+        try:
+            terms = body(_DIGITS.__getitem__)
+        except KeyError:
+            terms = body(str)
+        head = "{" + field + f'"nvars": {nvars},' + field + '"terms": [' + opening
+        return head + terms + closing + field + "]" + nl + "}"
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":

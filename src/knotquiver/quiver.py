@@ -14,11 +14,11 @@ drops a term that would hold both arrows of a bigon (DWZ's reduced part).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
 from .diagram import DiagramError, LinkDiagram
-from .jsontext import json_text
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,6 @@ def export(q: Quiver, w: Potential | ReducedQP, fmt: str) -> str:
             "potential": {"plus": [list(c) for c in w.plus], "minus": [list(c) for c in w.minus]},
         }
         if isinstance(w, ReducedQP):
-            data["substitutions"] = {str(k): list(v) for k, v in sorted(w.substitutions.items())}
-        return json_text(data) + "\n"
+            data["substitutions"] = {str(k): list(v) for k, v in w.substitutions.items()}
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unsupported export format {fmt!r}")

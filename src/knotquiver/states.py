@@ -31,12 +31,12 @@ same sweep, key by key, so it lists no state either.
 from __future__ import annotations
 
 import functools
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import getitem, lshift
 
 from .diagram import DiagramError, LinkDiagram
-from .jsontext import json_text
 from .poly import LaurentPoly
 
 State = tuple[int, ...]  # corner slot of the marker, indexed by crossing
@@ -522,10 +522,10 @@ def lattice_to_json(diagram: LinkDiagram, lat: StateLattice) -> str:
         "states": states,
         "covers": [list(e) for e in lat.covers],
         "heights": [
-            {str(j): v for j, v in sorted(lat.height_vector(k).items())}
+            {str(j): v for j, v in lat.height_vector(k).items()}
             for k in range(lat.size)
         ],
         "min_state": lat.min_state,
         "max_state": lat.max_state,
     }
-    return json_text(data) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

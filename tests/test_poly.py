@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -125,6 +127,12 @@ _byte_term_sets = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
+def _text_cases(nvars):
+    entries = st.sampled_from([0, 1, 9, 10, 99, 100, 255]) | st.integers(0, 255)
+    rows = st.tuples(*[entries | st.integers(-3, 2**70)] * nvars)
+    return st.tuples(st.just(nvars), st.lists(rows, min_size=1, max_size=6))
+
+
 class TestMultiPoly:
     def test_from_vectors(self):
         f = MultiPoly.from_vectors(4, [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)])
@@ -244,6 +252,17 @@ class TestMultiPoly:
     def test_json_roundtrip(self):
         f = MultiPoly.from_vectors(5, [(2, 0, 0, 1, 0), (0, 0, 0, 0, 0)])
         assert MultiPoly.from_json(f.to_json()) == f
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(_text_cases),
+           st.integers(min_value=0, max_value=3))
+    @example((2, [(0, 0), (1, 255)]), 3)
+    @example((2, [(0, 0), (1, 256)]), 0)  # an entry past the digit table
+    @example((1, [(-1,)]), 0)  # a negative entry is not read from the table
+    def test_to_json_text_is_the_text_of_to_json(self, case, depth):
+        nvars, rows = case
+        f = MultiPoly(nvars, rows)
+        nl = "\n" + "  " * depth
+        assert f.to_json_text(nl) == json.dumps(f.to_json(), indent=2, sort_keys=True).replace("\n", nl)
 
     @given(_term_sets)
     @example([(0, 2, 0), (1, 0, 1)])  # one degree, first difference at a zero
