@@ -13,14 +13,14 @@ Two types are used throughout the package:
   ``to_json`` straight from the rows: ``fpoly --format json`` prints F
   through it.  F's one sorted list of rows, ``rows()``, is built on first
   use and read by every writer (``render``, ``to_json``, ``to_json_text``,
-  ``top_term`` and the cache), so F is sorted once per run.  The sort key is read off the dense tuple in C: the
-  degree, then the tuple as bytes with 0 mapped past every positive
-  entry; an F with an entry above 255 is sorted by ``_order_key``
-  instead.  The sparse ``((variable, exponent), ...)`` view is derived
-  only to print.  F is specialized by a weight tuple over the segments,
-  a dot product per term, with the term's sign read from its degree.  F
-  is built, compared, queried, specialized and serialized, but it has no
-  ring operations.
+  ``top_term`` and the cache), so F is sorted once per run.  The sort key
+  is read off the dense tuple in C: the degree, then the tuple as bytes
+  with 0 mapped past every positive entry; an F with an entry above 255
+  is sorted by ``_order_key`` instead.  The sparse ``((variable,
+  exponent), ...)`` view is derived only to print.  F is specialized by a
+  weight tuple over the segments, a dot product per term, with the term's
+  sign read from its degree.  F is built, compared, queried, specialized
+  and serialized, but it has no ring operations.
 
 * ``LaurentPoly`` -- sparse integer Laurent polynomials in a single
   variable ``s`` with the convention ``s**2 == t``.  Working in ``s``
@@ -200,9 +200,9 @@ class MultiPoly:
         F must have a term and ``nvars`` > 0, as every F of a T(i) does.
         The entries of ``rows()`` are flattened, looked up in the digit
         table, regrouped ``nvars`` at a time and joined, each group and then
-        the groups, with the text between two entries and between two rows,
-        with no row dict and no type check.  An entry outside 0..255 sends
-        every entry through ``str``.
+        the groups, with the text between two entries and between two rows:
+        no row dict is built and no entry is checked.  An entry outside
+        0..255 sends every entry through ``str``.
         """
         rows, nvars = self.rows(), self.nvars
         field, item, inner, entry = (nl + "  " * k for k in (1, 2, 3, 4))
