@@ -1,9 +1,12 @@
 """Independent Alexander polynomial via the classical region matrix.
 
 The matrix has one row per crossing and one column per region; each
-crossing writes entries 1, -1, t, -t into its four corner regions and the
-determinant of the minor obtained by deleting two adjacent columns is the
-Alexander polynomial up to a signed power of t.
+crossing writes entries 1, -1, t, -t into its four corner regions.  The
+minor drops the columns of the two regions at segment 1, and its
+determinant is the Alexander polynomial up to a signed power of t.  Any
+two regions that meet along a segment give the same class up to a signed
+power of t; the tests check this by relabeling the arcs, which moves
+segment 1 onto every arc in turn.
 
 Corner convention (fixed here and validated by the cross-pipeline
 agreement tests on the bundled diagrams rather than derived): with the
@@ -34,24 +37,18 @@ are unique.
 
 from __future__ import annotations
 
-from .diagram import DiagramError, LinkDiagram
+from .diagram import LinkDiagram
 from .poly import LaurentPoly
 
 # entry written into the corner between slots k and k+1, as (a, b) for a + b*t
 _CORNER_ENTRIES: tuple[tuple[int, int], ...] = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
-def build_matrix(diagram: LinkDiagram, deleted: tuple[int, int]) -> list[list[tuple[int, int]]]:
-    """Rows by crossings, columns by the regions other than the two ``deleted``,
-    which must be adjacent along a segment; entry (a, b) stands for a + b*t."""
-    r1, r2 = deleted
-    shared = any(
-        {diagram.left_region(j), diagram.right_region(j)} == {r1, r2}
-        for j in diagram.segment_ids()
-    )
-    if not shared:
-        raise DiagramError(f"regions {r1} and {r2} are not adjacent along a segment")
-    keep = tuple(r.id for r in diagram.regions if r.id not in (r1, r2))
+def build_matrix(diagram: LinkDiagram) -> list[list[tuple[int, int]]]:
+    """Rows by crossings, columns by the regions other than the two at
+    segment 1; entry (a, b) stands for a + b*t."""
+    deleted = diagram.regions_at_segment(1)
+    keep = tuple(r.id for r in diagram.regions if r.id not in deleted)
     col = {r: k for k, r in enumerate(keep)}
     rows = []
     for c in range(diagram.n):
@@ -102,17 +99,9 @@ def _balanced_digits(value: int, base: int) -> list[int]:
     return digits
 
 
-def alexander_det(
-    diagram: LinkDiagram, deleted: tuple[int, int] | None = None
-) -> LaurentPoly:
-    """Alexander polynomial from the region matrix, up to a signed power of t.
-
-    ``deleted`` must name two regions sharing a segment; by default the two
-    regions at segment 1 are removed.
-    """
-    if deleted is None:
-        deleted = diagram.regions_at_segment(1)
-    rows = build_matrix(diagram, deleted)
+def alexander_det(diagram: LinkDiagram) -> LaurentPoly:
+    """Alexander polynomial from the region matrix, up to a signed power of t."""
+    rows = build_matrix(diagram)
     base = 2 * 4 ** len(rows) + 1
     det = _bareiss_det([[a + b * base for a, b in row] for row in rows])
     return LaurentPoly.from_t_coefficients(_balanced_digits(det, base))

@@ -35,6 +35,7 @@ All coefficients are Python ints, so arithmetic is exact at any size.
 
 from __future__ import annotations
 
+import json
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -197,14 +198,17 @@ class MultiPoly:
         newline replaced by ``nl``: a newline and 2k spaces write F as it is
         written nested k levels deep.
 
-        F must have a term and ``nvars`` > 0, as every F of a T(i) does.
-        The entries of ``rows()`` are flattened, looked up in the digit
-        table, regrouped ``nvars`` at a time and joined, each group and then
-        the groups, with the text between two entries and between two rows:
-        no row dict is built and no entry is checked.  An entry outside
-        0..255 sends every entry through ``str``.
+        When F has a term and ``nvars`` > 0, as every F of a T(i) does, the
+        entries of ``rows()`` are flattened, looked up in the digit table,
+        regrouped ``nvars`` at a time and joined, each group and then the
+        groups, with the text between two entries and between two rows: no
+        row dict is built and no entry is checked.  An entry outside 0..255
+        sends every entry through ``str``.  Any other F is written by
+        ``json.dumps``.
         """
         rows, nvars = self.rows(), self.nvars
+        if not rows or not nvars:
+            return json.dumps(self.to_json(), indent=2, sort_keys=True).replace("\n", nl)
         field, item, inner, entry = (nl + "  " * k for k in (1, 2, 3, 4))
         opening = item + "{" + inner + '"coef": 1,' + inner + '"exp": [' + entry
         closing = inner + "]" + item + "}"

@@ -501,26 +501,16 @@ class SubmoduleLattice:
         return unit_covers(self.elements)
 
 
-def _raise_lo(lo: list[int], succ: list[list[tuple[int, int]]], work: list[int]) -> None:
-    """Propagate lo(tgt) >= lo(src) - slack from the vertices in ``work``."""
+def _raise(bound: list[int], edges: list[list[tuple[int, int]]], work: list[int]) -> None:
+    """Propagate bound(v) >= bound(u) - slack along each edge u -> (v, slack),
+    from the vertices in ``work``."""
     while work:
-        s = work.pop()
-        b = lo[s]
-        for t, slack in succ[s]:
-            if b - slack > lo[t]:
-                lo[t] = b - slack
-                work.append(t)
-
-
-def _lower_hi(hi: list[int], pred: list[list[tuple[int, int]]], work: list[int]) -> None:
-    """Propagate hi(src) <= hi(tgt) + slack from the vertices in ``work``."""
-    while work:
-        t = work.pop()
-        b = hi[t]
-        for s, slack in pred[t]:
-            if b + slack < hi[s]:
-                hi[s] = b + slack
-                work.append(s)
+        u = work.pop()
+        b = bound[u]
+        for v, slack in edges[u]:
+            if b - slack > bound[v]:
+                bound[v] = b - slack
+                work.append(v)
 
 
 def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
@@ -532,10 +522,13 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
     submodules are thus the integer points of 0 <= m <= dim under the
     difference constraints m(src) - slack <= m(tgt), with slack 0 or 1.
 
-    The search keeps bounds lo <= m <= hi per vertex.  Raising lo(src)
-    raises lo(tgt) to lo(src) - slack, and lowering hi(tgt) lowers hi(src)
-    to hi(tgt) + slack; each change is propagated from a worklist of the
-    vertices it moved.  Vertices are assigned in sorted id order, each
+    The search keeps bounds lo <= m <= hi per vertex, each upper bound
+    negated as cap = -hi.  Raising lo(src) raises lo(tgt) to
+    lo(src) - slack, and lowering hi(tgt) lowers hi(src) to
+    hi(tgt) + slack, that is, raises cap(src) to cap(tgt) - slack: one
+    rule raises both kinds of bound, lo along the arrows and cap against
+    them.  Each change is propagated from a worklist of the vertices it
+    moved.  Vertices are assigned in sorted id order, each
     value from lo to hi in turn, and every assignment is propagated, so
     the elements come out in lexicographic order.  No branch is dead: at a
     fixpoint, assigning m(k) = x with lo(k) <= x <= hi(k) can empty the
@@ -561,31 +554,31 @@ def enumerate_submodules(q: Quiver, rep: QuiverRep) -> SubmoduleLattice:
         succ[s].append((t, slack))
         pred[t].append((s, slack))
 
-    top = list(rep.dims)
-    _lower_hi(top, pred, list(range(n)))
+    top = [-d for d in rep.dims]
+    _raise(top, pred, list(range(n)))
     elements: list[tuple[int, ...]] = []
     stack = [(0, [0] * n, top)]
     while stack:
-        k, lo, hi = stack.pop()
-        while k < n and lo[k] == hi[k]:
+        k, lo, cap = stack.pop()
+        while k < n and lo[k] == -cap[k]:
             k += 1
         if k == n:
             elements.append(tuple(lo))
             continue
         # push the largest value first, so that the smallest is searched
         # first; a child shares each bound list that it leaves unchanged
-        a, b = lo[k], hi[k]
+        a, b = lo[k], -cap[k]
         for m in range(b, a - 1, -1):
-            child_lo, child_hi = lo, hi
+            child_lo, child_cap = lo, cap
             if m > a:
                 child_lo = lo[:]
                 child_lo[k] = m
-                _raise_lo(child_lo, succ, [k])
+                _raise(child_lo, succ, [k])
             if m < b:
-                child_hi = hi[:]
-                child_hi[k] = m
-                _lower_hi(child_hi, pred, [k])
-            stack.append((k + 1, child_lo, child_hi))
+                child_cap = cap[:]
+                child_cap[k] = -m
+                _raise(child_cap, pred, [k])
+            stack.append((k + 1, child_lo, child_cap))
     return SubmoduleLattice(tuple(elements))
 
 

@@ -130,7 +130,7 @@ _byte_term_sets = st.integers(min_value=1, max_value=6).flatmap(
 def _text_cases(nvars):
     entries = st.sampled_from([0, 1, 9, 10, 99, 100, 255]) | st.integers(0, 255)
     rows = st.tuples(*[entries | st.integers(-3, 2**70)] * nvars)
-    return st.tuples(st.just(nvars), st.lists(rows, min_size=1, max_size=6))
+    return st.tuples(st.just(nvars), st.lists(rows, max_size=6))
 
 
 class TestMultiPoly:
@@ -253,8 +253,10 @@ class TestMultiPoly:
         f = MultiPoly.from_vectors(5, [(2, 0, 0, 1, 0), (0, 0, 0, 0, 0)])
         assert MultiPoly.from_json(f.to_json()) == f
 
-    @given(st.integers(min_value=1, max_value=4).flatmap(_text_cases),
+    @given(st.integers(min_value=0, max_value=4).flatmap(_text_cases),
            st.integers(min_value=0, max_value=3))
+    @example((2, []), 0)  # no term
+    @example((0, [()]), 1)  # no variable
     @example((2, [(0, 0), (1, 255)]), 3)
     @example((2, [(0, 0), (1, 256)]), 0)  # an entry past the digit table
     @example((1, [(-1,)]), 0)  # a negative entry is not read from the table
