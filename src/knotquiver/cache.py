@@ -11,11 +11,12 @@ separators, in F's printed order, ``MultiPoly.rows()``.  A hit does not
 trust that order: F is built from the rows as a set and sorted again
 when it is printed, so a checksum-valid entry with its rows permuted
 prints the bytes of the true one.  Every coefficient of F is 1, so the
-rows are all of F.  ``put`` stores nothing when an exponent is above
-255, which does not fit in a byte.  The specialization is not stored:
-it is a function of F and the diagram, and a stored copy could disagree
-with F.  ``fpoly --cache-dir`` is the cache's only caller; ``alexander``
-and ``verify`` read no cache.
+rows are all of F, and each exponent fits in its byte: ``walk_module``
+refuses a height above 255, which bounds every exponent of F, and
+``rows()`` raises ValueError on an entry outside 0..255.  The
+specialization is not stored: it is a function of F and the diagram, and
+a stored copy could disagree with F.  ``fpoly --cache-dir`` is the
+cache's only caller; ``alexander`` and ``verify`` read no cache.
 
 An absent entry and a corrupt one are misses, and the recomputed F
 overwrites them.  An entry is corrupt when its checksum does not match
@@ -83,11 +84,8 @@ class RunCache:
 
     def put(self, diagram: LinkDiagram, segment: int, f: MultiPoly) -> None:
         """Store F under the key of (diagram, segment), replacing any entry
-        there; store nothing if an exponent is above 255."""
-        try:
-            body = bytes(chain.from_iterable(f.rows()))
-        except ValueError:  # bytes must be in range(0, 256)
-            return
+        there."""
+        body = bytes(chain.from_iterable(f.rows()))
         path = self._path(self.key(diagram, segment))
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{path.stem}.", suffix=".tmp")
         try:

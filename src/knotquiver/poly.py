@@ -15,11 +15,12 @@ Two types are used throughout the package:
   use and read by every writer (``render``, ``to_json``, ``to_json_text``,
   ``top_term`` and the cache), so F is sorted once per run.  The sort key
   is read off the dense tuple in C: the degree, then the tuple as bytes
-  with 0 mapped past every positive entry; an F with an entry above 255
-  is sorted by ``_order_key`` instead.  The sparse ``((variable,
-  exponent), ...)`` view is derived only to print.  F is specialized by a
-  weight tuple over the segments, a dot product per term, with the term's
-  sign read from its degree.  F is built, compared, queried, specialized
+  with 0 mapped past every positive entry.  No F of a T(i) has an entry
+  above 255 (``walk_module`` refuses such a height), and ``rows()``
+  raises ValueError on an entry outside 0..255.  The sparse
+  ``((variable, exponent), ...)`` view is derived only to print.  F is
+  specialized by a weight tuple over the segments, a dot product per
+  term, with the term's sign read from its degree.  F is built, compared, queried, specialized
   and serialized, but it has no ring operations.
 
 * ``LaurentPoly`` -- sparse integer Laurent polynomials in a single
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 # A dense exponent vector over y_1..y_nvars: a term of a MultiPoly.
 Exponents = tuple[int, ...]
@@ -56,39 +57,30 @@ def render_monomial(mono: Monomial) -> str:
     return "*".join(f"y{v}" if e == 1 else f"y{v}^{e}" for v, e in mono)
 
 
-def _order_key(e: Exponents) -> tuple[int, list[int]]:
-    """Sort key of a term: its (degree, sparse monomial) order, read densely.
-
-    Among vectors of one degree d, the order of their sparse monomials is
-    the lexicographic order of the dense vectors once every 0 is read as
-    d + 1.  Let k be the first index where a and b differ.  If a_k and
-    b_k are both nonzero, the next sparse pairs are (k + 1, a_k) and
-    (k + 1, b_k), so the smaller entry sorts first in both orders.  If
-    only a_k is nonzero, b has the same degree left from k on as a, which
-    is at least a_k > 0, so b's next sparse pair has a variable beyond
-    k + 1 and a sorts first; densely a_k <= d < d + 1.  Since no entry
-    exceeds d, distinct vectors get distinct keys.
-    """
-    d = sum(e)
-    return d, [x or d + 1 for x in e]
-
-
-# Byte x to (x - 1) % 256: 0 sorts after every positive entry, as in
-# ``_order_key``, and the map is a bijection, so distinct vectors keep
-# distinct keys.
+# Byte x to (x - 1) % 256: 0 sorts after every positive entry, and the
+# map is a bijection, so distinct vectors keep distinct keys.
 _ZERO_LAST = bytes((x - 1) % 256 for x in range(256))
 
 
 def _byte_keys(terms: Collection[Exponents]) -> Iterator[tuple[int, bytes, Exponents]]:
-    """``(degree, byte key, term)`` per term, built in C, for ``sorted``.
+    """``(degree, byte key, term)`` per term, built in C, for ``sorted``;
+    ``bytes`` raises ValueError as it reads an entry outside 0..255.
 
-    For entries 0..255 the pairs (degree, byte key) sort as ``_order_key``
-    does; another entry makes ``bytes`` raise ValueError as they are read.
+    The pairs (degree, byte key) sort terms of entries 0..255 by degree,
+    then sparse monomial.  Among vectors of one degree d, the order of
+    their sparse monomials is the lexicographic order of the dense vectors
+    once every 0 is read as past every positive entry.  Let k be the first
+    index where a and b differ.  If a_k and b_k are both nonzero, the next
+    sparse pairs are (k + 1, a_k) and (k + 1, b_k), so the smaller entry
+    sorts first in both orders.  If only a_k is nonzero, b has the same
+    degree left from k on as a, which is at least a_k > 0, so b's next
+    sparse pair has a variable beyond k + 1 and a sorts first, as its
+    byte a_k - 1 is below b's 255.
     """
     return zip(map(sum, terms), map(bytes.translate, map(bytes, terms), repeat(_ZERO_LAST)), terms)
 
 
-# The text of each entry that fits in a byte, the entries of nearly every F.
+# The text of each entry that fits in a byte: every entry of F's rows.
 _DIGITS = {k: str(k) for k in range(256)}
 
 
@@ -137,13 +129,11 @@ class MultiPoly:
 
         F does not change once built, so the list is sorted on the first
         call and later calls return the same list.  Callers must not
-        modify it.
+        modify it.  An entry outside 0..255 raises ValueError: it has no
+        byte key, and no F of a T(i) has one.
         """
         if self._rows is None:
-            try:
-                self._rows = list(map(itemgetter(2), sorted(_byte_keys(self.terms))))
-            except ValueError:  # an entry outside 0..255 has no byte
-                self._rows = sorted(self.terms, key=_order_key)
+            self._rows = list(map(itemgetter(2), sorted(_byte_keys(self.terms))))
         return self._rows
 
     def top_term(self) -> Monomial:
@@ -199,12 +189,11 @@ class MultiPoly:
         written nested k levels deep.
 
         When F has a term and ``nvars`` > 0, as every F of a T(i) does, the
-        entries of ``rows()`` are flattened, looked up in the digit table,
-        regrouped ``nvars`` at a time and joined, each group and then the
-        groups, with the text between two entries and between two rows: no
-        row dict is built and no entry is checked.  An entry outside 0..255
-        sends every entry through ``str``.  Any other F is written by
-        ``json.dumps``.
+        entries of ``rows()``, each in 0..255 or ``rows()`` raises
+        ValueError, are flattened, looked up in the digit table, regrouped
+        ``nvars`` at a time and joined, each group and then the groups, with
+        the text between two entries and between two rows: no row dict is
+        built.  Any other F is written by ``json.dumps``.
         """
         rows, nvars = self.rows(), self.nvars
         if not rows or not nvars:
@@ -213,15 +202,8 @@ class MultiPoly:
         opening = item + "{" + inner + '"coef": 1,' + inner + '"exp": [' + entry
         closing = inner + "]" + item + "}"
         between = "," + entry
-
-        def body(text: Callable[[int], str]) -> str:
-            texts = map(text, chain.from_iterable(rows))
-            return (closing + "," + opening).join(map(between.join, zip(*[texts] * nvars)))
-
-        try:
-            terms = body(_DIGITS.__getitem__)
-        except KeyError:
-            terms = body(str)
+        texts = map(_DIGITS.__getitem__, chain.from_iterable(rows))
+        terms = (closing + "," + opening).join(map(between.join, zip(*[texts] * nvars)))
         head = "{" + field + f'"nvars": {nvars},' + field + '"terms": [' + opening
         return head + terms + closing + field + "]" + nl + "}"
 
@@ -229,22 +211,26 @@ class MultiPoly:
     def from_json(cls, data: dict) -> "MultiPoly":
         """Inverse of ``to_json``.
 
-        Raises ValueError unless ``nvars`` and every exponent are ints,
-        every exponent is non-negative and of the right count (a bool is
-        not an int here), every coefficient is the int 1, and no exponent
-        vector is repeated: ``to_json`` writes each term once with
+        Raises ValueError unless every row is ``{"exp": [...], "coef":
+        ...}``, ``nvars`` and every exponent are ints, every exponent is in
+        0..255 (the bound on T(i)'s heights) and of the right count (a bool
+        is not an int here), every coefficient is the int 1, and no
+        exponent vector is repeated: ``to_json`` writes each term once with
         coefficient 1, so any other row is not read as a term.
         """
         nvars = data["nvars"]
-        exps = [tuple(row["exp"]) for row in data["terms"]]
-        coefs = [row["coef"] for row in data["terms"]]
+        try:
+            exps = [tuple(row["exp"]) for row in data["terms"]]
+            coefs = [row["coef"] for row in data["terms"]]
+        except (KeyError, TypeError):
+            raise ValueError('every term must be {"exp": [...], "coef": 1}') from None
         entries = list(chain.from_iterable(exps))
         if {type(nvars), *map(type, entries), *map(type, coefs)} - {int}:
             raise ValueError("exponents and coefficients must be ints")
         if set(coefs) - {1}:
             raise ValueError("coefficients must be 1")
-        if entries and min(entries) < 0:
-            raise ValueError("exponents must be non-negative")
+        if entries and not 0 <= min(entries) <= max(entries) <= 255:
+            raise ValueError("exponents must be in 0..255")
         _check_lengths(nvars, exps)
         terms = frozenset(exps)
         if len(terms) != len(exps):
@@ -363,10 +349,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        """Inverse of ``to_json``; ValueError unless every entry is an int
-        and no exponent is repeated."""
+        """Inverse of ``to_json``; ValueError unless every row is an
+        [exponent, coefficient] pair of ints and no exponent is repeated."""
         rows = data["s_terms"]
-        terms = {e: c for e, c in rows}
+        try:
+            terms = {e: c for e, c in rows}
+        except TypeError:
+            raise ValueError("every row must be an [exponent, coefficient] pair") from None
         if {*map(type, terms), *map(type, terms.values())} - {int}:
             raise ValueError("exponents and coefficients must be ints")
         if len(terms) != len(rows):

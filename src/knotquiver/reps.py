@@ -251,8 +251,15 @@ def link_module(diagram: LinkDiagram, q: Quiver, lat: StateLattice) -> QuiverRep
 
 
 def walk_module(diagram: LinkDiagram, q: Quiver, i: int) -> QuiverRep:
-    """T(i) from ``clock_walk``'s extreme states, with no state lattice."""
-    return _module(diagram, q, *clock_walk(diagram, i))
+    """T(i) from ``clock_walk``'s extreme states, with no state lattice.
+
+    A height above 255 raises ``DiagramError``, as in ``build_lattice``: no
+    exponent of F exceeds T(i)'s dimensions, so every F fits in bytes.
+    """
+    base, top, heights = clock_walk(diagram, i)
+    if max(heights) > 255:
+        raise DiagramError(f"a height above 255 relative to segment {i}")
+    return _module(diagram, q, base, top, heights)
 
 
 # -- the level partition of the segments ---------------------------------------

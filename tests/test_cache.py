@@ -8,14 +8,11 @@ import pytest
 import knotquiver.cache as cache_mod
 import knotquiver.diagram as diagram_mod
 import knotquiver.poly as poly_mod
-import knotquiver.verify as verify_mod
 from knotquiver.cache import RunCache
 from knotquiver.cli import main
 from knotquiver.poly import MultiPoly
 from knotquiver.quiver import build_quiver
 from knotquiver.verify import run_segment, segment_pipeline
-
-from .conftest import forbid, fpoly_json_reference
 
 
 def _names(directory):
@@ -273,12 +270,10 @@ def test_forged_rows_with_a_valid_checksum_are_misses(tmp_path, capsys, fig8, bo
 def test_cold_fpoly_sorts_each_f_once(tmp_path, capsys, monkeypatch):
     """The cache entry and the output of a cold run share one sorted list
     of term rows per F, and a warm run sorts each F it reads once: the
-    byte keys are built in one call per F, over all of its terms, and no
-    term takes ``_order_key``."""
+    byte keys are built in one call per F, over all of its terms."""
     keyed = []
     byte_keys = poly_mod._byte_keys
     monkeypatch.setattr(poly_mod, "_byte_keys", lambda terms: keyed.append(len(terms)) or byte_keys(terms))
-    forbid(monkeypatch, poly_mod._order_key)
     outputs = []
     for _ in ("cold", "warm"):
         keyed.clear()
@@ -327,31 +322,6 @@ def test_zero_polynomial_entry_is_a_miss(tmp_path, capsys, argv):
     assert main([command, "figure-eight", *rest, "--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == cold
     assert (tmp_path / FIG8_SEG1_NAME).read_bytes() == FIG8_SEG1_ENTRY
-
-
-def test_an_exponent_above_255_writes_no_entry(tmp_path, capsys, monkeypatch, fig8):
-    """An exponent does not fit in a byte above 255, so ``put`` stores no
-    entry for such an F, and ``fpoly`` prints what it prints with no cache:
-    for JSON, ``json.dumps`` of the records built from ``to_json``."""
-    real_run_segment = verify_mod.run_segment
-
-    def run_segment(diagram, q, i):
-        run = real_run_segment(diagram, q, i)
-        f = MultiPoly(run.f.nvars, run.f.terms | {(0,) * (run.f.nvars - 1) + (256,)})
-        return run._replace(f=f, spec=f.specialize(diagram.specialization_exponents()))
-
-    monkeypatch.setattr(verify_mod, "run_segment", run_segment)
-    q = build_quiver(fig8)
-    runs = [(i, *run_segment(fig8, q, i)[2:]) for i in fig8.segment_ids()]
-    for fmt in ("json", "text"):
-        uncached = _fpoly(capsys, "--all", fmt=fmt)
-        assert "256" in uncached
-        assert _fpoly(capsys, "--all", "--cache-dir", str(tmp_path), fmt=fmt) == uncached
-        assert _names(tmp_path) == []
-    # F is sorted without byte keys and its entries are written through str
-    assert _fpoly(capsys, "--all") == fpoly_json_reference(runs)
-    cache = RunCache(tmp_path)
-    assert cache.get(fig8, 1) is None and _counters(cache) == (0, 1, 0)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure-eight", "two-bridge-27-10", "10_66", "conway"])

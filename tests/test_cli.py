@@ -513,6 +513,44 @@ class TestCompositeInput:
         assert det == "det: 1 - 2*t + 3*t^2 - 2*t^3 + t^4\n"
 
 
+class TestHeightBound:
+    """Every height of T(i) fits in a byte, so F's exponents do: a walk
+    that reaches a height above 255 is refused before any module is built,
+    with the message and exit code of ``states``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fpoly", "figure-eight", "--all"],
+            ["fpoly", "figure-eight", "--all", "--format", "json"],
+            ["fpoly", "figure-eight", "--all", "--cache-dir"],
+            ["fpoly", "figure-eight", "--all", "--format", "json", "--cache-dir"],
+            ["alexander", "figure-eight", "--method", "spec"],
+            ["verify"],
+        ],
+        ids=["fpoly-text", "fpoly-json", "fpoly-text-cached", "fpoly-json-cached",
+             "alexander-spec", "verify"],
+    )
+    def test_a_height_above_255_exit_2(self, capsys, monkeypatch, tmp_path, argv):
+        from knotquiver.states import clock_walk
+
+        def high(diagram, i):
+            bottom, top, heights = clock_walk(diagram, i)
+            return bottom, top, (256, *heights[1:])
+
+        rebind(monkeypatch, clock_walk, high)
+        cache_dir = tmp_path / "cache"
+        if argv[-1] == "--cache-dir":
+            argv = [*argv, str(cache_dir)]
+        if argv == ["verify"]:
+            corpus_file = tmp_path / "fig8.jsonl"
+            corpus_file.write_text(json.dumps({"name": "k", "pd": FIG8_PD, "prime": True}) + "\n")
+            argv = [*argv, str(corpus_file)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: a height above 255 relative to segment 1\n")
+        assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
+
+
 class TestTwoBridgeCmd:
     def test_2123(self, capsys):
         code, out, _ = run(capsys, "two-bridge", "2,1,2,3", "--report-theorem3")
